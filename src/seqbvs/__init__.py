@@ -3,17 +3,13 @@ confidence sets under missing data."""
 
 __version__ = "0.1.0"
 
-from ._kernels import ACTIVE_BACKEND, HAS_NUMBA, resolve_backend
 from .bayes_lm import (
     GramStats,
-    LogMarginalTable,
-    average_over_imputations,
     log_bf_null,
     model_r_squared,
     model_sweep,
     posterior_model_probs,
     update_stats,
-    write_log_marginals_csv,
 )
 from .data_gen import (
     DGPConfig,
@@ -56,7 +52,7 @@ from .inclusion import (
     smcs_inclusion,
     zero_out,
 )
-from .model_space import ModelSpace, ModelVector, enumerate_models, includes
+from .model_space import ModelSpace, ModelVector, enumerate_models
 from .smcs import (
     EProcessState,
     LossRecord,

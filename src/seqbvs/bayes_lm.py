@@ -9,6 +9,14 @@ prior are defined only up to a constant that cancels in every Bayes factor.
 Sufficient statistics live in GramStats and support both one-observation
 updates and vectorized batch accumulation, so any model's log Bayes factor
 is available at any time from O(p^2) state.
+
+The all-subsets sweep (model_sweep) is one pass over the subset lattice
+(Furnival 1971; Goodnight 1979): in little-endian model order every model
+whose highest covariate is j is its parent, the same model without j, plus
+one sweep pivot on column j, so the residual sums of squares of all 2**p
+models come out of p batched rank-1 updates.  log_bf_null solves one model
+at a time with a Cholesky factor and is the independent reference for the
+sweep.
 """
 
 from __future__ import annotations
@@ -18,11 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DataError, InsufficientDataError, ShapeError
 from .model_space import ModelSpace, ModelVector
 
 R2_CEIL = 1.0 - 1e-12
+
+# A sweep pivot at or below this fraction of the column's raw sum of squares
+# is treated as zero: the column is (numerically) constant or a linear
+# combination of the columns already in the model and adds no fit.
+_PIVOT_EPS = 1e-10
 
 MODEL_PRIORS = ("uniform", "scott-berger")
 
@@ -130,24 +142,47 @@ def log_bf_null(stats: GramStats, gamma: ModelVector, g: float | None = None) ->
     return 0.5 * (n - 1 - k) * math.log1p(g) - 0.5 * (n - 1) * math.log1p(g * (1.0 - r2))
 
 
-def model_sweep(
-    stats: GramStats,
-    space: ModelSpace,
-    g: float | None = None,
-    backend: str | None = None,
-) -> np.ndarray:
+def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: float, raw_ss: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of every model, in little-endian model order.
+
+    Before level j, `block[i]` is the centred cross-product matrix of the
+    columns (x_j, ..., x_{p-1}, y) after regression on model i, a subset of
+    the first j covariates.  Dropping column j keeps model i; sweeping on it
+    gives model i + 2**j, so stacking [kept, swept] is the next level.  A
+    pivot at or below _PIVOT_EPS * raw_ss[j] leaves the swept block equal to
+    the kept one.
+    """
+    block = np.block([[a_mat, bvec[:, None]], [bvec[None, :], np.array([[syy_c]])]])[None]
+    for j in range(len(bvec)):
+        pivot = block[:, 0, 0]
+        col = block[:, 1:, 0]
+        inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=pivot > _PIVOT_EPS * raw_ss[j])
+        rest = block[:, 1:, 1:]
+        swept = rest - inv[:, None, None] * col[:, :, None] * col[:, None, :]
+        block = np.concatenate([rest, swept])
+    return block[:, 0, 0]
+
+
+def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> np.ndarray:
     """Log Bayes factors against the null for every model in the space.
 
-    One shared centering of the Gram matrix plus per-model subset solves,
-    dispatched to the numba or numpy kernel.
+    One lattice pass (_lattice_rss) yields every model's residual sum of
+    squares; the closed form then maps R^2 and the model size to log BF.
+    The null entry is exactly 0, and every entry is 0 when y is constant.
     """
-    max_k = space.p
-    if stats.n < max_k + 2:
-        raise InsufficientDataError(f"need n >= p+2 = {max_k + 2} observations, have {stats.n}")
+    if space.p != stats.p:
+        raise ShapeError(f"model space has p={space.p}, statistics have p={stats.p}")
+    n = stats.n
+    if n < space.p + 2:
+        raise InsufficientDataError(f"need n >= p+2 = {space.p + 2} observations, have {n}")
     if g is None:
-        g = float(stats.n)
+        g = float(n)
     a_mat, bvec, syy_c = centered_moments(stats)
-    return _kernels.sweep_logbf(a_mat, bvec, syy_c, stats.n, g, space, backend=backend)
+    if syy_c <= 0.0:
+        return np.zeros(space.m)
+    rss = _lattice_rss(a_mat, bvec, syy_c, np.diag(stats.sxx)[1:])
+    r2 = np.clip(1.0 - rss / syy_c, 0.0, R2_CEIL)
+    return 0.5 * (n - 1 - space.sizes) * np.log1p(g) - 0.5 * (n - 1) * np.log1p(g * (1.0 - r2))
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -158,28 +193,13 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     return float(out.reshape(())) if axis is None else np.squeeze(out, axis=axis)
 
 
-def average_over_imputations(tables: np.ndarray) -> np.ndarray:
-    """Log of the arithmetic mean of Bayes factors across completions.
-
-    `tables` stacks the per-imputation log Bayes factor vectors as rows;
-    the result is log((1/M) sum_m exp(l)) per model, via log-sum-exp.
-    """
-    tables = np.asarray(tables, dtype=float)
-    if tables.ndim == 1:
-        tables = tables[None, :]
-    if tables.ndim != 2:
-        raise ShapeError(f"expected M x m table, got shape {tables.shape}")
-    hi = np.max(tables, axis=0)
-    return hi + np.log(np.mean(np.exp(tables - hi), axis=0))
-
-
 POOLING_RULES = ("arithmetic", "geometric", "mixture")
 
 
 def pool_log_bf(tables: np.ndarray, rule: str = "geometric") -> np.ndarray:
     """Combine per-imputation log Bayes factors into one vector.
 
-    arithmetic: log of the mean Bayes factor (average_over_imputations);
+    arithmetic: log of the mean Bayes factor, via log-sum-exp per model;
     dominated by the single most favourable completion when the spread is
     large.  geometric: the mean of the log Bayes factors; systematic
     complexity penalties survive while zero-mean per-completion noise
@@ -190,8 +210,11 @@ def pool_log_bf(tables: np.ndarray, rule: str = "geometric") -> np.ndarray:
     tables = np.asarray(tables, dtype=float)
     if tables.ndim == 1:
         tables = tables[None, :]
+    if tables.ndim != 2:
+        raise ShapeError(f"expected M x m table, got shape {tables.shape}")
     if rule == "arithmetic":
-        return average_over_imputations(tables)
+        hi = np.max(tables, axis=0)
+        return hi + np.log(np.mean(np.exp(tables - hi), axis=0))
     if rule in ("geometric", "mixture"):
         return tables.mean(axis=0)
     raise DataError(f"unknown pooling rule {rule!r}; expected one of {POOLING_RULES}")
@@ -244,29 +267,3 @@ def posterior_from_imputations(
         probs = per.mean(axis=0)
         return probs / probs.sum()
     return posterior_model_probs(pool_log_bf(tables, pooling), space, prior)
-
-
-@dataclass
-class LogMarginalTable:
-    """Per-imputation and averaged log Bayes factors at one time index."""
-
-    t: int
-    values: np.ndarray  # (M, m) relative to the null model
-    averaged: np.ndarray  # (m,)
-
-    @classmethod
-    def build(cls, t: int, values: np.ndarray) -> LogMarginalTable:
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if np.any(values[:, 0] != 0.0):
-            raise DataError("null-model entry must be exactly 0 in every imputation row")
-        return cls(t=t, values=values, averaged=average_over_imputations(values))
-
-
-def write_log_marginals_csv(tables, path) -> None:
-    """Dump tables as rows (t, imputation, model_index, log_bf)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,imputation,model_index,log_bf\n")
-        for table in tables:
-            for j, row in enumerate(table.values):
-                for i, v in enumerate(row):
-                    fh.write(f"{table.t},{j},{i},{v:.12g}\n")

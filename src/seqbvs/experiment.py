@@ -51,7 +51,6 @@ _STREAM_MASK = 3
 _STREAM_IMPUTE_BASE = 1000
 
 LOSS_MODES = ("cumulative", "increment")
-G_RULES = ("unit-info",)  # plus "fixed:<value>"
 
 PROFILES = {"desk": {"reps": 20, "M": 10}, "full": {"reps": 100, "M": 50}}
 

@@ -75,7 +75,6 @@ class ModelSpace:
         self.bits.setflags(write=False)
         self.sizes = self.bits.sum(axis=1).astype(np.int64)
         self.sizes.setflags(write=False)
-        self._size_groups: list[tuple[int, np.ndarray, np.ndarray]] | None = None
 
     def model(self, i: int) -> ModelVector:
         if not 0 <= i < self.m:
@@ -86,26 +85,6 @@ class ModelSpace:
         if gamma.p != self.p:
             raise IndexError(f"model has p={gamma.p}, space has p={self.p}")
         return gamma.index
-
-    def size_groups(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Models grouped by size: (k, covariate-index matrix, model indices).
-
-        For each size k the covariate-index matrix has shape (count_k, k) and
-        row r lists the included covariates (0-based) of the r-th model of
-        that size.  Used by the batched pure-numpy sweep kernel; computed
-        lazily and cached.
-        """
-        if self._size_groups is None:
-            groups = []
-            for k in range(self.p + 1):
-                members = np.nonzero(self.sizes == k)[0]
-                if k == 0:
-                    cols = np.empty((len(members), 0), dtype=np.int64)
-                else:
-                    cols = np.vstack([np.nonzero(self.bits[i])[0] for i in members])
-                groups.append((k, cols, members))
-            self._size_groups = groups
-        return self._size_groups
 
     def __len__(self) -> int:
         return self.m
@@ -122,7 +101,3 @@ def enumerate_models(p: int) -> ModelSpace:
     """Build the full model space for p covariates (p <= 20 memory guard)."""
     return ModelSpace(p)
 
-
-def includes(gamma: ModelVector, k: int) -> bool:
-    """Membership predicate: covariate k (1-based) is in model gamma."""
-    return gamma.includes(k)

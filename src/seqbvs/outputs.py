@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import ACTIVE_BACKEND, HAS_NUMBA
 from .errors import DataError, OutputError
 from .experiment import CrossingStats, ExperimentConfig, ReplicationResult, aggregate
 from .inclusion import METHODS, InclusionTrajectory
@@ -108,8 +107,6 @@ def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) ->
         "seed_rule": "SeedSequence([base_seed, rep_index, tag]); tags: 1 covariates, "
         "2 noise, 3 mask, 1000+n imputation at sample size n",
         "crossing_tie_rule": "prob == 0.5 counts as active",
-        "backend": ACTIVE_BACKEND,
-        "numba_available": HAS_NUMBA,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
     }

@@ -7,28 +7,17 @@ from hypothesis import strategies as st
 
 from seqbvs.bayes_lm import (
     GramStats,
-    LogMarginalTable,
-    average_over_imputations,
     log_bf_null,
     model_r_squared,
     model_sweep,
     pool_log_bf,
     posterior_model_probs,
     update_stats,
-    write_log_marginals_csv,
 )
 from seqbvs.errors import DataError, InsufficientDataError, ShapeError
-from seqbvs.model_space import ModelVector, enumerate_models
+from seqbvs.model_space import MAX_P, ModelVector, enumerate_models
 
 from oracles import gprior_log_bf_quadrature
-
-BACKENDS = ["numpy"]
-try:
-    import numba  # noqa: F401
-
-    BACKENDS.append("numba")
-except ImportError:
-    pass
 
 
 def _random_dataset(rng, n, p):
@@ -106,15 +95,87 @@ def test_quadrature_oracle_small_handmade():
     assert abs(got - want) < 1e-5
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_model_sweep_matches_per_model(backend):
+def _per_model(stats, space, g=None, indices=None):
+    indices = range(space.m) if indices is None else indices
+    return np.array([log_bf_null(stats, space.model(int(i)), g=g) for i in indices])
+
+
+def test_model_sweep_matches_per_model():
     rng = np.random.default_rng(5)
     x, y = _random_dataset(rng, 30, 6)
     stats = GramStats.from_data(x, y)
     space = enumerate_models(6)
-    swept = model_sweep(stats, space, g=30.0, backend=backend)
-    naive = np.array([log_bf_null(stats, space.model(i), g=30.0) for i in range(space.m)])
-    np.testing.assert_allclose(swept, naive, atol=1e-10)
+    swept = model_sweep(stats, space, g=30.0)
+    np.testing.assert_allclose(swept, _per_model(stats, space, g=30.0), atol=1e-10)
+
+
+def _degenerate_design(kind):
+    rng = np.random.default_rng(11)
+    x, _ = _random_dataset(rng, 30, 4)
+    if kind == "constant":
+        x[:, 2] = 3.7
+    elif kind == "duplicate":
+        x[:, 2] = x[:, 0]
+    elif kind == "sum":
+        x[:, 3] = x[:, 0] + x[:, 1]
+    y = x[:, 0] - 0.5 * x[:, 1] + rng.standard_normal(30)
+    return GramStats.from_data(x, y)
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "sum"])
+def test_degenerate_pivot_adds_no_fit(kind):
+    # a collinear column contributes no SSR; the jittered per-model
+    # Cholesky reference reaches the same values
+    stats = _degenerate_design(kind)
+    space = enumerate_models(4)
+    swept = model_sweep(stats, space)
+    assert np.all(np.isfinite(swept))
+    np.testing.assert_allclose(swept, _per_model(stats, space), atol=1e-8)
+
+
+def test_constant_column_adds_no_fit():
+    stats = _degenerate_design("constant")
+    space = enumerate_models(4)
+    swept = model_sweep(stats, space)
+    assert np.all(np.isfinite(swept))
+    # with covariate 3 a model pays one more prior penalty and gains no fit
+    with_c = space.bits[:, 2] == 1
+    np.testing.assert_allclose(swept[with_c], swept[~with_c] - 0.5 * math.log1p(stats.n), atol=1e-12)
+    # the reference cannot factor the constant column on its own (model 4)
+    others = [i for i in range(space.m) if i != 4]
+    np.testing.assert_allclose(swept[others], _per_model(stats, space, indices=others), atol=1e-8)
+
+
+def test_tiny_scale_column_is_not_dropped():
+    rng = np.random.default_rng(12)
+    x, y = _random_dataset(rng, 30, 4)
+    x[:, 1] *= 1e-9
+    stats = GramStats.from_data(x, y)
+    space = enumerate_models(4)
+    swept = model_sweep(stats, space)
+    np.testing.assert_allclose(swept, _per_model(stats, space), atol=1e-10)
+    # the pivot rule is relative to the column's own scale
+    x[:, 1] *= 1e9
+    np.testing.assert_allclose(swept, model_sweep(GramStats.from_data(x, y), space), atol=1e-10)
+
+
+def test_model_sweep_at_max_p():
+    rng = np.random.default_rng(13)
+    x, y = _random_dataset(rng, 40, MAX_P)
+    stats = GramStats.from_data(x, y)
+    space = enumerate_models(MAX_P)
+    swept = model_sweep(stats, space)
+    assert swept.shape == (space.m,) and swept[0] == 0.0
+    sample = [0, space.m - 1] + [1 << k for k in range(MAX_P)]
+    sample += rng.integers(1, space.m, 40).tolist()
+    np.testing.assert_allclose(swept[sample], _per_model(stats, space, indices=sample), atol=1e-8)
+
+
+def test_model_sweep_rejects_mismatched_space():
+    rng = np.random.default_rng(14)
+    x, y = _random_dataset(rng, 30, 4)
+    with pytest.raises(ShapeError):
+        model_sweep(GramStats.from_data(x, y), enumerate_models(5))
 
 
 def test_model_sweep_null_entry_and_penalty():
@@ -152,27 +213,27 @@ def test_r_squared_nesting_monotone():
 
 def test_average_over_imputations_identity_and_exact_zero():
     v = np.array([0.4, -1.2, 3.0])
-    np.testing.assert_array_equal(average_over_imputations(v[None, :]), v)
+    np.testing.assert_array_equal(pool_log_bf(v[None, :], "arithmetic"), v)
     two = np.zeros((2, 4))
-    out = average_over_imputations(two)
+    out = pool_log_bf(two, "arithmetic")
     assert np.all(out == 0.0)
 
 
 def test_average_over_imputations_mean_of_bfs():
     tables = np.array([[0.0], [math.log(3.0)]])
-    out = average_over_imputations(tables)
+    out = pool_log_bf(tables, "arithmetic")
     assert abs(out[0] - math.log(2.0)) < 1e-12
 
 
 def test_average_shape_mismatch():
     with pytest.raises(ShapeError):
-        average_over_imputations(np.zeros((2, 3, 4)))
+        pool_log_bf(np.zeros((2, 3, 4)), "arithmetic")
 
 
 def test_pool_log_bf_rules():
     tables = np.array([[0.0, 2.0], [0.0, 4.0]])
     np.testing.assert_allclose(pool_log_bf(tables, "geometric"), [0.0, 3.0])
-    np.testing.assert_allclose(pool_log_bf(tables, "arithmetic"), average_over_imputations(tables))
+    np.testing.assert_allclose(pool_log_bf(tables, "arithmetic"), [0.0, math.log((math.exp(2.0) + math.exp(4.0)) / 2)])
     with pytest.raises(DataError):
         pool_log_bf(tables, "harmonic")
 
@@ -202,19 +263,3 @@ def test_posterior_is_simplex(p, data):
         assert np.all(probs >= 0.0)
         assert abs(probs.sum() - 1.0) < 1e-12
 
-
-def test_log_marginal_table_and_csv(tmp_path):
-    values = np.array([[0.0, 1.0, -0.5], [0.0, 2.0, 0.5]])
-    table = LogMarginalTable.build(3, values)
-    np.testing.assert_allclose(table.averaged, average_over_imputations(values))
-    path = tmp_path / "marginals.csv"
-    write_log_marginals_csv([table], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,imputation,model_index,log_bf"
-    assert len(lines) == 1 + 2 * 3
-    assert lines[1].startswith("3,0,0,")
-
-
-def test_log_marginal_table_null_entry_guard():
-    with pytest.raises(DataError):
-        LogMarginalTable.build(1, np.array([[0.1, 1.0]]))

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqbvs.errors import SizeLimitError
-from seqbvs.model_space import ModelSpace, ModelVector, enumerate_models, includes
+from seqbvs.model_space import ModelVector, enumerate_models
 
 
 def test_enumerate_p2_index_order():
@@ -35,11 +35,11 @@ def test_p_out_of_range_rejected(p):
 
 def test_includes_examples():
     gamma = ModelVector((1, 0, 1))
-    assert includes(gamma, 3) is True
-    assert includes(gamma, 2) is False
+    assert gamma.includes(3) is True
+    assert gamma.includes(2) is False
     null = ModelVector((0, 0, 0))
     for k in (1, 2, 3):
-        assert includes(null, k) is False
+        assert null.includes(k) is False
 
 
 def test_includes_out_of_range():
@@ -71,17 +71,6 @@ def test_balance_property(p):
     space = enumerate_models(p)
     counts = space.bits.sum(axis=0)
     assert np.all(counts == space.m // 2)
-
-
-def test_size_groups_partition():
-    space = enumerate_models(6)
-    groups = space.size_groups()
-    seen = np.concatenate([members for _, _, members in groups])
-    assert sorted(seen.tolist()) == list(range(space.m))
-    for k, cols, members in groups:
-        assert cols.shape == (len(members), k)
-        for row, i in zip(cols, members):
-            assert set(row.tolist()) == {c for c in range(6) if space.bits[i, c]}
 
 
 def test_bits_matrix_immutable():

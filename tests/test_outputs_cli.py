@@ -89,7 +89,7 @@ class TestOutputs:
         assert manifest["package"] == "seqbvs"
         assert manifest["config"]["reps"] == 2
         assert manifest["crossing_tie_rule"].startswith("prob == 0.5")
-        assert "seed_rule" in manifest and "backend" in manifest
+        assert "seed_rule" in manifest and "numpy_version" in manifest
 
     def test_csv_roundtrip_preserves_results(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
