@@ -42,7 +42,7 @@ from .experiment import (
     run_experiment,
     run_replication,
 )
-from .imputation import ImputationConfig, ImputedSet, dump_completions, impute
+from .imputation import ImputationConfig, ImputedSet, impute
 from .inclusion import (
     METHODS,
     InclusionTrajectory,

@@ -96,8 +96,15 @@ def centered_moments(stats: GramStats) -> tuple[np.ndarray, np.ndarray, float]:
     return a_mat, bvec, float(syy_c)
 
 
-def _subset_ssr(a_mat: np.ndarray, bvec: np.ndarray, cols: np.ndarray) -> float:
-    """b_S' A_SS^-1 b_S with Cholesky and jitter retries on singularity."""
+def _subset_ssr(a_mat: np.ndarray, bvec: np.ndarray, cols: np.ndarray, raw_ss: np.ndarray) -> float:
+    """b_S' A_SS^-1 b_S with Cholesky and jitter retries on singularity.
+
+    A column whose centred sum of squares is at or below _PIVOT_EPS times
+    its raw one is constant and adds no fit, as in the sweep.
+    """
+    cols = cols[np.diag(a_mat)[cols] > _PIVOT_EPS * raw_ss[cols]]
+    if cols.size == 0:
+        return 0.0
     sub = a_mat[np.ix_(cols, cols)]
     rhs = bvec[cols]
     scale = float(np.trace(sub)) / len(cols)
@@ -120,7 +127,7 @@ def model_r_squared(stats: GramStats, gamma: ModelVector) -> float:
     if syy_c <= 0.0:
         return 0.0
     cols = np.nonzero(np.array(gamma.bits))[0]
-    r2 = _subset_ssr(a_mat, bvec, cols) / syy_c
+    r2 = _subset_ssr(a_mat, bvec, cols, np.diag(stats.sxx)[1:]) / syy_c
     return float(min(max(r2, 0.0), R2_CEIL))
 
 

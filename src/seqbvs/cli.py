@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
 from pathlib import Path
@@ -57,8 +58,9 @@ def _cmd_simulate(args) -> int:
         config.base_seed = args.seed
     config.__post_init__()
 
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     started = time.time()
-    results = run_experiment(config, workers=args.workers, progress=True)
+    results = run_experiment(config, workers=args.workers)
     stats = aggregate(results)
     written = emit_outputs(
         results,

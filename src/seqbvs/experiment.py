@@ -19,6 +19,7 @@ Crossing counts use the tie rule "prob == 0.5 counts as active"; NaN spans
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -44,6 +45,8 @@ from .inclusion import (
 )
 from .model_space import enumerate_models
 from .smcs import EProcessState, SmcsConfig, confidence_set, loss_from_log_marginals, step
+
+log = logging.getLogger(__name__)
 
 _STREAM_COVARIATES = 1
 _STREAM_NOISE = 2
@@ -331,22 +334,19 @@ def _run_one(args: tuple[ExperimentConfig, int]) -> ReplicationResult:
     return run_replication(*args)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    progress: bool = False,
-) -> list[ReplicationResult]:
-    """All replications, ordered by rep index regardless of scheduling."""
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReplicationResult]:
+    """All replications, ordered by rep index regardless of scheduling.
+
+    Progress is logged at INFO on this module's logger.
+    """
     reps = range(config.reps)
     if workers <= 1:
         results = []
         for r in reps:
             results.append(run_replication(config, r))
-            if progress:
-                print(f"replication {r + 1}/{config.reps} done", flush=True)
+            log.info("replication %d/%d done", r + 1, config.reps)
         return results
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_run_one, [(config, r) for r in reps]))
-    if progress:
-        print(f"{config.reps} replications done", flush=True)
+    log.info("%d replications done", config.reps)
     return results

@@ -193,3 +193,63 @@ def ols_prediction(x_hist: np.ndarray, y_hist: np.ndarray, x_new: np.ndarray) ->
     coef = np.linalg.solve(d.T @ d, d.T @ y_hist)
     z = np.concatenate([[1.0], np.atleast_1d(x_new)]) if x_hist.size else np.array([1.0])
     return float(z @ coef)
+
+
+def chained_imputation_per_chain(
+    x: np.ndarray,
+    mask: np.ndarray,
+    n_chains: int,
+    sweeps: int,
+    rng: np.random.Generator,
+    eig_floor: float,
+    sigma_prior_weight: float,
+    coef_draw: bool = True,
+) -> np.ndarray:
+    """Chained-equation completions computed one chain and one fit at a time.
+
+    Chain j draws from child j of `rng.spawn(n_chains)`: first the initial
+    fill of every column with missing cells (observed mean plus observed-sd
+    noise), then, per (sweep, column), the coefficient draw (q normals) and
+    the noise of the missing cells.  Each conditional fit regresses the
+    column on [1, other covariates] over its observed rows with the Gram
+    spectrum floored at eig_floor * trace(gram) / n_obs.  Returns the
+    (n_chains, n, p) completions.
+    """
+    n, p = x.shape
+    out = np.empty((n_chains, n, p))
+    for j, chain_rng in enumerate(rng.spawn(n_chains)):
+        filled = x.copy()
+        for k in range(p):
+            miss = ~mask[:, k]
+            if not miss.any():
+                continue
+            obs_vals = x[mask[:, k], k]
+            filled[miss, k] = float(obs_vals.mean()) + float(obs_vals.std()) * chain_rng.standard_normal(
+                int(miss.sum())
+            )
+        cols_with_missing = [k for k in range(p) if not mask[:, k].all()]
+        for _ in range(sweeps):
+            for k in cols_with_missing:
+                others = [c for c in range(p) if c != k]
+                design = np.column_stack([np.ones(n), filled[:, others]])
+                obs = mask[:, k]
+                d_obs = design[obs]
+                z_obs = filled[:, k][obs]
+                n_obs, q = d_obs.shape
+                gram = d_obs.T @ d_obs
+                floor = max(eig_floor * float(np.trace(gram)) / n_obs, 1e-12)
+                eigval, eigvec = np.linalg.eigh(gram)
+                inv_eig = 1.0 / np.maximum(eigval, floor)
+                beta = eigvec @ (inv_eig * (eigvec.T @ (d_obs.T @ z_obs)))
+                resid = z_obs - d_obs @ beta
+                dof = max(n_obs - q, 1)
+                s0_sq = float(np.var(z_obs)) + 1e-12
+                sigma_sq = (float(resid @ resid) + sigma_prior_weight * s0_sq) / (dof + sigma_prior_weight)
+                sigma = float(np.sqrt(sigma_sq))
+                if coef_draw:
+                    beta = beta + sigma * (eigvec @ (np.sqrt(inv_eig) * chain_rng.standard_normal(q)))
+                miss = ~obs
+                pred = design[miss] @ beta
+                filled[miss, k] = pred + sigma * chain_rng.standard_normal(int(miss.sum()))
+        out[j] = filled
+    return out

@@ -141,9 +141,10 @@ def test_constant_column_adds_no_fit():
     # with covariate 3 a model pays one more prior penalty and gains no fit
     with_c = space.bits[:, 2] == 1
     np.testing.assert_allclose(swept[with_c], swept[~with_c] - 0.5 * math.log1p(stats.n), atol=1e-12)
-    # the reference cannot factor the constant column on its own (model 4)
-    others = [i for i in range(space.m) if i != 4]
-    np.testing.assert_allclose(swept[others], _per_model(stats, space, indices=others), atol=1e-8)
+    # the reference agrees on every model, the constant column alone (model 4)
+    # included: no fit, R^2 = 0
+    np.testing.assert_allclose(swept, _per_model(stats, space), atol=1e-8)
+    assert model_r_squared(stats, space.model(4)) == 0.0
 
 
 def test_tiny_scale_column_is_not_dropped():

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -217,10 +219,12 @@ class TestAggregate:
 
 
 class TestRunExperiment:
-    def test_serial_matches_parallel(self):
+    def test_serial_matches_parallel(self, caplog):
         cfg = tiny_config(reps=3)
-        serial = run_experiment(cfg, workers=1)
-        parallel = run_experiment(cfg, workers=2)
+        with caplog.at_level(logging.INFO, logger="seqbvs.experiment"):
+            serial = run_experiment(cfg, workers=1)
+            parallel = run_experiment(cfg, workers=2)
+        assert caplog.messages == [f"replication {r}/3 done" for r in (1, 2, 3)] + ["3 replications done"]
         assert [r.rep for r in serial] == [0, 1, 2]
         assert [r.rep for r in parallel] == [0, 1, 2]
         for a, b in zip(serial, parallel):

@@ -3,7 +3,9 @@ import pytest
 
 from seqbvs.data_gen import MissingDataset, apply_missingness
 from seqbvs.errors import ConfigError, InsufficientDataError
-from seqbvs.imputation import ImputationConfig, _floored_fit_draw, dump_completions, impute
+from seqbvs.imputation import _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _floored_fit_draw, impute
+
+from oracles import chained_imputation_per_chain
 
 
 def make_masked(rng, n=60, p=4, rate=0.3, rho=0.5):
@@ -102,26 +104,67 @@ def test_single_masked_cell_tracks_oracle_regression():
     assert abs(draws.mean() - pred) < band
 
 
-def _default_dgp_at_min_n(seed):
+def _default_dgp(seed, n=19, mechanism="mcar"):
     from seqbvs.data_gen import DGPConfig, gen_covariates, gen_responses
 
     rng = np.random.default_rng(seed)
     cfg = DGPConfig()
-    x = gen_covariates(19, cfg.cov, rng)
+    x = gen_covariates(n, cfg.cov, rng)
     y = gen_responses(x, cfg, rng)
-    return apply_missingness(x, 0.4, "mcar", rng, y=y)
+    return apply_missingness(x, 0.4, mechanism, rng, y=y)
+
+
+def _with_fully_observed_column():
+    rng = np.random.default_rng(17)
+    x, ds = make_masked(rng, n=40, p=4, rate=0.3)
+    mask = ds.mask.copy()
+    mask[:, 1] = True
+    x_masked = np.where(mask, x, np.nan)
+    return MissingDataset(y=ds.y, X=x_masked, mask=mask)
+
+
+REFERENCE_CASES = {
+    "desk_at_min_n": (lambda: _default_dgp(20), ImputationConfig(M=10)),
+    "desk_n60": (lambda: _default_dgp(21, n=60), ImputationConfig(M=10)),
+    "fully_observed_column": (_with_fully_observed_column, ImputationConfig(M=4)),
+    "single_chain": (lambda: _default_dgp(22, n=30), ImputationConfig(M=1)),
+    "point_fit": (lambda: _default_dgp(23), ImputationConfig(M=6, coef_draw=False)),
+    "mar_y": (lambda: _default_dgp(24, n=40, mechanism="mar_y"), ImputationConfig(M=5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_lockstep_matches_per_chain_reference(case):
+    # the M chains advance together but each keeps its own stream and
+    # arithmetic, so the completions equal the one-chain-at-a-time loop
+    make_data, config = REFERENCE_CASES[case]
+    ds = make_data()
+    assert not ds.mask.all()
+    out = impute(ds, config, np.random.default_rng(31))
+    want = chained_imputation_per_chain(
+        ds.X, ds.mask, config.M, config.sweeps, np.random.default_rng(31),
+        _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, coef_draw=config.coef_draw,
+    )
+    np.testing.assert_array_equal(out.completions, want)
+
+
+def test_chains_do_not_depend_on_chain_count():
+    ds = _default_dgp(25, n=40)
+    five = impute(ds, ImputationConfig(M=5), np.random.default_rng(32)).completions
+    three = impute(ds, ImputationConfig(M=3), np.random.default_rng(32)).completions
+    np.testing.assert_array_equal(five[:3], three)
 
 
 def test_imputed_values_have_sane_scale():
     # the coefficient draw must not explode in the saturated small-n regime
-    out = impute(_default_dgp_at_min_n(10), ImputationConfig(M=10), np.random.default_rng(11))
+    out = impute(_default_dgp(10), ImputationConfig(M=10), np.random.default_rng(11))
     assert np.abs(out.completions).max() < 15.0
 
     # nor may the point fit under it: at n = 19 each column has 8-16 observed
     # rows for 10 predictors, where unstabilised least squares explodes
     for seed in range(20):
         out = impute(
-            _default_dgp_at_min_n(seed),
+            _default_dgp(seed),
             ImputationConfig(M=10, coef_draw=False),
             np.random.default_rng(seed + 1),
         )
@@ -138,9 +181,9 @@ def test_point_fit_is_least_squares_once_well_determined():
     design = np.column_stack([np.ones(n), x])
     target = design @ np.array([0.3, 1.0, -0.5, 2.0]) + rng.standard_normal(n)
     obs = rng.random(n) < 0.6
-    beta, _ = _floored_fit_draw(design, target, obs, rng, coef_draw=False)
+    beta, _ = _floored_fit_draw(design[obs][None], target[obs][None], None)
     ols, *_ = np.linalg.lstsq(design[obs], target[obs], rcond=None)
-    np.testing.assert_allclose(beta, ols, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(beta[0], ols, rtol=1e-10, atol=1e-12)
 
 
 def test_completions_do_not_depend_on_response():
@@ -162,14 +205,3 @@ def test_config_validation():
         ImputationConfig(sweeps=0)
     with pytest.raises(ConfigError):
         ImputationConfig(min_col_obs=1)
-
-
-def test_dump_completions(tmp_path):
-    rng = np.random.default_rng(12)
-    _, ds = make_masked(rng, n=25)
-    out = impute(ds, ImputationConfig(M=3, sweeps=2), np.random.default_rng(13))
-    paths = dump_completions(out, tmp_path / "audit")
-    assert len(paths) == 3
-    text = paths[0].read_text().splitlines()
-    assert text[0] == "x1,x2,x3,x4"
-    assert len(text) == 1 + 25

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqbvs
 from seqbvs.cli import main
 from seqbvs.config import build_config, load_config, parse_config_text
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
@@ -204,6 +209,19 @@ class TestCli:
         assert main(["plot", "--in", str(out_dir), "--rep", "1"]) == 0
         plots = list((out_dir / "plots").glob("rep001_*.svg"))
         assert len(plots) == 4
+
+    def test_simulate_shows_progress(self, tmp_path):
+        # run_experiment logs progress; the simulate command installs the handler
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG_TEXT)
+        env = {**os.environ, "PYTHONPATH": str(Path(seqbvs.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqbvs.cli", "simulate", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out"), "--no-plots"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["replication 1/2 done", "replication 2/2 done"]
 
     def test_plot_missing_rep(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
