@@ -18,8 +18,6 @@ from .data_gen import (
     equicorrelated_cov,
     gen_covariates,
     gen_responses,
-    read_dataset_csv,
-    write_dataset_csv,
 )
 from .errors import (
     ConfigError,
@@ -62,7 +60,6 @@ from .smcs import (
     loss_from_log_marginals,
     step,
     step_pairwise,
-    write_eprocess_csv,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,14 +14,16 @@ The all-subsets sweep (model_sweep) is one pass over the subset lattice
 (Furnival 1971; Goodnight 1979): in little-endian model order every model
 whose highest covariate is j is its parent, the same model without j, plus
 one sweep pivot on column j, so the residual sums of squares of all 2**p
-models come out of p batched rank-1 updates.  log_bf_null solves one model
-at a time with a Cholesky factor and is the independent reference for the
-sweep.
+models come out of p batched rank-1 updates.  The M completions of one time
+step share that pass: their models sit side by side on the last axis of
+each level's block.  log_bf_null solves one model at a time with a
+Cholesky factor and is the independent reference for the sweep.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,47 +151,68 @@ def log_bf_null(stats: GramStats, gamma: ModelVector, g: float | None = None) ->
     return 0.5 * (n - 1 - k) * math.log1p(g) - 0.5 * (n - 1) * math.log1p(g * (1.0 - r2))
 
 
-def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: float, raw_ss: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of every model, in little-endian model order.
+def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: np.ndarray, raw_ss: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of every model of M completions, shape (M, m).
 
-    Before level j, `block[i]` is the centred cross-product matrix of the
-    columns (x_j, ..., x_{p-1}, y) after regression on model i, a subset of
-    the first j covariates.  Dropping column j keeps model i; sweeping on it
-    gives model i + 2**j, so stacking [kept, swept] is the next level.  A
-    pivot at or below _PIVOT_EPS * raw_ss[j] leaves the swept block equal to
-    the kept one.
+    Inputs are stacked per completion: a_mat (M, p, p), bvec (M, p),
+    syy_c (M,), raw_ss (M, p).  The models axis is last: before level j,
+    `block[:, :, c + M * i]` is the centred cross-product matrix of the
+    columns (x_j, ..., x_{p-1}, y) of completion c after regression on model
+    i, a subset of the first j covariates, so a level is a (p+1-j, p+1-j,
+    M * 2**j) block.  Dropping column j keeps model i; sweeping on it gives
+    model i + 2**j, so appending [kept, swept] along the last axis is the
+    next level; it is written in place into the next level's two halves,
+    swept = rest - (inv * col_a) * col_b.  A pivot at or below
+    _PIVOT_EPS * raw_ss[c, j] leaves the swept block equal to the kept one.
     """
-    block = np.block([[a_mat, bvec[:, None]], [bvec[None, :], np.array([[syy_c]])]])[None]
-    for j in range(len(bvec)):
-        pivot = block[:, 0, 0]
-        col = block[:, 1:, 0]
-        inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=pivot > _PIVOT_EPS * raw_ss[j])
-        rest = block[:, 1:, 1:]
-        swept = rest - inv[:, None, None] * col[:, :, None] * col[:, None, :]
-        block = np.concatenate([rest, swept])
-    return block[:, 0, 0]
+    n_comp = len(syy_c)
+    top = np.concatenate([a_mat, bvec[:, :, None]], axis=2)
+    bottom = np.concatenate([bvec, syy_c[:, None]], axis=1)[:, None, :]
+    block = np.concatenate([top, bottom], axis=1).transpose(1, 2, 0)
+    for j in range(bvec.shape[1]):
+        pivot = block[0, 0]
+        col = block[1:, 0]
+        keep = (pivot.reshape(-1, n_comp) > _PIVOT_EPS * raw_ss[:, j]).ravel()
+        inv = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=keep)
+        rest = block[1:, 1:]
+        k = pivot.size
+        block = np.empty(rest.shape[:2] + (2 * k,))
+        block[:, :, :k] = rest
+        swept = block[:, :, k:]
+        np.multiply(inv * col[:, None, :], col[None, :, :], out=swept)
+        np.subtract(rest, swept, out=swept)
+    return block[0, 0].reshape(-1, n_comp).T
 
 
-def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> np.ndarray:
+def model_sweep(stats: GramStats | Sequence[GramStats], space: ModelSpace, g: float | None = None) -> np.ndarray:
     """Log Bayes factors against the null for every model in the space.
 
-    One lattice pass (_lattice_rss) yields every model's residual sum of
-    squares; the closed form then maps R^2 and the model size to log BF.
-    The null entry is exactly 0, and every entry is 0 when y is constant.
+    `stats` is one GramStats, giving an (m,) vector, or a sequence of M
+    (one per completion), giving an (M, m) table from a single lattice pass
+    (_lattice_rss) over all of them.  The closed form then maps R^2 and the
+    model size to log BF.  The null entry is exactly 0, and a completion
+    whose y is constant gets 0 for every model.  g defaults to n.
     """
-    if space.p != stats.p:
-        raise ShapeError(f"model space has p={space.p}, statistics have p={stats.p}")
-    n = stats.n
-    if n < space.p + 2:
-        raise InsufficientDataError(f"need n >= p+2 = {space.p + 2} observations, have {n}")
+    single = isinstance(stats, GramStats)
+    batch = [stats] if single else list(stats)
+    if not batch:
+        raise ShapeError("model_sweep needs at least one GramStats")
+    for st in batch:
+        if space.p != st.p:
+            raise ShapeError(f"model space has p={space.p}, statistics have p={st.p}")
+        if st.n < space.p + 2:
+            raise InsufficientDataError(f"need n >= p+2 = {space.p + 2} observations, have {st.n}")
+    a_mat, bvec, syy_c = (np.array(part) for part in zip(*(centered_moments(st) for st in batch)))
+    raw_ss = np.stack([np.diag(st.sxx)[1:] for st in batch])
+    n = np.array([st.n for st in batch])[:, None]
     if g is None:
-        g = float(n)
-    a_mat, bvec, syy_c = centered_moments(stats)
-    if syy_c <= 0.0:
-        return np.zeros(space.m)
-    rss = _lattice_rss(a_mat, bvec, syy_c, np.diag(stats.sxx)[1:])
-    r2 = np.clip(1.0 - rss / syy_c, 0.0, R2_CEIL)
-    return 0.5 * (n - 1 - space.sizes) * np.log1p(g) - 0.5 * (n - 1) * np.log1p(g * (1.0 - r2))
+        g = n
+    rss = _lattice_rss(a_mat, bvec, syy_c, raw_ss)
+    varies = syy_c > 0.0
+    r2 = np.clip(1.0 - rss / np.where(varies, syy_c, 1.0)[:, None], 0.0, R2_CEIL)
+    log_bf = 0.5 * (n - 1 - space.sizes) * np.log1p(g) - 0.5 * (n - 1) * np.log1p(g * (1.0 - r2))
+    log_bf[~varies] = 0.0
+    return log_bf[0] if single else log_bf
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:

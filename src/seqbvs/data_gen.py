@@ -170,45 +170,3 @@ def apply_missingness(
     x_masked = x_mat.copy()
     x_masked[~mask] = np.nan
     return MissingDataset(y=y.copy(), X=x_masked, mask=mask)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
-def write_dataset_csv(ds: MissingDataset, data_path, mask_path) -> None:
-    """Persist a dataset: y,x1..xp with empty fields at masked cells, plus
-    a companion 0/1 mask CSV."""
-    p = ds.p
-    header = "y," + ",".join(f"x{k}" for k in range(1, p + 1))
-    with open(data_path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for j in range(ds.n):
-            cells = [_fmt(ds.y[j])]
-            cells += [_fmt(ds.X[j, k]) if ds.mask[j, k] else "" for k in range(p)]
-            fh.write(",".join(cells) + "\n")
-    with open(mask_path, "w", newline="") as fh:
-        fh.write(",".join(f"x{k}" for k in range(1, p + 1)) + "\n")
-        for j in range(ds.n):
-            fh.write(",".join(str(int(b)) for b in ds.mask[j]) + "\n")
-
-
-def read_dataset_csv(data_path, mask_path) -> MissingDataset:
-    """Inverse of write_dataset_csv."""
-    with open(data_path) as fh:
-        header = fh.readline().strip().split(",")
-        p = len(header) - 1
-        ys, rows, masks = [], [], []
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            ys.append(float(cells[0]))
-            rows.append([float(c) if c != "" else np.nan for c in cells[1:]])
-            masks.append([c != "" for c in cells[1:]])
-    x_mat = np.array(rows, dtype=float).reshape(len(ys), p)
-    mask = np.array(masks, dtype=bool).reshape(len(ys), p)
-    with open(mask_path) as fh:
-        fh.readline()
-        file_mask = np.array([[c == "1" for c in line.rstrip("\n").split(",")] for line in fh])
-    if file_mask.size and not np.array_equal(mask, file_mask):
-        raise DataError(f"mask CSV disagrees with empty cells in {data_path}")
-    return MissingDataset(y=np.array(ys), X=x_mat, mask=mask)

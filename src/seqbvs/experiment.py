@@ -14,13 +14,17 @@ sample size n), so reps and time steps are reproducible individually and
 independent of scheduling.
 
 Crossing counts use the tie rule "prob == 0.5 counts as active"; NaN spans
-(empty confidence sets, smcs method only) are dropped before counting.
+(empty confidence sets, smcs method only) are bridged over, so a side change
+across a span counts once, at the first valid entry after it.  The crossing
+kernel works along axis 0 of a whole (T, p) trajectory at a time, and a
+time step's M completions go through one batched model_sweep.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,7 +154,7 @@ class ReplicationResult:
     set_sizes: np.ndarray  # (T,) size of the confidence set per time index
     crossings: dict[str, np.ndarray]  # per method, (p,) ints
     final_included: dict[str, np.ndarray]  # per method, (p,) bools at t_max
-    had_nan: dict[str, bool]  # NaN spans dropped before counting crossings
+    had_nan: dict[str, bool]  # NaN spans bridged over when counting crossings
     zero_out_fallbacks: int = 0
 
 
@@ -169,31 +173,33 @@ class CrossingStats:
     cum_sd: dict[str, np.ndarray]  # (T,) sd of cumulative total crossings
 
 
-def crossing_events(traj: np.ndarray) -> np.ndarray:
-    """Per-time-index crossing indicators for one covariate's series.
+def crossing_events(probs: np.ndarray) -> np.ndarray:
+    """Crossing indicators along axis 0 of a (T,) or (T, p) probability array.
 
-    side(t) is active iff prob >= 0.5; entry t is 1 when the side changed
-    relative to the previous non-NaN entry.  NaN entries never host an
-    event and are bridged over.
+    side(t) is active iff prob >= 0.5; entry t is 1 when the side differs
+    from the side at the previous non-NaN entry of the same column.  NaN
+    entries never host an event and are bridged over: a running maximum of
+    the valid indices (np.maximum.accumulate) carries each column's last
+    valid row forward, so an event needs a valid entry, an earlier valid
+    entry and a side change between the two.  Returns int64 of the input's
+    shape.
     """
-    traj = np.asarray(traj, dtype=float)
-    if traj.size == 0:
+    probs = np.asarray(probs, dtype=float)
+    if probs.size == 0:
         raise DataError("cannot count crossings of an empty series")
-    events = np.zeros(traj.size, dtype=np.int64)
-    prev_side = None
-    for i, v in enumerate(traj):
-        if np.isnan(v):
-            continue
-        side = v >= 0.5
-        if prev_side is not None and side != prev_side:
-            events[i] = 1
-        prev_side = side
-    return events
+    valid = ~np.isnan(probs)
+    side = probs >= 0.5
+    rows = np.arange(probs.shape[0]).reshape((-1,) + (1,) * (probs.ndim - 1))
+    last_valid = np.maximum.accumulate(np.where(valid, rows, -1), axis=0)
+    prev = np.concatenate([np.full_like(last_valid[:1], -1), last_valid[:-1]])
+    prev_side = np.take_along_axis(side, np.maximum(prev, 0), axis=0)
+    return (valid & (prev >= 0) & (side != prev_side)).astype(np.int64)
 
 
-def count_crossings(traj: np.ndarray) -> int:
-    """Number of 0.5-threshold side changes along one probability series."""
-    return int(crossing_events(traj).sum())
+def count_crossings(probs: np.ndarray) -> int | np.ndarray:
+    """0.5-threshold side changes: an int for a (T,) series, (p,) int64 for (T, p)."""
+    counts = crossing_events(probs).sum(axis=0)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
@@ -232,10 +238,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
             raise
 
         g = g_for_n(config.g_rule, n)
-        per_imp = np.empty((config.imp.M, m))
-        for j in range(config.imp.M):
-            stats = GramStats.from_data(imputed.completions[j], sub.y)
-            per_imp[j] = model_sweep(stats, space, g)
+        per_imp = model_sweep([GramStats.from_data(x_mat, sub.y) for x_mat in imputed.completions], space, g)
         avg = pool_log_bf(per_imp, config.pooling)
 
         post = posterior_from_imputations(per_imp, space, config.model_prior, config.pooling)
@@ -264,7 +267,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     had_nan = {}
     for meth in METHODS:
         mat = probs[meth]
-        crossings[meth] = np.array([count_crossings(mat[:, k]) for k in range(dgp.p)])
+        crossings[meth] = count_crossings(mat)
         final_included[meth] = mat[-1] >= 0.5
         had_nan[meth] = bool(np.isnan(mat).any())
 
@@ -304,15 +307,7 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
         total_mean[meth] = float(totals.mean())
         total_var[meth] = float(totals.var(ddof=1)) if reps > 1 else 0.0
         cum = np.stack(
-            [
-                np.cumsum(
-                    np.sum(
-                        [crossing_events(r.trajectories[meth].probs[:, k]) for k in range(p)],
-                        axis=0,
-                    )
-                )
-                for r in results
-            ]
+            [np.cumsum(crossing_events(r.trajectories[meth].probs).sum(axis=1)) for r in results]
         ).astype(float)  # (reps, T)
         cum_mean[meth] = cum.mean(axis=0)
         cum_sd[meth] = cum.std(axis=0, ddof=1) if reps > 1 else np.zeros(t_max)
@@ -337,16 +332,14 @@ def _run_one(args: tuple[ExperimentConfig, int]) -> ReplicationResult:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReplicationResult]:
     """All replications, ordered by rep index regardless of scheduling.
 
-    Progress is logged at INFO on this module's logger.
+    Progress is logged at INFO on this module's logger, one line per
+    replication as its result arrives in rep order (with workers > 1 the
+    pool's ordered results are consumed lazily).
     """
-    reps = range(config.reps)
-    if workers <= 1:
-        results = []
-        for r in reps:
-            results.append(run_replication(config, r))
-            log.info("replication %d/%d done", r + 1, config.reps)
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_run_one, [(config, r) for r in reps]))
-    log.info("%d replications done", config.reps)
+    jobs = [(config, r) for r in range(config.reps)]
+    results = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for res in (pool.map if pool else map)(_run_one, jobs):
+            results.append(res)
+            log.info("replication %d/%d done", len(results), config.reps)
     return results

@@ -3,12 +3,21 @@
 All numeric output is decimal text with 12 significant digits.  The
 trajectories CSV is the canonical record; `analyze` recomputes the report
 tables from it alone.
+
+The CSV and the arrays it holds are both whole-array: the writer joins the
+rows of one (rep, t) into one string, and the reader parses the file in one
+np.loadtxt pass and scatters it into a (reps, methods, T, p) probability
+cube whose (rep, method) slices are the (T, p) trajectories, NaN where the
+smcs confidence set was empty.  A probability read back equals float() of
+its 12-digit text bit for bit, NaN included.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -16,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, OutputError
-from .experiment import CrossingStats, ExperimentConfig, ReplicationResult, aggregate
+from .experiment import CrossingStats, ExperimentConfig, ReplicationResult, aggregate, count_crossings
 from .inclusion import METHODS, InclusionTrajectory
 from .svg import crossing_totals_chart, trajectory_chart
 
@@ -25,6 +34,13 @@ TABLES_CSV = "tables.csv"
 CROSSING_TOTALS_CSV = "crossing_totals.csv"
 MANIFEST_JSON = "manifest.json"
 PLOTS_DIR = "plots"
+
+_TRAJECTORIES_HEADER = "rep,n,t,method,covariate,prob,set_size"
+# U9: the longest method name has 8 characters, so a longer field reads as
+# an unknown name instead of being cut to a known one
+_TRAJECTORY_DTYPE = np.dtype(
+    [("rep", "i8"), ("n", "i8"), ("t", "i8"), ("method", "U9"), ("covariate", "i8"), ("prob", "f8"), ("set_size", "i8")]
+)
 
 
 def _fmt(v: float) -> str:
@@ -39,19 +55,24 @@ def _open_for_write(path: Path):
 
 
 def write_trajectories_csv(results: list[ReplicationResult], path) -> None:
-    """Canonical long-format record: rep,n,t,method,covariate,prob,set_size."""
+    """Canonical long-format record: rep,n,t,method,covariate,prob,set_size.
+
+    Rows run over rep, then t, then method, then covariate.  Each (rep, t)
+    is written as one string: its "rep,n,t," prefix, the "method,covariate,"
+    cells and its ",set_size" suffix are formatted once and only the
+    probabilities are formatted per row (12 significant digits).
+    """
     path = Path(path)
     with _open_for_write(path) as fh:
-        fh.write("rep,n,t,method,covariate,prob,set_size\n")
+        fh.write(_TRAJECTORIES_HEADER + "\n")
         for res in results:
-            p = res.trajectories["bvs"].probs.shape[1]
-            for t_idx in range(res.trajectories["bvs"].probs.shape[0]):
-                n = res.n_min + t_idx
-                size = int(res.set_sizes[t_idx])
-                for meth in METHODS:
-                    row = res.trajectories[meth].probs[t_idx]
-                    for k in range(p):
-                        fh.write(f"{res.rep},{n},{t_idx + 1},{meth},{k + 1},{_fmt(row[k])},{size}\n")
+            probs = np.stack([res.trajectories[meth].probs for meth in METHODS], axis=1)  # (T, methods, p)
+            cells = [f"{meth},{k + 1}," for meth in METHODS for k in range(probs.shape[2])]
+            rows = probs.reshape(probs.shape[0], -1).tolist()
+            for t_idx, (row, size) in enumerate(zip(rows, res.set_sizes.tolist())):
+                prefix = f"{res.rep},{res.n_min + t_idx},{t_idx + 1},"
+                suffix = f",{size}\n"
+                fh.write("".join([f"{prefix}{cell}{v:.12g}{suffix}" for cell, v in zip(cells, row)]))
 
 
 def write_tables_csv(stats: CrossingStats, path) -> None:
@@ -196,7 +217,16 @@ def emit_outputs(
 
 
 def read_trajectories_csv(path) -> list[ReplicationResult]:
-    """Rebuild per-replication results (crossings included) from the CSV."""
+    """Rebuild per-replication results (crossings included) from the CSV.
+
+    One np.loadtxt pass reads the rows into a structured array, with no
+    Python object per row.  Every (rep, method, t, covariate) cell must
+    appear exactly once, for t = 1..T and covariate = 1..p; the
+    probabilities are scattered into a (reps, methods, T, p) cube, and each
+    (rep, method) slice gets its crossings from one 2-d crossing count.  A
+    malformed row (wrong field count, a non-numeric field, an unknown
+    method) or an incomplete cube raises DataError naming the file.
+    """
     path = Path(path)
     try:
         fh = open(path)
@@ -204,50 +234,53 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
         raise OutputError(f"cannot read {path}: {exc}") from exc
     with fh:
         header = fh.readline().strip()
-        if header != "rep,n,t,method,covariate,prob,set_size":
+        if header != _TRAJECTORIES_HEADER:
             raise DataError(f"unexpected trajectories header in {path}: {header!r}")
-        cells: dict[int, dict] = {}
-        for line in fh:
-            rep_s, n_s, t_s, meth, cov_s, prob_s, size_s = line.rstrip("\n").split(",")
-            rep, n, t, cov = int(rep_s), int(n_s), int(t_s), int(cov_s)
-            entry = cells.setdefault(rep, {"n_by_t": {}, "size_by_t": {}, "probs": {}})
-            entry["n_by_t"][t] = n
-            entry["size_by_t"][t] = int(size_s)
-            entry["probs"].setdefault(meth, {})[(t, cov)] = float(prob_s)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, dtype=_TRAJECTORY_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise DataError(f"malformed row in {path}: {exc}") from exc
+    if rows.size == 0:
+        return []
 
-    from .experiment import count_crossings  # local import to avoid a cycle
+    meth_idx = np.full(rows.size, -1)
+    for i, meth in enumerate(METHODS):
+        meth_idx[rows["method"] == meth] = i
+    if np.any(meth_idx < 0):
+        raise DataError(f"unknown method {str(rows['method'][np.argmax(meth_idx < 0)])!r} in {path}")
+    rep_ids, rep_idx = np.unique(rows["rep"], return_inverse=True)
+    t_idx = rows["t"] - 1
+    cov_idx = rows["covariate"] - 1
+    if t_idx.min() < 0 or cov_idx.min() < 0:
+        raise DataError(f"t and covariate must be >= 1 in {path}")
+    shape = (rep_ids.size, len(METHODS), int(t_idx.max()) + 1, int(cov_idx.max()) + 1)
+    if rows.size != math.prod(shape):
+        raise DataError(f"{path} has {rows.size} rows, not one per cell of (rep, method, t, covariate) {shape}")
+    flat = np.ravel_multi_index((rep_idx, meth_idx, t_idx, cov_idx), shape)
+    if np.any(np.bincount(flat, minlength=rows.size) != 1):
+        raise DataError(f"{path} repeats a (rep, method, t, covariate) cell")
+    cube = np.empty(shape)
+    cube.flat[flat] = rows["prob"]
+    n_at = np.empty((shape[0], shape[2]), dtype=np.int64)  # (reps, T)
+    sizes = np.empty_like(n_at)
+    n_at[rep_idx, t_idx] = rows["n"]
+    sizes[rep_idx, t_idx] = rows["set_size"]
 
     results = []
-    for rep in sorted(cells):
-        entry = cells[rep]
-        ts = sorted(entry["n_by_t"])
-        t_max = len(ts)
-        p = max(cov for (_, cov) in entry["probs"]["bvs"])
-        n_min = entry["n_by_t"][ts[0]]
-        n_max = entry["n_by_t"][ts[-1]]
-        trajectories = {}
-        crossings = {}
-        final_included = {}
-        had_nan = {}
-        for meth in METHODS:
-            mat = np.full((t_max, p), np.nan)
-            for (t, cov), v in entry["probs"][meth].items():
-                mat[t - 1, cov - 1] = v
-            trajectories[meth] = InclusionTrajectory(meth, mat)
-            crossings[meth] = np.array([count_crossings(mat[:, k]) for k in range(p)])
-            final_included[meth] = mat[-1] >= 0.5
-            had_nan[meth] = bool(np.isnan(mat).any())
-        set_sizes = np.array([entry["size_by_t"][t] for t in ts], dtype=np.int64)
+    for r, rep in enumerate(rep_ids.tolist()):
+        trajectories = {meth: InclusionTrajectory(meth, cube[r, i]) for i, meth in enumerate(METHODS)}
         results.append(
             ReplicationResult(
                 rep=rep,
-                n_min=n_min,
-                n_max=n_max,
+                n_min=int(n_at[r, 0]),
+                n_max=int(n_at[r, -1]),
                 trajectories=trajectories,
-                set_sizes=set_sizes,
-                crossings=crossings,
-                final_included=final_included,
-                had_nan=had_nan,
+                set_sizes=sizes[r],
+                crossings={meth: count_crossings(cube[r, i]) for i, meth in enumerate(METHODS)},
+                final_included={meth: cube[r, i, -1] >= 0.5 for i, meth in enumerate(METHODS)},
+                had_nan={meth: bool(np.isnan(cube[r, i]).any()) for i, meth in enumerate(METHODS)},
             )
         )
     return results

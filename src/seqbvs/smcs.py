@@ -223,12 +223,3 @@ def step_pairwise(state: EProcessState, pairwise_d: np.ndarray, config: SmcsConf
 def confidence_set(state: EProcessState) -> np.ndarray:
     """Indices of the models currently in the confidence set (may be empty)."""
     return np.nonzero(state.member)[0]
-
-
-def write_eprocess_csv(states, path) -> None:
-    """Per-step dump: rows (t, model_index, log_sup, member)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,model_index,log_sup,member\n")
-        for state in states:
-            for i in range(state.m):
-                fh.write(f"{state.t},{i},{state.log_sup[i]:.12g},{int(state.member[i])}\n")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 WIDTH = 880
@@ -86,22 +84,28 @@ class _Canvas:
             f'stroke="{color}" stroke-width="1"{dash}/>'
         )
 
+    def _points(self, xs: np.ndarray, ys: np.ndarray) -> list[str]:
+        """'px,py' strings; px/py repeat _px/_py's IEEE operations elementwise."""
+        px = MARGIN_L + (xs - self.x_lo) / (self.x_hi - self.x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
+        py = HEIGHT - MARGIN_B - (ys - self.y_lo) / (self.y_hi - self.y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
+        return [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
+
     def polyline(self, xs, ys, color: str, width: float = 1.3, opacity: float = 1.0) -> None:
-        pts = [
-            f"{self._px(float(x)):.2f},{self._py(float(y)):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(float(y))
-        ]
-        if len(pts) < 2:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        finite = np.isfinite(ys)
+        if np.count_nonzero(finite) < 2:
             return
+        pts = self._points(xs[finite], ys[finite])
         self.parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="{width:g}" '
             f'stroke-opacity="{opacity:g}" points="{" ".join(pts)}"/>'
         )
 
     def band(self, xs, lo, hi, color: str, opacity: float = 0.18) -> None:
-        fwd = [f"{self._px(float(x)):.2f},{self._py(float(v)):.2f}" for x, v in zip(xs, hi)]
-        back = [f"{self._px(float(x)):.2f},{self._py(float(v)):.2f}" for x, v in reversed(list(zip(xs, lo)))]
+        xs = np.asarray(xs, dtype=float)
+        fwd = self._points(xs, np.asarray(hi, dtype=float))
+        back = self._points(xs[::-1], np.asarray(lo, dtype=float)[::-1])
         self.parts.append(
             f'<polygon fill="{color}" fill-opacity="{opacity:g}" stroke="none" '
             f'points="{" ".join(fwd + back)}"/>'

@@ -253,3 +253,23 @@ def chained_imputation_per_chain(
                 filled[miss, k] = pred + sigma * chain_rng.standard_normal(int(miss.sum()))
         out[j] = filled
     return out
+
+
+def crossing_events_reference(traj: np.ndarray) -> np.ndarray:
+    """Crossing indicators of one (T,) series by a scalar walk along it.
+
+    side(t) is active iff prob >= 0.5; entry t is 1 when the side changed
+    relative to the previous non-NaN entry.  NaN entries never host an
+    event and are bridged over.
+    """
+    traj = np.asarray(traj, dtype=float)
+    events = np.zeros(traj.size, dtype=np.int64)
+    prev_side = None
+    for i, v in enumerate(traj):
+        if np.isnan(v):
+            continue
+        side = v >= 0.5
+        if prev_side is not None and side != prev_side:
+            events[i] = 1
+        prev_side = side
+    return events

@@ -15,13 +15,12 @@ from seqbvs.bayes_lm import GramStats, log_bf_null, posterior_model_probs
 from seqbvs.cli import main
 from seqbvs.data_gen import MissingDataset, apply_missingness
 from seqbvs.errors import InsufficientDataError
-from seqbvs.experiment import count_crossings
 from seqbvs.imputation import ImputationConfig, impute
 from seqbvs.inclusion import METHODS, bvs_inclusion, mixed_inclusion, smcs_inclusion, zero_out
 from seqbvs.model_space import enumerate_models
 from seqbvs.smcs import EProcessState, LossRecord, SmcsConfig, loss_from_log_marginals, step, step_pairwise
 
-from oracles import gprior_log_bf_quadrature, literal_log_e
+from oracles import crossing_events_reference, gprior_log_bf_quadrature, literal_log_e
 
 pytestmark = pytest.mark.acceptance
 
@@ -237,10 +236,10 @@ def test_zero_out_bvs_final_time_alignment(desk_run):
 
 
 def test_crossing_counts_consistent_with_trajectories(desk_run):
-    """Stored crossing counts equal recomputation from stored trajectories."""
+    """Stored crossing counts equal the scalar reference walk over the stored trajectories."""
     _, results, _ = desk_run
     for r in results:
         for meth in METHODS:
             mat = r.trajectories[meth].probs
-            recomputed = [count_crossings(mat[:, k]) for k in range(mat.shape[1])]
+            recomputed = [crossing_events_reference(mat[:, k]).sum() for k in range(mat.shape[1])]
             np.testing.assert_array_equal(r.crossings[meth], recomputed)

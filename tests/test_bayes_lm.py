@@ -172,6 +172,40 @@ def test_model_sweep_at_max_p():
     np.testing.assert_allclose(swept[sample], _per_model(stats, space, indices=sample), atol=1e-8)
 
 
+def test_batched_sweep_equals_single_sweeps():
+    # one lattice pass over M completions gives each completion's own sweep
+    # bit for bit, including the pivot rule applied per completion and a
+    # completion whose y is constant
+    rng = np.random.default_rng(15)
+    space = enumerate_models(5)
+    batch = []
+    for c in range(5):
+        x, y = _random_dataset(rng, 24 + c, 5)
+        if c == 1:
+            x[:, 2] = 3.7
+        if c == 2:
+            x[:, 4] = x[:, 0] + x[:, 1]
+        if c == 3:
+            y = np.full_like(y, 2.0)
+        batch.append(GramStats.from_data(x, y))
+    table = model_sweep(batch, space, g=20.0)
+    assert table.shape == (5, space.m)
+    for c, stats in enumerate(batch):
+        np.testing.assert_array_equal(table[c], model_sweep(stats, space, g=20.0))
+        if c != 3:
+            np.testing.assert_allclose(table[c], _per_model(stats, space, g=20.0), atol=1e-8)
+    assert np.all(table[3] == 0.0)
+    # g defaults to each completion's own n
+    default = model_sweep(batch, space)
+    for c, stats in enumerate(batch):
+        np.testing.assert_array_equal(default[c], model_sweep(stats, space, g=float(stats.n)))
+
+
+def test_batched_sweep_needs_a_completion():
+    with pytest.raises(ShapeError):
+        model_sweep([], enumerate_models(3))
+
+
 def test_model_sweep_rejects_mismatched_space():
     rng = np.random.default_rng(14)
     x, y = _random_dataset(rng, 30, 4)

@@ -7,8 +7,6 @@ from seqbvs.data_gen import (
     equicorrelated_cov,
     gen_covariates,
     gen_responses,
-    read_dataset_csv,
-    write_dataset_csv,
 )
 from seqbvs.errors import ConfigError, DataError, ShapeError
 
@@ -144,21 +142,6 @@ def test_responses_never_masked():
     ds = apply_missingness(x, 0.5, "mcar", rng, y=y)
     assert np.all(np.isfinite(ds.y))
     assert ds.mask.shape == ds.X.shape
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal((25, 4))
-    y = rng.standard_normal(25)
-    ds = apply_missingness(x, 0.35, "mcar", rng, y=y)
-    data_path = tmp_path / "data.csv"
-    mask_path = tmp_path / "mask.csv"
-    write_dataset_csv(ds, data_path, mask_path)
-    back = read_dataset_csv(data_path, mask_path)
-    np.testing.assert_array_equal(back.mask, ds.mask)
-    np.testing.assert_allclose(back.y, ds.y, rtol=1e-11)
-    np.testing.assert_allclose(back.X[back.mask], ds.X[ds.mask], rtol=1e-11)
-    assert np.all(np.isnan(back.X[~back.mask]))
 
 
 def test_dataset_validation():

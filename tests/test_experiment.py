@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
 from seqbvs.errors import ConfigError, DataError
@@ -20,6 +22,8 @@ from seqbvs.experiment import (
 )
 from seqbvs.imputation import ImputationConfig
 from seqbvs.inclusion import METHODS, InclusionTrajectory
+
+from oracles import crossing_events_reference
 
 
 def tiny_config(**overrides):
@@ -60,6 +64,41 @@ class TestCrossings:
         rng = np.random.default_rng(0)
         series = rng.random(50)
         assert crossing_events(series).sum() == count_crossings(series)
+
+    def test_scalar_for_series_counts_for_matrix(self):
+        mat = np.array([[0.6, 0.2], [0.4, np.nan], [0.6, 0.7]])
+        assert type(count_crossings(mat[:, 0])) is int
+        counts = count_crossings(mat)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [2, 1])
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DataError):
+            crossing_events(np.empty((0, 3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 5),
+        st.lists(
+            st.one_of(st.just(0.5), st.just(np.nan), st.floats(0.0, 1.0)), min_size=60, max_size=60
+        ),
+        st.integers(0, 4),
+    )
+    def test_matrix_kernel_matches_reference_per_column(self, t_count, p, values, all_nan_col):
+        # exact 0.5 ties and NaN are drawn as often as general values, so
+        # NaN spans and ties are common; T=1 and an all-NaN column occur too
+        mat = np.array(values[: t_count * p]).reshape(t_count, p)
+        if all_nan_col < p:
+            mat[:, all_nan_col] = np.nan
+        events = crossing_events(mat)
+        assert events.shape == mat.shape and events.dtype == np.int64
+        for k in range(p):
+            want = crossing_events_reference(mat[:, k])
+            np.testing.assert_array_equal(events[:, k], want)
+            np.testing.assert_array_equal(crossing_events(mat[:, k]), want)
+            assert count_crossings(mat[:, k]) == int(want.sum())
+        np.testing.assert_array_equal(count_crossings(mat), events.sum(axis=0))
 
 
 class TestConfig:
@@ -116,7 +155,7 @@ class TestRunReplication:
             assert res.crossings[meth].shape == (4,)
             np.testing.assert_array_equal(
                 res.crossings[meth],
-                [count_crossings(mat[:, k]) for k in range(4)],
+                [crossing_events_reference(mat[:, k]).sum() for k in range(4)],
             )
             np.testing.assert_array_equal(res.final_included[meth], mat[-1] >= 0.5)
 
@@ -224,7 +263,8 @@ class TestRunExperiment:
         with caplog.at_level(logging.INFO, logger="seqbvs.experiment"):
             serial = run_experiment(cfg, workers=1)
             parallel = run_experiment(cfg, workers=2)
-        assert caplog.messages == [f"replication {r}/3 done" for r in (1, 2, 3)] + ["3 replications done"]
+        # one line per replication in rep order, from the pool as from the serial loop
+        assert caplog.messages == [f"replication {r}/3 done" for r in (1, 2, 3)] * 2
         assert [r.rep for r in serial] == [0, 1, 2]
         assert [r.rep for r in parallel] == [0, 1, 2]
         for a, b in zip(serial, parallel):

@@ -12,10 +12,10 @@ import seqbvs
 from seqbvs.cli import main
 from seqbvs.config import build_config, load_config, parse_config_text
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
-from seqbvs.errors import ConfigError
-from seqbvs.experiment import ExperimentConfig, MissingnessConfig, aggregate, run_experiment
+from seqbvs.errors import ConfigError, DataError
+from seqbvs.experiment import ExperimentConfig, MissingnessConfig, ReplicationResult, aggregate, run_experiment
 from seqbvs.imputation import ImputationConfig
-from seqbvs.inclusion import METHODS
+from seqbvs.inclusion import METHODS, InclusionTrajectory
 from seqbvs.outputs import (
     analyze_directory,
     emit_outputs,
@@ -23,7 +23,7 @@ from seqbvs.outputs import (
     write_tables_csv,
     write_trajectories_csv,
 )
-from seqbvs.svg import crossing_totals_chart, trajectory_chart
+from seqbvs.svg import _Canvas, crossing_totals_chart, trajectory_chart
 
 
 def tiny_config(**overrides):
@@ -112,6 +112,21 @@ class TestOutputs:
                 np.testing.assert_array_equal(rec.crossings[meth], orig.crossings[meth])
                 np.testing.assert_array_equal(rec.final_included[meth], orig.final_included[meth])
 
+    def test_read_back_is_float_of_written_text(self, tiny_run, tmp_path):
+        cfg, results, _ = tiny_run
+        res = results[0]
+        smcs = res.trajectories["smcs"].probs.copy()
+        smcs[3:5] = np.nan  # an emptied confidence set
+        trajectories = {**res.trajectories, "smcs": InclusionTrajectory("smcs", smcs)}
+        path = tmp_path / "traj.csv"
+        write_trajectories_csv([ReplicationResult(**{**vars(res), "trajectories": trajectories})], path)
+        lines = path.read_text().splitlines()[1:]
+        text = np.array([float(line.split(",")[5]) for line in lines])
+        back = read_trajectories_csv(path)[0]
+        cube = np.stack([back.trajectories[meth].probs for meth in METHODS], axis=1)  # (T, methods, p)
+        assert np.isnan(text).sum() == 2 * cfg.dgp.p
+        np.testing.assert_array_equal(cube.ravel().view(np.uint64), text.view(np.uint64))
+
     def test_analyze_recomputes_tables(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
         emit_outputs(results, stats, tmp_path, cfg, plots=False)
@@ -134,7 +149,74 @@ class TestOutputs:
         ET.fromstring(fig.read_text())
 
 
+class TestReaderErrors:
+    @pytest.fixture
+    def run_dir(self, tiny_run, tmp_path):
+        cfg, results, stats = tiny_run
+        emit_outputs(results, stats, tmp_path, cfg, plots=False)
+        return tmp_path
+
+    def _replace_row(self, run_dir, index, edit):
+        path = run_dir / "trajectories.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[index] = edit(lines[index])
+        path.write_text("".join(lines))
+        return path
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: row.rsplit(",", 1)[0] + "\n",  # six fields
+            lambda row: row.rstrip("\n") + ",1\n",  # eight fields
+            lambda row: row.replace(row.split(",")[5], "high"),  # non-numeric prob
+            lambda row: "x" + row,  # non-numeric rep
+            lambda row: ",".join(row.split(",")[:4] + ["0"] + row.split(",")[5:]),  # covariate 0
+        ],
+        ids=["six_fields", "eight_fields", "non_numeric_prob", "non_numeric_rep", "covariate_zero"],
+    )
+    def test_malformed_row(self, run_dir, edit):
+        path = self._replace_row(run_dir, 5, edit)
+        with pytest.raises(DataError, match="trajectories.csv"):
+            read_trajectories_csv(path)
+
+    @pytest.mark.parametrize("name", ["lasso", "zero_outs", "BVS"])
+    def test_unknown_method(self, run_dir, name):
+        path = self._replace_row(run_dir, 2, lambda row: row.replace(",bvs,", f",{name},"))
+        with pytest.raises(DataError, match=f"unknown method '{name}'.*trajectories.csv"):
+            read_trajectories_csv(path)
+
+    def test_missing_and_repeated_cells(self, run_dir):
+        path = run_dir / "trajectories.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(DataError, match="trajectories.csv"):
+            read_trajectories_csv(path)
+        path.write_text("".join(lines[:-1] + lines[-2:-1]))
+        with pytest.raises(DataError, match="repeats"):
+            read_trajectories_csv(path)
+
+    def test_header_only_reads_no_results(self, tmp_path):
+        path = tmp_path / "trajectories.csv"
+        write_trajectories_csv([], path)
+        assert read_trajectories_csv(path) == []
+
+    @pytest.mark.parametrize("command", [["analyze"], ["plot", "--rep", "0"]])
+    def test_cli_reports_malformed_row(self, run_dir, command, capsys):
+        self._replace_row(run_dir, 5, lambda row: row.rsplit(",", 1)[0] + "\n")
+        assert main([command[0], "--in", str(run_dir)] + command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed row in ") and "trajectories.csv" in err
+
+
 class TestSvg:
+    def test_points_match_scalar_maps(self):
+        canvas = _Canvas("t", 19.0, 100.0, 0.0, 1.7, "n", "y")
+        rng = np.random.default_rng(4)
+        xs = np.arange(19, 101, dtype=float)
+        ys = rng.random(xs.size) * 1.7
+        want = [f"{canvas._px(float(x)):.2f},{canvas._py(float(y)):.2f}" for x, y in zip(xs, ys)]
+        assert canvas._points(xs, ys) == want
+
     def test_trajectory_chart_handles_nan(self):
         ns = np.arange(19, 25)
         probs = np.full((6, 3), 0.4)

@@ -16,7 +16,6 @@ from seqbvs.smcs import (
     loss_from_log_marginals,
     step,
     step_pairwise,
-    write_eprocess_csv,
 )
 
 from oracles import literal_log_e, literal_log_e_pairwise, naive_mean_log_bf_loss, ols_prediction
@@ -253,17 +252,3 @@ class TestStep:
         state = run_stream(losses, cfg)
         assert np.all(np.isfinite(state.log_sup[1:]))
         assert state.log_sup[2] > state.log_sup[1] > state.log_sup[0]
-
-
-def test_eprocess_csv_dump(tmp_path):
-    cfg = SmcsConfig()
-    state = EProcessState.fresh(3)
-    states = []
-    for t in range(4):
-        state = step(state, LossRecord(t=t + 1, losses=np.array([0.1, -0.2, 0.4])), cfg)
-        states.append(state)
-    path = tmp_path / "eprocess.csv"
-    write_eprocess_csv(states, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,model_index,log_sup,member"
-    assert len(lines) == 1 + 4 * 3
