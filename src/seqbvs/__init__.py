@@ -3,14 +3,7 @@ confidence sets under missing data."""
 
 __version__ = "0.1.0"
 
-from .bayes_lm import (
-    GramStats,
-    log_bf_null,
-    model_r_squared,
-    model_sweep,
-    posterior_model_probs,
-    update_stats,
-)
+from .bayes_lm import GramStats, log_bf_null, model_sweep, posterior_model_probs
 from .data_gen import (
     DGPConfig,
     MissingDataset,
@@ -25,7 +18,6 @@ from .errors import (
     InsufficientDataError,
     OutputError,
     SeqbvsError,
-    SequencingError,
     ShapeError,
     SizeLimitError,
 )
@@ -40,26 +32,59 @@ from .experiment import (
     run_experiment,
     run_replication,
 )
-from .imputation import ImputationConfig, ImputedSet, impute
+from .imputation import ImputationConfig, impute
 from .inclusion import (
     METHODS,
     InclusionTrajectory,
-    ZeroOutResult,
     bvs_inclusion,
     mixed_inclusion,
     smcs_inclusion,
     zero_out,
 )
 from .model_space import ModelSpace, ModelVector, enumerate_models
-from .smcs import (
-    EProcessState,
-    LossRecord,
-    SmcsConfig,
-    confidence_set,
-    l2_predictive_loss,
-    loss_from_log_marginals,
-    step,
-    step_pairwise,
-)
+from .smcs import EProcessState, SmcsConfig, confidence_set, loss_from_log_marginals, step
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "METHODS",
+    "ConfigError",
+    "CrossingStats",
+    "DGPConfig",
+    "DataError",
+    "EProcessState",
+    "ExperimentConfig",
+    "GramStats",
+    "ImputationConfig",
+    "InclusionTrajectory",
+    "InsufficientDataError",
+    "MissingDataset",
+    "MissingnessConfig",
+    "ModelSpace",
+    "ModelVector",
+    "OutputError",
+    "ReplicationResult",
+    "SeqbvsError",
+    "ShapeError",
+    "SizeLimitError",
+    "SmcsConfig",
+    "aggregate",
+    "apply_missingness",
+    "bvs_inclusion",
+    "confidence_set",
+    "count_crossings",
+    "default_config",
+    "enumerate_models",
+    "equicorrelated_cov",
+    "gen_covariates",
+    "gen_responses",
+    "impute",
+    "log_bf_null",
+    "loss_from_log_marginals",
+    "mixed_inclusion",
+    "model_sweep",
+    "posterior_model_probs",
+    "run_experiment",
+    "run_replication",
+    "smcs_inclusion",
+    "step",
+    "zero_out",
+]

@@ -6,9 +6,8 @@ values are stored relative to the null (intercept-only) model, whose entry
 is exactly zero; absolute marginals under the improper intercept/scale
 prior are defined only up to a constant that cancels in every Bayes factor.
 
-Sufficient statistics live in GramStats and support both one-observation
-updates and vectorized batch accumulation, so any model's log Bayes factor
-is available at any time from O(p^2) state.
+Sufficient statistics live in GramStats, so any model's log Bayes factor
+is available from O(p^2) state.
 
 The all-subsets sweep (model_sweep) is one pass over the subset lattice
 (Furnival 1971; Goodnight 1979): in little-endian model order every model
@@ -51,10 +50,6 @@ class GramStats:
     syy: float
 
     @classmethod
-    def empty(cls, p: int) -> GramStats:
-        return cls(n=0, sxx=np.zeros((p + 1, p + 1)), sxy=np.zeros(p + 1), syy=0.0)
-
-    @classmethod
     def from_data(cls, x_mat: np.ndarray, y: np.ndarray) -> GramStats:
         """Batch accumulation of n observations."""
         x_mat = np.asarray(x_mat, dtype=float)
@@ -69,22 +64,6 @@ class GramStats:
     @property
     def p(self) -> int:
         return self.sxx.shape[0] - 1
-
-
-def update_stats(stats: GramStats, x: np.ndarray, y: float) -> GramStats:
-    """Accumulate one observation; returns a new GramStats."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stats.p,):
-        raise ShapeError(f"x must have length {stats.p}, got {x.shape}")
-    if not (np.all(np.isfinite(x)) and np.isfinite(y)):
-        raise DataError("observations must be finite")
-    z = np.concatenate([[1.0], x])
-    return GramStats(
-        n=stats.n + 1,
-        sxx=stats.sxx + np.outer(z, z),
-        sxy=stats.sxy + z * y,
-        syy=stats.syy + float(y) * float(y),
-    )
 
 
 def centered_moments(stats: GramStats) -> tuple[np.ndarray, np.ndarray, float]:
@@ -190,8 +169,9 @@ def model_sweep(stats: GramStats | Sequence[GramStats], space: ModelSpace, g: fl
     `stats` is one GramStats, giving an (m,) vector, or a sequence of M
     (one per completion), giving an (M, m) table from a single lattice pass
     (_lattice_rss) over all of them.  The closed form then maps R^2 and the
-    model size to log BF.  The null entry is exactly 0, and a completion
-    whose y is constant gets 0 for every model.  g defaults to n.
+    model size to log BF.  The null entry is exactly 0.  A completion whose
+    y is constant has R^2 = 0 under every model, as in model_r_squared, so
+    each model gets its complexity penalty -(k/2) log(1+g).  g defaults to n.
     """
     single = isinstance(stats, GramStats)
     batch = [stats] if single else list(stats)
@@ -210,8 +190,8 @@ def model_sweep(stats: GramStats | Sequence[GramStats], space: ModelSpace, g: fl
     rss = _lattice_rss(a_mat, bvec, syy_c, raw_ss)
     varies = syy_c > 0.0
     r2 = np.clip(1.0 - rss / np.where(varies, syy_c, 1.0)[:, None], 0.0, R2_CEIL)
+    r2[~varies] = 0.0
     log_bf = 0.5 * (n - 1 - space.sizes) * np.log1p(g) - 0.5 * (n - 1) * np.log1p(g * (1.0 - r2))
-    log_bf[~varies] = 0.0
     return log_bf[0] if single else log_bf
 
 

@@ -107,7 +107,10 @@ def build_config(
         cov_path = Path(kv["dgp.cov_csv"])
         if not cov_path.is_absolute() and config_dir is not None:
             cov_path = config_dir / cov_path
-        cov = np.loadtxt(cov_path, delimiter=",", ndmin=2)
+        try:
+            cov = np.loadtxt(cov_path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"dgp.cov_csv: cannot parse {cov_path}: {exc}") from exc
     elif "dgp.rho" in kv:
         cov = equicorrelated_cov(p, _to_float("dgp.rho", kv["dgp.rho"]))
     elif p == base.dgp.p:

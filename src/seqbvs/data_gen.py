@@ -56,7 +56,10 @@ class DGPConfig:
             raise ShapeError(f"cov must be {self.p}x{self.p}, got {self.cov.shape}")
         if not np.allclose(self.cov, self.cov.T, atol=1e-12):
             raise DataError("cov must be symmetric")
-        np.linalg.cholesky(self.cov)  # SPD check; raises LinAlgError otherwise
+        try:
+            np.linalg.cholesky(self.cov)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError("cov must be positive definite") from exc
         self.true_model = ModelVector(tuple(int(b != 0.0) for b in self.beta))
 
 
@@ -79,14 +82,6 @@ class MissingDataset:
             raise ShapeError(f"y length {self.y.shape} does not match X rows {self.X.shape[0]}")
         if not np.all(np.isfinite(self.y)):
             raise DataError("responses must be finite (never masked)")
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
 
     def head(self, n: int) -> MissingDataset:
         """The first n rows, sharing storage with the parent."""

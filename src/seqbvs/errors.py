@@ -25,9 +25,5 @@ class InsufficientDataError(SeqbvsError, ValueError):
     """Not enough observations to run an operation."""
 
 
-class SequencingError(SeqbvsError, RuntimeError):
-    """Sequential update applied out of order."""
-
-
 class OutputError(SeqbvsError, RuntimeError):
     """Filesystem output failed; the message carries the offending path."""

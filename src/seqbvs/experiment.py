@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bayes_lm import (
+    MODEL_PRIORS,
     POOLING_RULES,
     GramStats,
     model_sweep,
@@ -92,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
         if self.pooling not in POOLING_RULES:
             raise ConfigError(f"pooling must be one of {POOLING_RULES}, got {self.pooling!r}")
+        if self.model_prior not in MODEL_PRIORS:
+            raise ConfigError(f"model_prior must be one of {MODEL_PRIORS}, got {self.model_prior!r}")
         g_for_n(self.g_rule, self.n_min)  # validates the rule string
 
     @property
@@ -229,7 +232,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         t = n - config.n_min + 1
         sub = data.head(n)
         try:
-            imputed = impute(sub, config.imp, stream_rng(config.base_seed, rep_index, _STREAM_IMPUTE_BASE + n))
+            completions = impute(sub, config.imp, stream_rng(config.base_seed, rep_index, _STREAM_IMPUTE_BASE + n))
         except InsufficientDataError as exc:
             if n == config.n_min:
                 raise ConfigError(
@@ -238,7 +241,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
             raise
 
         g = g_for_n(config.g_rule, n)
-        per_imp = model_sweep([GramStats.from_data(x_mat, sub.y) for x_mat in imputed.completions], space, g)
+        per_imp = model_sweep([GramStats.from_data(x_mat, sub.y) for x_mat in completions], space, g)
         avg = pool_log_bf(per_imp, config.pooling)
 
         post = posterior_from_imputations(per_imp, space, config.model_prior, config.pooling)
@@ -248,7 +251,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
             loss_vec = avg
         prev_avg = avg
 
-        state = step(state, loss_from_log_marginals(loss_vec, t), config.smcs)
+        state = step(state, loss_from_log_marginals(loss_vec), config.smcs)
         members = confidence_set(state)
         set_sizes[t - 1] = members.size
 

@@ -60,18 +60,6 @@ class ImputationConfig:
             raise ConfigError(f"min_col_obs must be >= 2, got {self.min_col_obs}")
 
 
-@dataclass
-class ImputedSet:
-    """M complete covariate matrices agreeing with the source on observed cells."""
-
-    completions: np.ndarray  # (M, n, p)
-    source: MissingDataset
-
-    @property
-    def M(self) -> int:
-        return self.completions.shape[0]
-
-
 # Weak inverse-gamma regularisation of the residual variance and an
 # eigenvalue floor on the observed Gram matrix keep the normal predictive
 # proper when the conditional fit is (near-)saturated, as happens around
@@ -130,8 +118,10 @@ def impute(
     data: MissingDataset,
     config: ImputationConfig,
     rng: np.random.Generator,
-) -> ImputedSet:
-    """Produce M completions of the masked covariates.
+) -> np.ndarray:
+    """The (M, n, p) completions of the masked covariates.
+
+    Every completion agrees with data.X on the observed cells.
 
     Raises InsufficientDataError when n < config.min_n (the imputer needs a
     minimum number of rows) or when some covariate column has fewer than
@@ -151,8 +141,7 @@ def impute(
         )
 
     if data.mask.all():
-        completions = np.repeat(data.X[None, :, :], config.M, axis=0)
-        return ImputedSet(completions=completions, source=data)
+        return np.repeat(data.X[None, :, :], config.M, axis=0)
 
     mask = data.mask
     cols = [k for k in range(p) if not mask[:, k].all()]
@@ -190,4 +179,4 @@ def impute(
             )
             pred = _mv(np.ascontiguousarray(design[:, miss]), beta)
             filled[:, miss, k] = pred + sigma_hat[:, None] * take(n_miss[k])
-    return ImputedSet(completions=filled, source=data)
+    return filled

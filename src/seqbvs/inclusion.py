@@ -28,13 +28,12 @@ _MIN_RESTRICTED_MASS = 1e-300
 class InclusionTrajectory:
     """Time-indexed inclusion probabilities of all covariates for one method.
 
-    probs has shape (T, p); row r holds time index start_t + r.  Entries are
-    in [0, 1], except NaN rows for the smcs method when the set was empty.
+    probs has shape (T, p); row r holds time index r + 1.  Entries are in
+    [0, 1], except NaN rows for the smcs method when the set was empty.
     """
 
     method: str
     probs: np.ndarray
-    start_t: int = 1
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:

@@ -31,10 +31,6 @@ class ModelVector:
             raise ValueError("bits must be a non-empty sequence of 0/1")
 
     @property
-    def p(self) -> int:
-        return len(self.bits)
-
-    @property
     def index(self) -> int:
         """Little-endian integer index of this model."""
         return sum(b << k for k, b in enumerate(self.bits))
@@ -43,18 +39,6 @@ class ModelVector:
     def size(self) -> int:
         """Number of included covariates."""
         return sum(self.bits)
-
-    def includes(self, k: int) -> bool:
-        """Whether covariate k (1-based) is included."""
-        if not 1 <= k <= self.p:
-            raise IndexError(f"covariate index {k} outside 1..{self.p}")
-        return self.bits[k - 1] == 1
-
-    @classmethod
-    def from_index(cls, i: int, p: int) -> ModelVector:
-        if not 0 <= i < (1 << p):
-            raise IndexError(f"model index {i} outside 0..{(1 << p) - 1}")
-        return cls(tuple((i >> k) & 1 for k in range(p)))
 
 
 class ModelSpace:
@@ -80,18 +64,6 @@ class ModelSpace:
         if not 0 <= i < self.m:
             raise IndexError(f"model index {i} outside 0..{self.m - 1}")
         return ModelVector(tuple(int(b) for b in self.bits[i]))
-
-    def index_of(self, gamma: ModelVector) -> int:
-        if gamma.p != self.p:
-            raise IndexError(f"model has p={gamma.p}, space has p={self.p}")
-        return gamma.index
-
-    def __len__(self) -> int:
-        return self.m
-
-    def __iter__(self):
-        for i in range(self.m):
-            yield self.model(i)
 
     def __repr__(self) -> str:
         return f"ModelSpace(p={self.p}, m={self.m})"

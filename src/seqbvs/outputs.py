@@ -186,7 +186,7 @@ def write_crossing_totals_plot(stats: CrossingStats, outdir) -> Path:
 
 def emit_outputs(
     results: list[ReplicationResult],
-    stats: CrossingStats | None,
+    stats: CrossingStats,
     outdir,
     config: ExperimentConfig,
     plots: bool = True,
@@ -202,17 +202,15 @@ def emit_outputs(
     written: dict[str, object] = {}
     write_trajectories_csv(results, outdir / TRAJECTORIES_CSV)
     written["trajectories"] = outdir / TRAJECTORIES_CSV
-    if stats is not None:
-        write_tables_csv(stats, outdir / TABLES_CSV)
-        write_crossing_totals_csv(stats, outdir / CROSSING_TOTALS_CSV)
-        written["tables"] = outdir / TABLES_CSV
-        written["crossing_totals"] = outdir / CROSSING_TOTALS_CSV
+    write_tables_csv(stats, outdir / TABLES_CSV)
+    write_crossing_totals_csv(stats, outdir / CROSSING_TOTALS_CSV)
+    written["tables"] = outdir / TABLES_CSV
+    written["crossing_totals"] = outdir / CROSSING_TOTALS_CSV
     write_manifest(config, outdir / MANIFEST_JSON, extra=extra_manifest)
     written["manifest"] = outdir / MANIFEST_JSON
     if plots and results:
         written["plots"] = write_replication_plots(results, config, outdir)
-        if stats is not None:
-            written["crossing_totals_plot"] = write_crossing_totals_plot(stats, outdir)
+        written["crossing_totals_plot"] = write_crossing_totals_plot(stats, outdir)
     return written
 
 

@@ -10,8 +10,7 @@ set of models whose supremum stays at or below log(1/alpha) is the
 confidence set; it is nested over time because the supremum never
 decreases.  When the per-model losses are built from log Bayes factors the
 pairwise cumulative differences reduce to differences of the per-model
-cumulative sums, so the engine needs only O(m) state; the O(m^2) pairwise
-engine is kept for generic loss-difference matrices and as a cross-check.
+cumulative sums, so the engine needs only O(m) state.
 
 A fresh state (no data) treats every model as a member: the supremum over
 an empty index set is taken as -inf (E = 0 convention).
@@ -20,12 +19,11 @@ an empty index set is taken as -inf (E = 0 convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InsufficientDataError, SequencingError, ShapeError
-from .model_space import ModelVector
+from .errors import ConfigError, DataError, ShapeError
 
 # Models whose share of sum_j exp(-lam*A_j) exceeds 1 - RECOMPUTE_GAP get an
 # exact leave-one-out logsumexp; the O(1) subtraction trick loses precision
@@ -69,19 +67,6 @@ class SmcsConfig:
 
 
 @dataclass
-class LossRecord:
-    """Per-model losses observed at one time index."""
-
-    t: int
-    losses: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.losses = np.asarray(self.losses, dtype=float)
-        if not np.all(np.isfinite(self.losses)):
-            raise DataError("losses must be finite")
-
-
-@dataclass
 class EProcessState:
     """Running E-process statistics for all m models at time t."""
 
@@ -90,7 +75,6 @@ class EProcessState:
     cum_losses: np.ndarray  # (m,) running sums of the per-model losses
     log_sup: np.ndarray  # (m,) running supremum of log E over r <= t
     member: np.ndarray  # (m,) bool, log_sup <= log(1/alpha)
-    cum_pairwise: np.ndarray | None = field(default=None, repr=False)  # (m, m)
 
     @classmethod
     def fresh(cls, m: int) -> EProcessState:
@@ -105,8 +89,8 @@ class EProcessState:
         )
 
 
-def loss_from_log_marginals(log_bf: np.ndarray, t: int) -> LossRecord:
-    """Mean pairwise log-Bayes-factor loss, single-pass closed form.
+def loss_from_log_marginals(log_bf: np.ndarray) -> np.ndarray:
+    """Mean pairwise log-Bayes-factor loss of every model, shape (m,).
 
     L_i = (1/(m-1)) * sum_{j != i} (l_j - l_i) = (sum_j l_j - m*l_i)/(m-1).
     """
@@ -115,27 +99,7 @@ def loss_from_log_marginals(log_bf: np.ndarray, t: int) -> LossRecord:
     if m < 2:
         raise ConfigError(f"loss needs at least 2 models, got {m}")
     total = log_bf.sum()
-    return LossRecord(t=t, losses=(total - m * log_bf) / (m - 1))
-
-
-def l2_predictive_loss(
-    x_hist: np.ndarray,
-    y_hist: np.ndarray,
-    x_new: np.ndarray,
-    y_new: float,
-    gamma: ModelVector,
-) -> float:
-    """Squared error of the model's least-squares prediction at a new point."""
-    x_hist = np.asarray(x_hist, dtype=float)
-    y_hist = np.asarray(y_hist, dtype=float)
-    k = gamma.size
-    if len(y_hist) < k + 2:
-        raise InsufficientDataError(f"need at least k+2 = {k + 2} observations, have {len(y_hist)}")
-    cols = np.nonzero(np.array(gamma.bits))[0]
-    design = np.column_stack([np.ones(len(y_hist)), x_hist[:, cols]])
-    coef, *_ = np.linalg.lstsq(design, y_hist, rcond=None)
-    pred = float(np.concatenate([[1.0], np.asarray(x_new, dtype=float)[cols]]) @ coef)
-    return (pred - float(y_new)) ** 2
+    return (total - m * log_bf) / (m - 1)
 
 
 def _masked_row_logsumexp(v: np.ndarray, skip: int) -> float:
@@ -161,62 +125,22 @@ def _rt_log_terms(cum_losses: np.ndarray, lam: float, t: int) -> np.ndarray:
     return -v + lse_without - math.log(m - 1) - t / 8.0
 
 
-def step(state: EProcessState, losses: LossRecord, config: SmcsConfig) -> EProcessState:
-    """Advance one time index with per-model losses; returns the new state."""
-    if losses.t != state.t + 1:
-        raise SequencingError(f"losses at t={losses.t}, expected t={state.t + 1}")
-    if state.cum_pairwise is not None:
-        raise SequencingError("state was advanced with pairwise sums; keep using step_pairwise")
-    if losses.losses.shape != (state.m,):
-        raise ShapeError(f"expected {state.m} losses, got {losses.losses.shape}")
-    cum = state.cum_losses + losses.losses
-    terms = _rt_log_terms(cum, config.lam, losses.t)
-    log_sup = np.maximum(state.log_sup, terms)
-    return replace(
-        state,
-        t=losses.t,
-        cum_losses=cum,
-        log_sup=log_sup,
-        member=log_sup <= config.log_threshold,
-    )
-
-
-def step_pairwise(state: EProcessState, pairwise_d: np.ndarray, config: SmcsConfig) -> EProcessState:
-    """Advance with a full antisymmetric loss-difference matrix d[i, j].
-
-    Generic entry point for losses that are not built from log marginals
-    (for example squared prediction error); keeps O(m^2) pairwise sums.
-    """
-    d = np.asarray(pairwise_d, dtype=float)
-    if d.shape != (state.m, state.m):
-        raise ShapeError(f"expected {state.m}x{state.m} differences, got {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise DataError("loss differences must be finite")
-    if np.max(np.abs(d + d.T)) > 1e-12:
-        raise DataError("loss-difference matrix must be antisymmetric (within 1e-12)")
-    if state.cum_pairwise is None:
-        if state.t != 0:
-            raise SequencingError("pairwise sums unavailable: state was advanced without them")
-        cum = d.copy()
-    else:
-        cum = state.cum_pairwise + d
+def step(state: EProcessState, losses: np.ndarray, config: SmcsConfig) -> EProcessState:
+    """Advance to time state.t + 1 with the (m,) per-model losses observed there."""
+    losses = np.asarray(losses, dtype=float)
+    if losses.shape != (state.m,):
+        raise ShapeError(f"expected {state.m} losses, got {losses.shape}")
+    if not np.all(np.isfinite(losses)):
+        raise DataError("losses must be finite")
     t = state.t + 1
-
-    z = config.lam * cum
-    np.fill_diagonal(z, -np.inf)
-    hi = z.max(axis=1, keepdims=True)
-    hi_safe = np.where(np.isfinite(hi), hi, 0.0)
-    with np.errstate(divide="ignore"):
-        row_lse = np.squeeze(hi_safe + np.log(np.exp(z - hi_safe).sum(axis=1, keepdims=True)), axis=1)
-    terms = row_lse - math.log(state.m - 1) - t / 8.0
-    log_sup = np.maximum(state.log_sup, terms)
+    cum = state.cum_losses + losses
+    log_sup = np.maximum(state.log_sup, _rt_log_terms(cum, config.lam, t))
     return replace(
         state,
         t=t,
-        cum_losses=state.cum_losses,
+        cum_losses=cum,
         log_sup=log_sup,
         member=log_sup <= config.log_threshold,
-        cum_pairwise=cum,
     )
 
 

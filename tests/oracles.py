@@ -187,14 +187,6 @@ def literal_log_e_pairwise(d_steps: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def ols_prediction(x_hist: np.ndarray, y_hist: np.ndarray, x_new: np.ndarray) -> float:
-    """Least-squares prediction with intercept via explicit normal equations."""
-    d = np.column_stack([np.ones(len(y_hist)), x_hist]) if x_hist.size else np.ones((len(y_hist), 1))
-    coef = np.linalg.solve(d.T @ d, d.T @ y_hist)
-    z = np.concatenate([[1.0], np.atleast_1d(x_new)]) if x_hist.size else np.array([1.0])
-    return float(z @ coef)
-
-
 def chained_imputation_per_chain(
     x: np.ndarray,
     mask: np.ndarray,

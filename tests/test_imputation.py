@@ -22,9 +22,9 @@ def test_no_missingness_gives_identical_completions():
     y = x[:, 0]
     ds = MissingDataset(y=y, X=x, mask=np.ones_like(x, dtype=bool))
     out = impute(ds, ImputationConfig(M=5), np.random.default_rng(1))
-    assert out.completions.shape == (5, 60, 4)
+    assert out.shape == (5, 60, 4)
     for j in range(5):
-        np.testing.assert_array_equal(out.completions[j], x)
+        np.testing.assert_array_equal(out[j], x)
 
 
 def test_observed_cells_preserved_exactly():
@@ -32,8 +32,8 @@ def test_observed_cells_preserved_exactly():
     _, ds = make_masked(rng)
     out = impute(ds, ImputationConfig(M=4, sweeps=3), np.random.default_rng(3))
     for j in range(4):
-        np.testing.assert_array_equal(out.completions[j][ds.mask], ds.X[ds.mask])
-        assert np.all(np.isfinite(out.completions[j]))
+        np.testing.assert_array_equal(out[j][ds.mask], ds.X[ds.mask])
+        assert np.all(np.isfinite(out[j]))
 
 
 def test_min_n_guard():
@@ -68,8 +68,8 @@ def test_determinism_and_distinct_completions():
     _, ds = make_masked(rng)
     a = impute(ds, ImputationConfig(M=3), np.random.default_rng(42))
     b = impute(ds, ImputationConfig(M=3), np.random.default_rng(42))
-    np.testing.assert_array_equal(a.completions, b.completions)
-    assert not np.array_equal(a.completions[0], a.completions[1])
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a[0], a[1])
 
 
 def test_single_masked_cell_tracks_oracle_regression():
@@ -88,7 +88,7 @@ def test_single_masked_cell_tracks_oracle_regression():
 
     m_draws = 40
     out = impute(ds, ImputationConfig(M=m_draws, sweeps=5), np.random.default_rng(9))
-    draws = out.completions[:, 5, 0]
+    draws = out[:, 5, 0]
 
     # oracle: same conditional regression fit on the complete data; the
     # imputer draws from p(x_mis | x_obs), so the response is no predictor
@@ -145,20 +145,20 @@ def test_lockstep_matches_per_chain_reference(case):
         ds.X, ds.mask, config.M, config.sweeps, np.random.default_rng(31),
         _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, coef_draw=config.coef_draw,
     )
-    np.testing.assert_array_equal(out.completions, want)
+    np.testing.assert_array_equal(out, want)
 
 
 def test_chains_do_not_depend_on_chain_count():
     ds = _default_dgp(25, n=40)
-    five = impute(ds, ImputationConfig(M=5), np.random.default_rng(32)).completions
-    three = impute(ds, ImputationConfig(M=3), np.random.default_rng(32)).completions
+    five = impute(ds, ImputationConfig(M=5), np.random.default_rng(32))
+    three = impute(ds, ImputationConfig(M=3), np.random.default_rng(32))
     np.testing.assert_array_equal(five[:3], three)
 
 
 def test_imputed_values_have_sane_scale():
     # the coefficient draw must not explode in the saturated small-n regime
     out = impute(_default_dgp(10), ImputationConfig(M=10), np.random.default_rng(11))
-    assert np.abs(out.completions).max() < 15.0
+    assert np.abs(out).max() < 15.0
 
     # nor may the point fit under it: at n = 19 each column has 8-16 observed
     # rows for 10 predictors, where unstabilised least squares explodes
@@ -168,7 +168,7 @@ def test_imputed_values_have_sane_scale():
             ImputationConfig(M=10, coef_draw=False),
             np.random.default_rng(seed + 1),
         )
-        worst = np.abs(out.completions).max()
+        worst = np.abs(out).max()
         assert worst < 15.0, f"seed {seed}: point-fit completions reach {worst:.1f}"
 
 
@@ -195,7 +195,7 @@ def test_completions_do_not_depend_on_response():
     other = MissingDataset(y=rng.permutation(ds.y), X=ds.X, mask=ds.mask)
     a = impute(ds, ImputationConfig(M=3), np.random.default_rng(16))
     b = impute(other, ImputationConfig(M=3), np.random.default_rng(16))
-    np.testing.assert_array_equal(a.completions, b.completions)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_config_validation():

@@ -50,7 +50,7 @@ class TestSmcs:
 
     def test_singleton(self):
         space = enumerate_models(3)
-        idx = space.index_of(space.model(0b101))
+        idx = space.model(0b101).index
         got = smcs_inclusion(np.array([idx]), space)
         np.testing.assert_allclose(got, [1.0, 0.0, 1.0])
 

@@ -9,12 +9,12 @@ from seqbvs.model_space import ModelVector, enumerate_models
 
 def test_enumerate_p2_index_order():
     space = enumerate_models(2)
-    assert [mv.bits for mv in space] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert [space.model(i).bits for i in range(space.m)] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 def test_enumerate_p1():
     space = enumerate_models(1)
-    assert [mv.bits for mv in space] == [(0,), (1,)]
+    assert [space.model(i).bits for i in range(space.m)] == [(0,), (1,)]
 
 
 def test_enumerate_p10_size():
@@ -33,37 +33,17 @@ def test_p_out_of_range_rejected(p):
         enumerate_models(p)
 
 
-def test_includes_examples():
-    gamma = ModelVector((1, 0, 1))
-    assert gamma.includes(3) is True
-    assert gamma.includes(2) is False
-    null = ModelVector((0, 0, 0))
-    for k in (1, 2, 3):
-        assert null.includes(k) is False
-
-
-def test_includes_out_of_range():
-    gamma = ModelVector((1, 0, 1))
-    with pytest.raises(IndexError):
-        gamma.includes(0)
-    with pytest.raises(IndexError):
-        gamma.includes(4)
-
-
 @pytest.mark.parametrize("p", [1, 2, 5, 8])
 def test_index_roundtrip_exhaustive(p):
     space = enumerate_models(p)
     for i in range(space.m):
-        mv = space.model(i)
-        assert mv.index == i
-        assert space.index_of(mv) == i
-        assert ModelVector.from_index(i, p).bits == mv.bits
+        assert space.model(i).index == i
 
 
 @given(st.integers(min_value=1, max_value=12), st.data())
 def test_index_roundtrip_random(p, data):
     i = data.draw(st.integers(min_value=0, max_value=(1 << p) - 1))
-    assert ModelVector.from_index(i, p).index == i
+    assert enumerate_models(p).model(i).index == i
 
 
 @pytest.mark.parametrize("p", [1, 3, 6, 10])

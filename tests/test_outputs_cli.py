@@ -328,3 +328,27 @@ class TestCli:
     def test_error_reported_as_exit_2(self, tmp_path):
         rc = main(["analyze", "--in", str(tmp_path / "missing")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "extra, cov_text, message",
+        [
+            ("dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,x\n0,0,1\n", "cov.csv"),
+            ("dgp.cov_csv=cov.csv\n", "1,2,0\n2,1,0\n0,0,1\n", "positive definite"),
+            ("run.model_prior=scott_berger\n", None, "model_prior"),
+        ],
+        ids=["non_numeric_cov_csv", "indefinite_cov_csv", "unknown_model_prior"],
+    )
+    def test_bad_config_reported_as_exit_2(self, tmp_path, capsys, monkeypatch, extra, cov_text, message):
+        # rejected while the config is built, before any replication runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_experiment reached with an invalid config")
+
+        monkeypatch.setattr("seqbvs.cli.run_experiment", no_run)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG_TEXT + extra)
+        if cov_text is not None:
+            (tmp_path / "cov.csv").write_text(cov_text)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

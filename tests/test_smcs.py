@@ -5,35 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqbvs.errors import ConfigError, DataError, InsufficientDataError, SequencingError
-from seqbvs.model_space import ModelVector
-from seqbvs.smcs import (
-    EProcessState,
-    LossRecord,
-    SmcsConfig,
-    confidence_set,
-    l2_predictive_loss,
-    loss_from_log_marginals,
-    step,
-    step_pairwise,
-)
+from seqbvs.errors import ConfigError, DataError, ShapeError
+from seqbvs.smcs import EProcessState, SmcsConfig, confidence_set, loss_from_log_marginals, step
 
-from oracles import literal_log_e, literal_log_e_pairwise, naive_mean_log_bf_loss, ols_prediction
+from oracles import literal_log_e, literal_log_e_pairwise, naive_mean_log_bf_loss
 
 
 def run_stream(losses, config):
     """Feed a (T, m) loss array through step; returns the final state."""
     state = EProcessState.fresh(losses.shape[1])
     for t in range(losses.shape[0]):
-        state = step(state, LossRecord(t=t + 1, losses=losses[t]), config)
-    return state
-
-
-def run_stream_pairwise(losses, config):
-    state = EProcessState.fresh(losses.shape[1])
-    for t in range(losses.shape[0]):
-        d = losses[t][:, None] - losses[t][None, :]
-        state = step_pairwise(state, d, config)
+        state = step(state, losses[t], config)
     return state
 
 
@@ -63,22 +45,22 @@ class TestConfig:
 
 class TestLoss:
     def test_equal_marginals_zero_loss(self):
-        rec = loss_from_log_marginals(np.zeros(2), t=1)
-        np.testing.assert_array_equal(rec.losses, [0.0, 0.0])
+        losses = loss_from_log_marginals(np.zeros(2))
+        np.testing.assert_array_equal(losses, [0.0, 0.0])
 
     def test_two_model_example(self):
-        rec = loss_from_log_marginals(np.array([0.0, math.log(3.0)]), t=1)
-        np.testing.assert_allclose(rec.losses, [math.log(3.0), -math.log(3.0)], atol=1e-14)
+        losses = loss_from_log_marginals(np.array([0.0, math.log(3.0)]))
+        np.testing.assert_allclose(losses, [math.log(3.0), -math.log(3.0)], atol=1e-14)
 
     def test_closed_form_matches_double_loop(self):
         rng = np.random.default_rng(0)
         log_bf = rng.standard_normal(8) * 3
-        rec = loss_from_log_marginals(log_bf, t=1)
-        np.testing.assert_allclose(rec.losses, naive_mean_log_bf_loss(log_bf), atol=1e-12)
+        losses = loss_from_log_marginals(log_bf)
+        np.testing.assert_allclose(losses, naive_mean_log_bf_loss(log_bf), atol=1e-12)
 
     def test_single_model_rejected(self):
         with pytest.raises(ConfigError):
-            loss_from_log_marginals(np.array([1.0]), t=1)
+            loss_from_log_marginals(np.array([1.0]))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -91,43 +73,10 @@ class TestLoss:
         i %= m
         j %= m
         log_bf = np.array(log_bf)
-        rec = loss_from_log_marginals(log_bf, t=1)
-        lhs = rec.losses[i] - rec.losses[j]
+        losses = loss_from_log_marginals(log_bf)
+        lhs = losses[i] - losses[j]
         rhs = (m / (m - 1)) * (log_bf[j] - log_bf[i])
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-
-class TestL2Loss:
-    def test_perfect_fit_zero_loss(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((20, 3))
-        beta = np.array([1.0, -2.0, 0.0])
-        y = x @ beta + 0.5
-        gamma = ModelVector((1, 1, 0))
-        loss = l2_predictive_loss(x, y, np.array([0.3, 0.4, 9.9]), 0.5 + 0.3 - 2 * 0.4, gamma)
-        assert loss < 1e-18
-
-    def test_null_model_predicts_mean(self):
-        y = np.array([1.0, 2.0, 3.0, 6.0])
-        x = np.zeros((4, 2))
-        loss = l2_predictive_loss(x, y, np.zeros(2), 5.0, ModelVector((0, 0)))
-        assert abs(loss - (3.0 - 5.0) ** 2) < 1e-12
-
-    def test_matches_normal_equation_oracle(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((15, 4))
-        y = rng.standard_normal(15)
-        gamma = ModelVector((1, 0, 1, 1))
-        x_new = rng.standard_normal(4)
-        y_new = 0.7
-        cols = [0, 2, 3]
-        want = (ols_prediction(x[:, cols], y, x_new[cols]) - y_new) ** 2
-        got = l2_predictive_loss(x, y, x_new, y_new, gamma)
-        assert abs(got - want) < 1e-10
-
-    def test_insufficient_history(self):
-        with pytest.raises(InsufficientDataError):
-            l2_predictive_loss(np.zeros((3, 2)), np.zeros(3), np.zeros(2), 0.0, ModelVector((1, 1)))
 
 
 class TestStep:
@@ -135,20 +84,17 @@ class TestStep:
         cfg = SmcsConfig(alpha=0.1, lam=0.0, varsigma=None)
         losses = np.random.default_rng(3).standard_normal((7, 5))
         state = run_stream(losses, cfg)
+        assert state.t == 7
         np.testing.assert_allclose(state.log_sup, -1.0 / 8.0, atol=1e-14)
         assert state.member.all()
         assert len(confidence_set(state)) == 5
 
     def test_hand_m2_case_pairwise(self):
-        cfg = SmcsConfig(alpha=0.1, lam=1.0, varsigma=None)
-        state = EProcessState.fresh(2)
         d = np.array([[0.0, -1.0], [1.0, 0.0]])
-        state = step_pairwise(state, d, cfg)
-        state = step_pairwise(state, d, cfg)
-        np.testing.assert_allclose(np.exp(state.log_sup[0]), math.exp(-9.0 / 8.0), rtol=1e-12)
-        np.testing.assert_allclose(np.exp(state.log_sup[1]), math.exp(1.75), rtol=1e-12)
-        assert state.member.all()
-        np.testing.assert_array_equal(confidence_set(state), [0, 1])
+        log_sup = literal_log_e_pairwise(np.stack([d, d]), 1.0)[-1]
+        np.testing.assert_allclose(np.exp(log_sup[0]), math.exp(-9.0 / 8.0), rtol=1e-12)
+        np.testing.assert_allclose(np.exp(log_sup[1]), math.exp(1.75), rtol=1e-12)
+        assert np.all(log_sup <= math.log(1.0 / 0.1))
 
     def test_hand_m2_case_per_model_losses(self):
         # same numbers through step(): per-model losses with L1-L2 = -1 each round
@@ -164,7 +110,7 @@ class TestStep:
         state = EProcessState.fresh(8)
         want = literal_log_e(losses, cfg.lam)
         for t in range(20):
-            state = step(state, LossRecord(t=t + 1, losses=losses[t]), cfg)
+            state = step(state, losses[t], cfg)
             np.testing.assert_allclose(state.log_sup, want[t], atol=1e-9)
 
     def test_step_and_pairwise_agree(self):
@@ -172,20 +118,9 @@ class TestStep:
         losses = rng.standard_normal((15, 6))
         cfg = SmcsConfig()
         a = run_stream(losses, cfg)
-        b = run_stream_pairwise(losses, cfg)
-        np.testing.assert_allclose(a.log_sup, b.log_sup, atol=1e-9)
-        np.testing.assert_array_equal(a.member, b.member)
-
-    def test_pairwise_matches_literal(self):
-        rng = np.random.default_rng(6)
-        d_steps = rng.standard_normal((12, 5, 5))
-        d_steps = d_steps - np.transpose(d_steps, (0, 2, 1))  # antisymmetric
-        cfg = SmcsConfig()
-        want = literal_log_e_pairwise(d_steps, cfg.lam)
-        state = EProcessState.fresh(5)
-        for t in range(12):
-            state = step_pairwise(state, d_steps[t], cfg)
-            np.testing.assert_allclose(state.log_sup, want[t], atol=1e-9)
+        b = literal_log_e_pairwise(losses[:, :, None] - losses[:, None, :], cfg.lam)[-1]
+        np.testing.assert_allclose(a.log_sup, b, atol=1e-9)
+        np.testing.assert_array_equal(a.member, b <= cfg.log_threshold)
 
     def test_log_sup_monotone_and_nested(self):
         rng = np.random.default_rng(7)
@@ -195,7 +130,7 @@ class TestStep:
         prev_sup = state.log_sup.copy()
         prev_member = state.member.copy()
         for t in range(40):
-            state = step(state, LossRecord(t=t + 1, losses=losses[t]), cfg)
+            state = step(state, losses[t], cfg)
             assert np.all(state.log_sup >= prev_sup)
             assert np.all(prev_member | ~state.member)  # member set shrinks only
             prev_sup = state.log_sup.copy()
@@ -216,25 +151,13 @@ class TestStep:
         assert len(confidence_set(state)) == 16
         assert np.all(np.isneginf(state.log_sup))
 
-    def test_sequencing_errors(self):
-        cfg = SmcsConfig()
-        state = EProcessState.fresh(3)
-        with pytest.raises(SequencingError):
-            step(state, LossRecord(t=2, losses=np.zeros(3)), cfg)
-        mixed_state = step(state, LossRecord(t=1, losses=np.zeros(3)), cfg)
-        with pytest.raises(SequencingError):
-            step_pairwise(mixed_state, np.zeros((3, 3)), cfg)
-
-    def test_antisymmetry_check(self):
-        cfg = SmcsConfig()
-        state = EProcessState.fresh(3)
-        bad = np.ones((3, 3))
-        with pytest.raises(DataError):
-            step_pairwise(state, bad, cfg)
-
     def test_nonfinite_losses_rejected(self):
         with pytest.raises(DataError):
-            LossRecord(t=1, losses=np.array([0.0, np.inf]))
+            step(EProcessState.fresh(2), np.array([0.0, np.inf]), SmcsConfig())
+
+    def test_loss_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            step(EProcessState.fresh(3), np.zeros(2), SmcsConfig())
 
     def test_exclusion_happens(self):
         # model 1 consistently loses: its E grows past 1/alpha and stays out
