@@ -126,6 +126,16 @@ def _calibrate_mar_intercept(y: np.ndarray, slope: float, rate: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def validate_missingness(rate: float, mechanism: str) -> str:
+    """The mechanism's canonical name; ConfigError for a rate outside [0, 1) or an unknown mechanism."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"missingness rate must be in [0, 1), got {rate}")
+    mech = mechanism.lower().replace("-", "_")
+    if mech not in MECHANISMS:
+        raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
+    return mech
+
+
 def apply_missingness(
     x_mat: np.ndarray,
     rate: float,
@@ -141,11 +151,7 @@ def apply_missingness(
     responses themselves are never masked.
     """
     x_mat = np.asarray(x_mat, dtype=float)
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"missingness rate must be in [0, 1), got {rate}")
-    mech = mechanism.lower().replace("-", "_")
-    if mech not in MECHANISMS:
-        raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
+    mech = validate_missingness(rate, mechanism)
     if y is None:
         raise DataError("apply_missingness requires y (responses are part of the dataset)")
     y = np.asarray(y, dtype=float)

@@ -2,7 +2,8 @@
 
 One replication draws a dataset of size n_max, masks covariate cells once,
 and then replays the stream: for every n from n_min to n_max it re-imputes
-the first n rows from scratch (M completions), averages the per-imputation
+the first n rows from scratch (M completions; consecutive sizes share one
+stacked impute call, each on its own stream), averages the per-imputation
 Bayes factors, forms the mean pairwise log-Bayes-factor losses, advances
 the E-processes, and records the four covariate inclusion vectors.  Time is
 indexed t = n - n_min + 1.
@@ -37,9 +38,16 @@ from .bayes_lm import (
     pool_log_bf,
     posterior_from_imputations,
 )
-from .data_gen import DGPConfig, apply_missingness, gen_covariates, gen_responses
+from .data_gen import (
+    DGPConfig,
+    MissingDataset,
+    apply_missingness,
+    gen_covariates,
+    gen_responses,
+    validate_missingness,
+)
 from .errors import ConfigError, DataError, InsufficientDataError
-from .imputation import ImputationConfig, impute
+from .imputation import ImputationConfig, impute, stack_sizes
 from .inclusion import (
     METHODS,
     InclusionTrajectory,
@@ -68,6 +76,9 @@ class MissingnessConfig:
     rate: float = 0.4
     mechanism: str = "mcar"
 
+    def __post_init__(self) -> None:
+        validate_missingness(self.rate, self.mechanism)
+
 
 @dataclass
 class ExperimentConfig:
@@ -89,6 +100,10 @@ class ExperimentConfig:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if not self.n_min < self.n_max:
             raise ConfigError(f"need n_min < n_max, got {self.n_min} >= {self.n_max}")
+        if self.imp.min_n <= self.dgp.p + 2:
+            raise ConfigError(f"imp.min_n must exceed p + 2 = {self.dgp.p + 2}, got {self.imp.min_n}")
+        if self.n_min < self.imp.min_n:
+            raise ConfigError(f"n_min={self.n_min} is below the imputation minimum imp.min_n={self.imp.min_n}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
         if self.pooling not in POOLING_RULES:
@@ -205,6 +220,24 @@ def count_crossings(probs: np.ndarray) -> int | np.ndarray:
     return int(counts) if counts.ndim == 0 else counts
 
 
+def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: int):
+    """(n, completions) for n = n_min..n_max, imputed a stack of sizes per call."""
+    sizes = range(config.n_min, config.n_max + 1)
+    per_call = stack_sizes(config.n_max, config.imp.M, config.dgp.p)
+    for first in range(0, len(sizes), per_call):
+        chunk = sizes[first : first + per_call]
+        streams = {n: stream_rng(config.base_seed, rep_index, _STREAM_IMPUTE_BASE + n) for n in chunk}
+        try:
+            stacked = impute(data, config.imp, streams)
+        except InsufficientDataError as exc:
+            # observed counts only grow with n, so the first call fails at n_min
+            if first == 0:
+                raise ConfigError(f"imputation infeasible at n_min={config.n_min} ({exc}); increase n_min") from exc
+            raise
+        yield from zip(chunk, stacked)
+        del stacked  # freed before the next call builds its stack
+
+
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
     """One full sequential pass; deterministic given (base_seed, rep_index)."""
     dgp = config.dgp
@@ -228,18 +261,9 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     prev_avg: np.ndarray | None = None
     zero_out_fallbacks = 0
 
-    for n in range(config.n_min, config.n_max + 1):
+    for n, completions in _imputed_stream(data, config, rep_index):
         t = n - config.n_min + 1
         sub = data.head(n)
-        try:
-            completions = impute(sub, config.imp, stream_rng(config.base_seed, rep_index, _STREAM_IMPUTE_BASE + n))
-        except InsufficientDataError as exc:
-            if n == config.n_min:
-                raise ConfigError(
-                    f"imputation infeasible at n_min={config.n_min} ({exc}); increase n_min"
-                ) from exc
-            raise
-
         g = g_for_n(config.g_rule, n)
         per_imp = model_sweep([GramStats.from_data(x_mat, sub.y) for x_mat in completions], space, g)
         avg = pool_log_bf(per_imp, config.pooling)

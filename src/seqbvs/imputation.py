@@ -7,17 +7,30 @@ least squares) on all other covariate columns, coefficients are drawn from
 their asymptotic normal, and the missing cells are redrawn from the fitted
 normal predictive.  Observed cells are never touched.
 
-The M chains advance in lockstep.  The completions are one (M, n, p) array,
-and each (sweep, column) step builds the (M, n, p) conditional designs
-[1, other covariates] once and fits every chain with one batched Gram
-product, one batched eigendecomposition and batched matrix-vector products.
-Chain j draws only from child j of rng.spawn(M), in the order the chain
-would use on its own: the initial fill of each column with missing cells,
-then per (sweep, column) p coefficient normals (when coef_draw) followed by
-the noise of the missing cells.  Its arithmetic is the one-chain arithmetic
-as well (the same BLAS calls on C-contiguous operands), so chain j's
-completion does not depend on M or on the other chains, and it equals,
-bit for bit, the one-chain-at-a-time loop kept as a reference in the tests.
+One call imputes a stack of sample sizes: the completions of every size and
+chain sit in one (T, M, n_hi, p + 1) array [1, x] over the first n_hi rows,
+and the rows beyond a size are zero in every column (the intercept too), so
+they add nothing to a product.  Each (sweep, column) step then fits all T*M
+chains at once: one batched Gram product over the rows where the column is
+observed, a Cholesky factor of each floored Gram matrix, and batched
+matrix-vector products.  The coefficient draw goes through that factor, as
+in van Buuren (2018, Flexible Imputation of Missing Data, Algorithm 3.1):
+beta = G_f^-1 D'z + sigma_hat L_f^-T xi, where G_f is the Gram matrix G when
+every eigenvalue clears the floor f and V diag(max(lambda, f)) V' otherwise,
+and L_f is its Cholesky factor.  A vectorised elimination pass finds the
+chains whose G - f I has no Cholesky factor; only those go through `eigh`.
+The draw is a continuous function of the data, so sums that add in another
+order (a padded stack, another chunk of sizes) move the completions by
+roundoff only.
+
+Sample size n draws only from its own stream, and chain j from child j of
+that stream's spawn(M), in the order a lone chain would use: the initial
+fill of each column with missing cells, then per (sweep, column) p
+coefficient normals (when coef_draw) followed by the noise of the missing
+cells.  Each chain's normals are drawn one sweep at a time.  In a given
+stack of sizes, chain j's completion does not depend on M, bit for bit; it
+matches the same size imputed alone, and the one-chain-at-a-time loop kept
+as a reference in the tests, up to roundoff.
 
 The response is not a predictor.  The observed-data Bayes factor of a model
 against the null is the complete-data Bayes factor averaged over
@@ -40,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_gen import MissingDataset
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, ShapeError
 
 
 @dataclass
@@ -78,105 +91,215 @@ _SIGMA_PRIOR_WEIGHT = 2.0
 _EIG_FLOOR = 0.15
 
 
+# Values one impute call stacks, T * M * n_hi * (p + 1).  A larger stack pays
+# less Python dispatch per fit but holds more memory at once; at the desk size
+# (M = 10, n = 100, p = 10) this is 11 sample sizes per call and about 1 MB.
+_STACK_CELLS = 1 << 17
+
+
+def stack_sizes(n_max: int, M: int, p: int) -> int:
+    """How many consecutive sample sizes up to n_max one impute call should stack."""
+    return max(1, _STACK_CELLS // (M * n_max * (p + 1)))
+
+
 def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product, (M, a, b) x (M, b) -> (M, a)."""
+    """Batched matrix-vector product, (B, a, b) x (B, b) -> (B, a)."""
     return np.matmul(mats, vecs[:, :, None])[:, :, 0]
 
 
-def _floored_fit_draw(
-    d_obs: np.ndarray,
-    z_obs: np.ndarray,
-    coef_noise: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Floored least-squares fits of M chains, with optional coefficient draws.
+def _floor_binds(gram: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """(B,) flags of the Gram matrices with an eigenvalue at or below their floor.
 
-    d_obs is the (M, n_obs, q) design on the observed rows, z_obs the
-    (M, n_obs) target, both C-contiguous so that each chain's products and
-    sums run as they would on its own 2-d arrays.  Returns (beta, sigma_hat) of
-    shapes (M, q) and (M,): beta is the floored point fit plus, when
-    coef_noise holds (M, q) standard normals, one draw from its
-    (stabilised) asymptotic normal.
+    That is when gram - floor * I has no Cholesky factor: one symmetric
+    elimination step per column, vectorised over the stack, meets a pivot
+    that is not positive.  (np.linalg.cholesky fails the whole stack when
+    one matrix fails.)
     """
-    n_obs, q = d_obs.shape[1:]
-    d_obs_t = d_obs.transpose(0, 2, 1)
-    gram = np.matmul(d_obs_t, d_obs)
+    q = gram.shape[-1]
+    rest = gram - floor[:, None, None] * np.eye(q)
+    binds = np.zeros(len(gram), dtype=bool)
+    for j in range(q):
+        binds |= ~(rest[:, j, j] > 0.0)
+        # a chain that has met its failing pivot stops changing
+        inv_pivot = np.divide(1.0, rest[:, j, j], out=np.zeros(len(rest)), where=~binds)
+        rest[:, j + 1 :, j + 1 :] -= rest[:, j + 1 :, j, None] * (rest[:, j, None, j + 1 :] * inv_pivot[:, None, None])
+    return binds
+
+
+def _forward(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with low @ x = rhs, for a (B, q, q) lower-triangular stack and (B, q, r) right-hand sides."""
+    x = np.empty_like(rhs)
+    for i in range(rhs.shape[1]):
+        x[:, i] = (rhs[:, i] - np.matmul(low[:, None, i, :i], x[:, :i])[:, 0]) / low[:, i, i, None]
+    return x
+
+
+def _backward(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with low^T @ x = rhs, for a (B, q, q) lower-triangular stack and (B, q, r) right-hand sides."""
+    x = np.empty_like(rhs)
+    for i in reversed(range(rhs.shape[1])):
+        x[:, i] = (rhs[:, i] - np.matmul(low[:, None, i + 1 :, i], x[:, i + 1 :])[:, 0]) / low[:, i, i, None]
+    return x
+
+
+def _floored_fit(
+    gram: np.ndarray,
+    cross: np.ndarray,
+    n_obs: np.ndarray,
+    coef_noise: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Floored least-squares fits of a stack of chains.
+
+    gram is the (B, q, q) stack of D'D, cross the (B, q) stack of D'z and
+    n_obs the (B,) row counts; the floor is _EIG_FLOOR * trace(gram) /
+    n_obs.  Returns the point fits G_f^-1 D'z, (B, q), and, when coef_noise
+    holds (B, q) standard normals xi, the draw directions L_f^-T xi (else
+    None).
+    """
     floor = np.maximum(_EIG_FLOOR * np.trace(gram, axis1=1, axis2=2) / n_obs, 1e-12)
-    eigval, eigvec = np.linalg.eigh(gram)
-    inv_eig = 1.0 / np.maximum(eigval, floor[:, None])
-    beta = _mv(eigvec, inv_eig * _mv(eigvec.transpose(0, 2, 1), _mv(d_obs_t, z_obs)))
-    resid = z_obs - _mv(d_obs, beta)
-    rss = np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
-    dof = max(n_obs - q, 1)
-    s0_sq = np.var(z_obs, axis=1) + 1e-12
-    sigma_hat = np.sqrt((rss + _SIGMA_PRIOR_WEIGHT * s0_sq) / (dof + _SIGMA_PRIOR_WEIGHT))
+    gram_f = gram.copy()
+    binds = _floor_binds(gram, floor)
+    if binds.any():
+        eigval, eigvec = np.linalg.eigh(gram[binds])
+        lifted = eigvec * np.maximum(eigval, floor[binds, None])[:, None, :]
+        gram_f[binds] = np.matmul(lifted, eigvec.transpose(0, 2, 1))
+    factor = np.linalg.cholesky(gram_f)
+    rhs = _forward(factor, cross[:, :, None])
     if coef_noise is not None:
-        beta = beta + sigma_hat[:, None] * _mv(eigvec, np.sqrt(inv_eig) * coef_noise)
-    return beta, sigma_hat
+        rhs = np.concatenate([rhs, coef_noise[:, :, None]], axis=2)
+    solved = _backward(factor, rhs)
+    return solved[:, :, 0], solved[:, :, 1] if coef_noise is not None else None
+
+
+def _fit_draw(a_obs: np.ndarray, k: int, coef_noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Fit column k of a stack of chains on the other columns, then draw its coefficients.
+
+    a_obs is the (B, rows, p + 1) stack [1, x] on the rows where column k is
+    observed; a chain's rows beyond its sample size are zero.  Returns the
+    (B, p + 1) coefficients, 0 at column k, and the (B,) residual scales.
+    When coef_noise holds (B, p) standard normals, the coefficients are one
+    draw from N(beta_hat, sigma_hat^2 G_f^-1) rather than the point fit.
+    """
+    width = a_obs.shape[2]
+    design = np.delete(np.arange(width), k)  # the intercept and the other covariates
+    full = np.matmul(a_obs.transpose(0, 2, 1), a_obs)
+    n_obs = full[:, 0, 0]  # the intercept column is 1 on a chain's rows and 0 beyond
+    beta_hat, spread = _floored_fit(full[:, design[:, None], design], full[:, design, k], n_obs, coef_noise)
+    coef = np.zeros((len(a_obs), width))
+    coef[:, design] = beta_hat
+    target = a_obs[:, :, k]
+    resid = target - _mv(a_obs, coef)
+    centred = (target - (full[:, 0, k] / n_obs)[:, None]) * a_obs[:, :, 0]
+    dof = np.maximum(n_obs - len(design), 1.0)
+    s0_sq = np.einsum("ij,ij->i", centred, centred) / n_obs + 1e-12
+    rss = np.einsum("ij,ij->i", resid, resid)
+    sigma_hat = np.sqrt((rss + _SIGMA_PRIOR_WEIGHT * s0_sq) / (dof + _SIGMA_PRIOR_WEIGHT))
+    if spread is not None:
+        coef[:, design] += sigma_hat[:, None] * spread
+    return coef, sigma_hat
+
+
+def _draw_index(n_miss: np.ndarray, n_coef: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Where each column's normals sit in one chain's block of draws, per sample size.
+
+    n_miss is (K, T): the missing cells of each column with missing cells,
+    at each of the T sizes.  At a size, the block holds for each column with
+    a missing cell there, in column order, n_coef coefficient normals and
+    then one normal per missing cell in row order.  Returns, per column, a
+    (T, n_coef + most missing cells) index into the block, -1 where the
+    column draws nothing at that size, and the (T,) block lengths.
+    """
+    width = np.where(n_miss > 0, n_coef + n_miss, 0)
+    start = np.cumsum(width, axis=0) - width
+    index = []
+    for col_width, col_start, most in zip(width, start, n_miss.max(axis=1)):
+        span = np.arange(n_coef + most)
+        index.append(np.where(span < col_width[:, None], col_start[:, None] + span, -1))
+    return index, width.sum(axis=0)
 
 
 def impute(
     data: MissingDataset,
     config: ImputationConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The (M, n, p) completions of the masked covariates.
+    streams: dict[int, np.random.Generator],
+) -> list[np.ndarray]:
+    """The (M, n, p) completions of the first n rows of data, for each n in streams.
 
-    Every completion agrees with data.X on the observed cells.
+    streams maps each sample size to its random stream; the result follows
+    its order.  Every completion agrees with data.X on the observed cells.
 
-    Raises InsufficientDataError when n < config.min_n (the imputer needs a
-    minimum number of rows) or when some covariate column has fewer than
-    config.min_col_obs observed entries.
+    Raises InsufficientDataError when a size is below config.min_n (the
+    imputer needs a minimum number of rows) or when some covariate column
+    has fewer than config.min_col_obs observed entries at the smallest size.
     """
-    n, p = data.X.shape
+    sizes = np.fromiter(streams, dtype=np.int64, count=len(streams))
+    n_rows, p = data.X.shape
     if config.min_n <= p + 2:
         raise ConfigError(f"min_n must exceed p + 2 = {p + 2}, got {config.min_n}")
-    if n < config.min_n:
-        raise InsufficientDataError(f"n={n} below the imputation minimum min_n={config.min_n}")
-    col_obs = data.mask.sum(axis=0)
+    n_lo, n_hi = int(sizes.min()), int(sizes.max())
+    if n_hi > n_rows:
+        raise ShapeError(f"sample size {n_hi} exceeds the {n_rows} rows of the data")
+    if n_lo < config.min_n:
+        raise InsufficientDataError(f"n={n_lo} below the imputation minimum min_n={config.min_n}")
+    col_obs = data.mask[:n_lo].sum(axis=0)
     if np.any(col_obs < config.min_col_obs):
         worst = int(np.argmin(col_obs))
         raise InsufficientDataError(
-            f"column {worst + 1} has only {int(col_obs[worst])} observed values "
+            f"column {worst + 1} has only {int(col_obs[worst])} observed values at n={n_lo} "
             f"(need >= {config.min_col_obs})"
         )
 
-    if data.mask.all():
-        return np.repeat(data.X[None, :, :], config.M, axis=0)
+    x, mask = data.X[:n_hi], data.mask[:n_hi]
+    t_count, chains = len(sizes), config.M
+    in_size = np.arange(n_hi) < sizes[:, None]  # (T, n_hi)
+    stack = np.zeros((t_count, chains, n_hi, p + 1))
+    stack[..., 0] = in_size[:, None, :]
+    stack[..., 1:] = np.where(mask & in_size[:, :, None], x, 0.0)[:, None]
 
-    mask = data.mask
     cols = [k for k in range(p) if not mask[:, k].all()]
-    n_miss = {k: int(n - mask[:, k].sum()) for k in cols}
+    if not cols:
+        return [stack[t, :, :n, 1:].copy() for t, n in enumerate(sizes)]
+    miss_rows = [np.flatnonzero(~mask[:, k]) for k in cols]
+    obs_rows = [np.flatnonzero(mask[:, k]) for k in cols]
+    n_miss = np.array([(rows < sizes[:, None]).sum(axis=1) for rows in miss_rows])  # (K, T)
     n_coef = p if config.coef_draw else 0  # q = p: intercept plus p - 1 others
-    n_draws = sum(n_miss.values()) + config.sweeps * sum(n_coef + n_miss[k] for k in cols)
-    # Every chain's whole stream in one call, laid out in the order the draws
-    # are used; standard_normal fills element by element, so this equals the
-    # per-step calls.
-    noise = np.stack([child.standard_normal(n_draws) for child in rng.spawn(config.M)])
-    at = 0
+    fill_index, fill_len = _draw_index(n_miss, 0)
+    sweep_index, sweep_len = _draw_index(n_miss, n_coef)
+    # one sweep's normals for every chain; the last slot stays 0 and is what
+    # index -1 reads
+    noise = np.zeros((t_count, chains, int(sweep_len.max()) + 1))
+    children = [rng.spawn(chains) for rng in streams.values()]
 
-    def take(count: int) -> np.ndarray:
-        nonlocal at
-        at += count
-        return noise[:, at - count : at]
+    def draw(lengths: np.ndarray) -> None:
+        # standard_normal fills element by element, so one call per chain and
+        # sweep gives the numbers that one call per (sweep, column) would
+        for size_children, size_noise, length in zip(children, noise, lengths):
+            for child, chain_noise in zip(size_children, size_noise):
+                child.standard_normal(out=chain_noise[:length])
 
-    filled = np.repeat(data.X[None, :, :], config.M, axis=0)
-    for k in cols:
-        obs_vals = data.X[mask[:, k], k]
-        filled[:, ~mask[:, k], k] = float(obs_vals.mean()) + float(obs_vals.std()) * take(n_miss[k])
+    def take(index: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(noise, index[:, None, :], axis=2)
 
-    ones = np.ones((config.M, n, 1))
+    draw(fill_len)
+    for k, miss, obs, index in zip(cols, miss_rows, obs_rows, fill_index):
+        vals = np.where(obs < sizes[:, None], x[obs, k], np.nan)  # (T, observed rows)
+        mean = np.nanmean(vals, axis=1)[:, None, None]
+        scale = np.nanstd(vals, axis=1)[:, None, None]
+        in_miss = (miss < sizes[:, None])[:, None, :]
+        stack[:, :, miss, k + 1] = np.where(in_miss, mean + scale * take(index), 0.0)
+
+    flat = stack.reshape(t_count * chains, n_hi, p + 1)
     for _ in range(config.sweeps):
-        for k in cols:
-            obs, miss = mask[:, k], ~mask[:, k]
-            design = np.concatenate([ones, filled[:, :, [c for c in range(p) if c != k]]], axis=2)
-            # a boolean row gather of a 3-d array comes back in a transposed
-            # layout; copied C-contiguous, every product and sum runs in the
-            # order a single chain's fit would use
-            beta, sigma_hat = _floored_fit_draw(
-                np.ascontiguousarray(design[:, obs]),
-                np.ascontiguousarray(filled[:, obs, k]),
-                take(n_coef) if config.coef_draw else None,
+        draw(sweep_len)
+        for k, miss, obs, index in zip(cols, miss_rows, obs_rows, sweep_index):
+            cell_noise = take(index).reshape(len(flat), -1)
+            coef, sigma_hat = _fit_draw(
+                np.take(flat, obs, axis=1),
+                k + 1,
+                cell_noise[:, :n_coef] if config.coef_draw else None,
             )
-            pred = _mv(np.ascontiguousarray(design[:, miss]), beta)
-            filled[:, miss, k] = pred + sigma_hat[:, None] * take(n_miss[k])
-    return filled
+            # rows beyond a chain's size are zero and draw 0, so they stay 0
+            pred = _mv(np.take(flat, miss, axis=1), coef)
+            flat[:, miss, k + 1] = pred + sigma_hat[:, None] * cell_noise[:, n_coef:]
+    # copies, so that no size's completions keep the whole stack alive
+    return [stack[t, :, :n, 1:].copy() for t, n in enumerate(sizes)]

@@ -204,8 +204,10 @@ def chained_imputation_per_chain(
     noise), then, per (sweep, column), the coefficient draw (q normals) and
     the noise of the missing cells.  Each conditional fit regresses the
     column on [1, other covariates] over its observed rows with the Gram
-    spectrum floored at eig_floor * trace(gram) / n_obs.  Returns the
-    (n_chains, n, p) completions.
+    spectrum floored at eig_floor * trace(gram) / n_obs: eigh gives
+    G_f = V diag(max(lambda, floor)) V', its Cholesky factor L_f gives the
+    point fit G_f^-1 D'z and the coefficient draw sigma * L_f^-T xi.
+    Returns the (n_chains, n, p) completions.
     """
     n, p = x.shape
     out = np.empty((n_chains, n, p))
@@ -231,15 +233,15 @@ def chained_imputation_per_chain(
                 gram = d_obs.T @ d_obs
                 floor = max(eig_floor * float(np.trace(gram)) / n_obs, 1e-12)
                 eigval, eigvec = np.linalg.eigh(gram)
-                inv_eig = 1.0 / np.maximum(eigval, floor)
-                beta = eigvec @ (inv_eig * (eigvec.T @ (d_obs.T @ z_obs)))
+                factor = np.linalg.cholesky((eigvec * np.maximum(eigval, floor)) @ eigvec.T)
+                beta = np.linalg.solve(factor.T, np.linalg.solve(factor, d_obs.T @ z_obs))
                 resid = z_obs - d_obs @ beta
                 dof = max(n_obs - q, 1)
                 s0_sq = float(np.var(z_obs)) + 1e-12
                 sigma_sq = (float(resid @ resid) + sigma_prior_weight * s0_sq) / (dof + sigma_prior_weight)
                 sigma = float(np.sqrt(sigma_sq))
                 if coef_draw:
-                    beta = beta + sigma * (eigvec @ (np.sqrt(inv_eig) * chain_rng.standard_normal(q)))
+                    beta = beta + sigma * np.linalg.solve(factor.T, chain_rng.standard_normal(q))
                 miss = ~obs
                 pred = design[miss] @ beta
                 filled[miss, k] = pred + sigma * chain_rng.standard_normal(int(miss.sum()))

@@ -153,7 +153,7 @@ def test_criterion_08_imputer_contracts():
         ds = apply_missingness(x, rate, "mcar", rng, y=y)
         if ds.mask.sum(axis=0).min() < cfg.min_col_obs:
             continue
-        out = impute(ds, cfg, rng)
+        out = impute(ds, cfg, {n: rng})[0]
         for j in range(cfg.M):
             assert np.array_equal(out[j][ds.mask], ds.X[ds.mask])
 
@@ -162,12 +162,12 @@ def test_criterion_08_imputer_contracts():
     y = x[:, 0] + rng.standard_normal(18)
     ds = apply_missingness(x, 0.2, "mcar", rng, y=y)
     with pytest.raises(InsufficientDataError):
-        impute(ds, ImputationConfig(M=2, min_n=19), rng)
+        impute(ds, ImputationConfig(M=2, min_n=19), {18: rng})
 
     # no missingness: M identical completions
     x = rng.standard_normal((30, 3))
     ds = MissingDataset(y=x[:, 0].copy(), X=x, mask=np.ones_like(x, dtype=bool))
-    out = impute(ds, ImputationConfig(M=4), rng)
+    out = impute(ds, ImputationConfig(M=4), {30: rng})[0]
     for j in range(4):
         np.testing.assert_array_equal(out[j], x)
 

@@ -119,6 +119,12 @@ class TestConfig:
             tiny_config(loss_mode="other")
         with pytest.raises(ConfigError):
             tiny_config(pooling="median")
+        with pytest.raises(ConfigError):
+            tiny_config(missing=MissingnessConfig(rate=1.5))
+        with pytest.raises(ConfigError):
+            tiny_config(missing=MissingnessConfig(mechanism="foo"))
+        with pytest.raises(ConfigError):
+            tiny_config(imp=ImputationConfig(min_n=6))  # p + 2 = 6
 
     def test_g_rules(self):
         assert g_for_n("unit-info", 25) == 25.0
@@ -203,8 +209,12 @@ class TestRunReplication:
         assert int(np.argmax(post_default)) == cfg.dgp.true_model.index
 
     def test_infeasible_n_min_raises_config_error(self):
-        cfg = tiny_config(imp=ImputationConfig(M=2, min_n=25), n_min=19)
-        with pytest.raises(ConfigError):
+        # an n_min below the imputation minimum is refused while the config is built
+        with pytest.raises(ConfigError, match="imputation minimum"):
+            tiny_config(imp=ImputationConfig(M=2, min_n=25), n_min=19)
+        # too few observed cells in a column at n_min shows only once the data exist
+        cfg = tiny_config(imp=ImputationConfig(M=2, min_col_obs=19))
+        with pytest.raises(ConfigError, match="infeasible at n_min=19"):
             run_replication(cfg, 0)
 
 

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from seqbvs.data_gen import MissingDataset, apply_missingness
-from seqbvs.errors import ConfigError, InsufficientDataError
-from seqbvs.imputation import _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _floored_fit_draw, impute
+from seqbvs.errors import ConfigError, InsufficientDataError, ShapeError
+from seqbvs.imputation import _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _floored_fit, impute
 
 from oracles import chained_imputation_per_chain
+
+
+def impute_all_rows(ds, config, rng):
+    """The completions of every row of ds: a stack of one sample size."""
+    return impute(ds, config, {len(ds.y): rng})[0]
 
 
 def make_masked(rng, n=60, p=4, rate=0.3, rho=0.5):
@@ -21,7 +26,7 @@ def test_no_missingness_gives_identical_completions():
     x, _ = make_masked(rng, rate=0.0)
     y = x[:, 0]
     ds = MissingDataset(y=y, X=x, mask=np.ones_like(x, dtype=bool))
-    out = impute(ds, ImputationConfig(M=5), np.random.default_rng(1))
+    out = impute_all_rows(ds, ImputationConfig(M=5), np.random.default_rng(1))
     assert out.shape == (5, 60, 4)
     for j in range(5):
         np.testing.assert_array_equal(out[j], x)
@@ -30,7 +35,7 @@ def test_no_missingness_gives_identical_completions():
 def test_observed_cells_preserved_exactly():
     rng = np.random.default_rng(2)
     _, ds = make_masked(rng)
-    out = impute(ds, ImputationConfig(M=4, sweeps=3), np.random.default_rng(3))
+    out = impute_all_rows(ds, ImputationConfig(M=4, sweeps=3), np.random.default_rng(3))
     for j in range(4):
         np.testing.assert_array_equal(out[j][ds.mask], ds.X[ds.mask])
         assert np.all(np.isfinite(out[j]))
@@ -40,14 +45,16 @@ def test_min_n_guard():
     rng = np.random.default_rng(4)
     _, ds = make_masked(rng, n=18, p=4)
     with pytest.raises(InsufficientDataError):
-        impute(ds, ImputationConfig(M=2, min_n=19), np.random.default_rng(0))
+        impute_all_rows(ds, ImputationConfig(M=2, min_n=19), np.random.default_rng(0))
+    with pytest.raises(ShapeError):
+        impute(ds, ImputationConfig(M=2, min_n=17), {19: np.random.default_rng(0)})
 
 
 def test_min_n_must_exceed_p_plus_two():
     rng = np.random.default_rng(5)
     _, ds = make_masked(rng, n=30, p=10, rate=0.2)
     with pytest.raises(ConfigError):
-        impute(ds, ImputationConfig(M=1, min_n=12), np.random.default_rng(0))
+        impute_all_rows(ds, ImputationConfig(M=1, min_n=12), np.random.default_rng(0))
 
 
 def test_column_with_too_few_observations():
@@ -60,14 +67,14 @@ def test_column_with_too_few_observations():
     x_masked[~mask] = np.nan
     ds_bad = MissingDataset(y=ds.y, X=x_masked, mask=mask)
     with pytest.raises(InsufficientDataError):
-        impute(ds_bad, ImputationConfig(M=1), np.random.default_rng(0))
+        impute_all_rows(ds_bad, ImputationConfig(M=1), np.random.default_rng(0))
 
 
 def test_determinism_and_distinct_completions():
     rng = np.random.default_rng(7)
     _, ds = make_masked(rng)
-    a = impute(ds, ImputationConfig(M=3), np.random.default_rng(42))
-    b = impute(ds, ImputationConfig(M=3), np.random.default_rng(42))
+    a = impute_all_rows(ds, ImputationConfig(M=3), np.random.default_rng(42))
+    b = impute_all_rows(ds, ImputationConfig(M=3), np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a[0], a[1])
 
@@ -87,7 +94,7 @@ def test_single_masked_cell_tracks_oracle_regression():
     ds = MissingDataset(y=y, X=x_masked, mask=mask)
 
     m_draws = 40
-    out = impute(ds, ImputationConfig(M=m_draws, sweeps=5), np.random.default_rng(9))
+    out = impute_all_rows(ds, ImputationConfig(M=m_draws, sweeps=5), np.random.default_rng(9))
     draws = out[:, 5, 0]
 
     # oracle: same conditional regression fit on the complete data; the
@@ -135,35 +142,40 @@ REFERENCE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_lockstep_matches_per_chain_reference(case):
-    # the M chains advance together but each keeps its own stream and
-    # arithmetic, so the completions equal the one-chain-at-a-time loop
+    # the chains advance together, each on its own stream; stacked sums add
+    # in another order than one chain's, so they agree up to roundoff
     make_data, config = REFERENCE_CASES[case]
     ds = make_data()
     assert not ds.mask.all()
-    out = impute(ds, config, np.random.default_rng(31))
+    out = impute_all_rows(ds, config, np.random.default_rng(31))
     want = chained_imputation_per_chain(
         ds.X, ds.mask, config.M, config.sweeps, np.random.default_rng(31),
         _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, coef_draw=config.coef_draw,
     )
-    np.testing.assert_array_equal(out, want)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)
 
 
 def test_chains_do_not_depend_on_chain_count():
     ds = _default_dgp(25, n=40)
-    five = impute(ds, ImputationConfig(M=5), np.random.default_rng(32))
-    three = impute(ds, ImputationConfig(M=3), np.random.default_rng(32))
+    five = impute_all_rows(ds, ImputationConfig(M=5), np.random.default_rng(32))
+    three = impute_all_rows(ds, ImputationConfig(M=3), np.random.default_rng(32))
     np.testing.assert_array_equal(five[:3], three)
+    # the same holds in a stack of sizes, size by size
+    five = impute(ds, ImputationConfig(M=5), {n: np.random.default_rng([32, n]) for n in (22, 31, 40)})
+    three = impute(ds, ImputationConfig(M=3), {n: np.random.default_rng([32, n]) for n in (22, 31, 40)})
+    for five_n, three_n in zip(five, three):
+        np.testing.assert_array_equal(five_n[:3], three_n)
 
 
 def test_imputed_values_have_sane_scale():
     # the coefficient draw must not explode in the saturated small-n regime
-    out = impute(_default_dgp(10), ImputationConfig(M=10), np.random.default_rng(11))
+    out = impute_all_rows(_default_dgp(10), ImputationConfig(M=10), np.random.default_rng(11))
     assert np.abs(out).max() < 15.0
 
     # nor may the point fit under it: at n = 19 each column has 8-16 observed
     # rows for 10 predictors, where unstabilised least squares explodes
     for seed in range(20):
-        out = impute(
+        out = impute_all_rows(
             _default_dgp(seed),
             ImputationConfig(M=10, coef_draw=False),
             np.random.default_rng(seed + 1),
@@ -181,8 +193,9 @@ def test_point_fit_is_least_squares_once_well_determined():
     design = np.column_stack([np.ones(n), x])
     target = design @ np.array([0.3, 1.0, -0.5, 2.0]) + rng.standard_normal(n)
     obs = rng.random(n) < 0.6
-    beta, _ = _floored_fit_draw(design[obs][None], target[obs][None], None)
-    ols, *_ = np.linalg.lstsq(design[obs], target[obs], rcond=None)
+    d_obs, z_obs = design[obs], target[obs]
+    beta, _ = _floored_fit((d_obs.T @ d_obs)[None], (d_obs.T @ z_obs)[None], np.array([obs.sum()]))
+    ols, *_ = np.linalg.lstsq(d_obs, z_obs, rcond=None)
     np.testing.assert_allclose(beta[0], ols, rtol=1e-10, atol=1e-12)
 
 
@@ -193,8 +206,8 @@ def test_completions_do_not_depend_on_response():
     y = x[:, 0] + rng.standard_normal(len(x))
     ds = apply_missingness(x, 0.3, "mar_y", rng, y=y)
     other = MissingDataset(y=rng.permutation(ds.y), X=ds.X, mask=ds.mask)
-    a = impute(ds, ImputationConfig(M=3), np.random.default_rng(16))
-    b = impute(other, ImputationConfig(M=3), np.random.default_rng(16))
+    a = impute_all_rows(ds, ImputationConfig(M=3), np.random.default_rng(16))
+    b = impute_all_rows(other, ImputationConfig(M=3), np.random.default_rng(16))
     np.testing.assert_array_equal(a, b)
 
 
@@ -205,3 +218,73 @@ def test_config_validation():
         ImputationConfig(sweeps=0)
     with pytest.raises(ConfigError):
         ImputationConfig(min_col_obs=1)
+
+
+@pytest.mark.parametrize("n", [19, 25, 35, 60])
+def test_completions_are_stable_under_roundoff(n):
+    # the coefficient draw is a continuous function of the data: a relative
+    # change of 1e-15 in the observed cells (sums added in another order
+    # change no more) must not move a completion, whatever the eigenvectors
+    for seed in range(4):
+        ds = _default_dgp(seed, n=n)
+        bumped = MissingDataset(y=ds.y, X=np.where(ds.mask, ds.X * (1.0 + 1e-15), ds.X), mask=ds.mask)
+        a = impute_all_rows(ds, ImputationConfig(M=10), np.random.default_rng(seed + 100))
+        b = impute_all_rows(bumped, ImputationConfig(M=10), np.random.default_rng(seed + 100))
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=f"seed {seed}")
+
+
+def test_size_does_not_depend_on_its_stack():
+    # a size's completions come from its own stream and its own rows,
+    # whichever other sizes share the stack; only roundoff differs
+    ds = _default_dgp(26, n=40)
+    config = ImputationConfig(M=4)
+
+    def stream(n):
+        return np.random.default_rng([26, n])
+
+    sizes = range(19, 41)
+    stacked = impute(ds, config, {n: stream(n) for n in sizes})
+    pair = impute(ds, config, {40: stream(40), 25: stream(25)})
+    for n, completions in zip(sizes, stacked):
+        assert completions.shape == (4, n, ds.X.shape[1])
+        alone = impute(ds, config, {n: stream(n)})[0]
+        np.testing.assert_allclose(completions, alone, rtol=0, atol=1e-10, err_msg=f"n={n}")
+    np.testing.assert_allclose(pair[0], stacked[40 - 19], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(pair[1], stacked[25 - 19], rtol=0, atol=1e-10)
+
+
+def test_pinned_completions_at_min_n():
+    # frozen per-chain column sums of one small case; a change to the draw
+    # (its order, its distribution) has to update them on purpose
+    out = impute_all_rows(_default_dgp(27), ImputationConfig(M=2), np.random.default_rng(33))
+    want = np.array(
+        [
+            [8.514318605807, -5.189240692881, 1.375126190528, -1.94125654265, 4.503962451874,
+             1.306292039886, 11.0676509627, 6.233330028892, 3.657077762486, -1.967009495585],
+            [4.31321470969, -2.159607989814, 2.271086993441, -7.171139908464, -4.843907348453,
+             -3.404554731006, -1.897782963711, -0.119883795493, -4.60971436965, -4.462246781763],
+        ]
+    )
+    np.testing.assert_allclose(out.sum(axis=1), want, rtol=0, atol=1e-9)
+
+
+def test_desk_stream_imputes_in_little_memory():
+    # the stacks of one desk replication (n = 19..100, M = 10, p = 10) stay
+    # small next to the ~44 MB the desk benchmark peaks at
+    import tracemalloc
+
+    from seqbvs.data_gen import gen_covariates, gen_responses
+    from seqbvs.experiment import _imputed_stream, default_config
+
+    config = default_config("desk")
+    rng = np.random.default_rng(28)
+    x = gen_covariates(config.n_max, config.dgp.cov, rng)
+    data = apply_missingness(x, config.missing.rate, "mcar", rng, y=gen_responses(x, config.dgp, rng))
+    tracemalloc.start()
+    try:
+        sizes = [n for n, _ in _imputed_stream(data, config, 0)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == list(range(config.n_min, config.n_max + 1))
+    assert peak < 4e6, f"imputation peaked at {peak / 1e6:.2f} MB"

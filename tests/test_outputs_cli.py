@@ -335,8 +335,20 @@ class TestCli:
             ("dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,x\n0,0,1\n", "cov.csv"),
             ("dgp.cov_csv=cov.csv\n", "1,2,0\n2,1,0\n0,0,1\n", "positive definite"),
             ("run.model_prior=scott_berger\n", None, "model_prior"),
+            ("missing.mechanism=foo\n", None, "mechanism must be one of"),
+            ("missing.rate=1.5\n", None, "missingness rate"),
+            ("imp.min_n=5\n", None, "imp.min_n must exceed p + 2"),
+            ("imp.min_n=20\n", None, "below the imputation minimum"),
         ],
-        ids=["non_numeric_cov_csv", "indefinite_cov_csv", "unknown_model_prior"],
+        ids=[
+            "non_numeric_cov_csv",
+            "indefinite_cov_csv",
+            "unknown_model_prior",
+            "unknown_mechanism",
+            "rate_above_one",
+            "min_n_at_p_plus_2",
+            "n_min_below_min_n",
+        ],
     )
     def test_bad_config_reported_as_exit_2(self, tmp_path, capsys, monkeypatch, extra, cov_text, message):
         # rejected while the config is built, before any replication runs
