@@ -22,7 +22,6 @@ Cholesky factor and is the independent reference for the sweep.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,39 +41,51 @@ MODEL_PRIORS = ("uniform", "scott-berger")
 
 @dataclass
 class GramStats:
-    """Cross-product accumulators for the augmented regressors z = (1, x)."""
+    """Cross-product accumulators for the augmented regressors z = (1, x).
+
+    One data set gives sxx (p+1, p+1) and sxy (p+1,).  A stack of M
+    completions of the same n rows, sharing y, gives sxx (M, p+1, p+1) and
+    sxy (M, p+1); n and syy are shared.
+    """
 
     n: int
-    sxx: np.ndarray  # (p+1, p+1)
-    sxy: np.ndarray  # (p+1,)
+    sxx: np.ndarray  # (p+1, p+1), or (M, p+1, p+1)
+    sxy: np.ndarray  # (p+1,), or (M, p+1)
     syy: float
 
     @classmethod
     def from_data(cls, x_mat: np.ndarray, y: np.ndarray) -> GramStats:
-        """Batch accumulation of n observations."""
+        """Batch accumulation of n observations.
+
+        x_mat is (n, p), or (M, n, p) for M completions of the same rows,
+        which one batched product turns into one stack.
+        """
         x_mat = np.asarray(x_mat, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x_mat.ndim != 2 or y.shape != (x_mat.shape[0],):
+        if x_mat.ndim not in (2, 3) or y.shape != (x_mat.shape[-2],):
             raise ShapeError(f"incompatible shapes X {x_mat.shape}, y {y.shape}")
+        if x_mat.ndim == 3 and len(x_mat) == 0:
+            raise ShapeError("a stack of completions needs at least one completion")
         if not (np.all(np.isfinite(x_mat)) and np.all(np.isfinite(y))):
             raise DataError("observations must be finite")
-        z = np.column_stack([np.ones(x_mat.shape[0]), x_mat])
-        return cls(n=x_mat.shape[0], sxx=z.T @ z, sxy=z.T @ y, syy=float(y @ y))
+        z = np.concatenate([np.ones(x_mat.shape[:-1] + (1,)), x_mat], axis=-1)
+        z_t = np.swapaxes(z, -1, -2)
+        return cls(n=x_mat.shape[-2], sxx=z_t @ z, sxy=z_t @ y, syy=float(y @ y))
 
     @property
     def p(self) -> int:
-        return self.sxx.shape[0] - 1
+        return self.sxx.shape[-1] - 1
 
 
-def centered_moments(stats: GramStats) -> tuple[np.ndarray, np.ndarray, float]:
-    """Centered cross-products (A, b, syy_c) derived from the raw sums."""
+def centered_moments(stats: GramStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centered cross-products (A, b, syy_c) derived from the raw sums, per completion of a stack."""
     n = stats.n
-    xbar = stats.sxx[0, 1:] / n
-    ybar = stats.sxy[0] / n
-    a_mat = stats.sxx[1:, 1:] - n * np.outer(xbar, xbar)
-    bvec = stats.sxy[1:] - n * xbar * ybar
+    xbar = stats.sxx[..., 0, 1:] / n
+    ybar = stats.sxy[..., 0] / n
+    a_mat = stats.sxx[..., 1:, 1:] - n * (xbar[..., :, None] * xbar[..., None, :])
+    bvec = stats.sxy[..., 1:] - n * xbar * ybar[..., None]
     syy_c = stats.syy - n * ybar * ybar
-    return a_mat, bvec, float(syy_c)
+    return a_mat, bvec, syy_c
 
 
 def _subset_ssr(a_mat: np.ndarray, bvec: np.ndarray, cols: np.ndarray, raw_ss: np.ndarray) -> float:
@@ -163,28 +174,26 @@ def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: np.ndarray, raw_ss:
     return block[0, 0].reshape(-1, n_comp).T
 
 
-def model_sweep(stats: GramStats | Sequence[GramStats], space: ModelSpace, g: float | None = None) -> np.ndarray:
+def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> np.ndarray:
     """Log Bayes factors against the null for every model in the space.
 
-    `stats` is one GramStats, giving an (m,) vector, or a sequence of M
-    (one per completion), giving an (M, m) table from a single lattice pass
+    `stats` from one data set gives an (m,) vector; a stack of M
+    completions gives an (M, m) table from a single lattice pass
     (_lattice_rss) over all of them.  The closed form then maps R^2 and the
     model size to log BF.  The null entry is exactly 0.  A completion whose
     y is constant has R^2 = 0 under every model, as in model_r_squared, so
     each model gets its complexity penalty -(k/2) log(1+g).  g defaults to n.
     """
-    single = isinstance(stats, GramStats)
-    batch = [stats] if single else list(stats)
-    if not batch:
-        raise ShapeError("model_sweep needs at least one GramStats")
-    for st in batch:
-        if space.p != st.p:
-            raise ShapeError(f"model space has p={space.p}, statistics have p={st.p}")
-        if st.n < space.p + 2:
-            raise InsufficientDataError(f"need n >= p+2 = {space.p + 2} observations, have {st.n}")
-    a_mat, bvec, syy_c = (np.array(part) for part in zip(*(centered_moments(st) for st in batch)))
-    raw_ss = np.stack([np.diag(st.sxx)[1:] for st in batch])
-    n = np.array([st.n for st in batch])[:, None]
+    if space.p != stats.p:
+        raise ShapeError(f"model space has p={space.p}, statistics have p={stats.p}")
+    n = stats.n
+    if n < space.p + 2:
+        raise InsufficientDataError(f"need n >= p+2 = {space.p + 2} observations, have {n}")
+    single = stats.sxx.ndim == 2
+    if single:
+        stats = GramStats(n, stats.sxx[None], stats.sxy[None], stats.syy)
+    a_mat, bvec, syy_c = centered_moments(stats)
+    raw_ss = np.diagonal(stats.sxx, axis1=1, axis2=2)[:, 1:]
     if g is None:
         g = n
     rss = _lattice_rss(a_mat, bvec, syy_c, raw_ss)

@@ -18,7 +18,8 @@ Crossing counts use the tie rule "prob == 0.5 counts as active"; NaN spans
 (empty confidence sets, smcs method only) are bridged over, so a side change
 across a span counts once, at the first valid entry after it.  The crossing
 kernel works along axis 0 of a whole (T, p) trajectory at a time, and a
-time step's M completions go through one batched model_sweep.
+time step's M completions make one stacked GramStats for one batched
+model_sweep.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         t = n - config.n_min + 1
         sub = data.head(n)
         g = g_for_n(config.g_rule, n)
-        per_imp = model_sweep([GramStats.from_data(x_mat, sub.y) for x_mat in completions], space, g)
+        per_imp = model_sweep(GramStats.from_data(completions, sub.y), space, g)
         avg = pool_log_bf(per_imp, config.pooling)
 
         post = posterior_from_imputations(per_imp, space, config.model_prior, config.pooling)

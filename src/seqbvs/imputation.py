@@ -11,14 +11,21 @@ One call imputes a stack of sample sizes: the completions of every size and
 chain sit in one (T, M, n_hi, p + 1) array [1, x] over the first n_hi rows,
 and the rows beyond a size are zero in every column (the intercept too), so
 they add nothing to a product.  Each (sweep, column) step then fits all T*M
-chains at once: one batched Gram product over the rows where the column is
-observed, a Cholesky factor of each floored Gram matrix, and batched
-matrix-vector products.  The coefficient draw goes through that factor, as
-in van Buuren (2018, Flexible Imputation of Missing Data, Algorithm 3.1):
-beta = G_f^-1 D'z + sigma_hat L_f^-T xi, where G_f is the Gram matrix G when
-every eigenvalue clears the floor f and V diag(max(lambda, f)) V' otherwise,
-and L_f is its Cholesky factor.  A vectorised elimination pass finds the
-chains whose G - f I has no Cholesky factor; only those go through `eigh`.
+chains at once: one batched product gives each chain's (p + 1) x (p + 1)
+cross-product matrix of [1, x] over the rows where the column is observed,
+which holds the Gram matrix G = D'D of the design D (the intercept and the
+other columns), D'z for the column z, z'z and sum z.  The coefficient draw
+goes through a Cholesky factor, as in van Buuren (2018, Flexible Imputation
+of Missing Data, Algorithm 3.1): beta = G_f^-1 D'z + sigma_hat L_f^-T xi,
+where G_f is G when every eigenvalue clears the floor f and
+V diag(max(lambda, f)) V' otherwise, and L_f is its Cholesky factor.
+sigma_hat needs no pass over the rows: the residual sum of squares is
+z'z - 2 beta_hat'D'z + beta_hat'G beta_hat with the unfloored G, and the
+centred one z'z - (sum z)^2 / n_obs.  The small linear algebra keeps the
+chain axis last, on (q, q, B) and (q, r, B) arrays, so each numpy call runs
+one contiguous loop over the B chains: a vectorised elimination pass finds
+the chains whose G - f I has no Cholesky factor (only those go through
+`eigh`), and the forward and back substitutions run one row at a time.
 The draw is a continuous function of the data, so sums that add in another
 order (a padded stack, another chunk of sizes) move the completions by
 roundoff only.
@@ -107,38 +114,42 @@ def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.matmul(mats, vecs[:, :, None])[:, :, 0]
 
 
-def _floor_binds(gram: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """(B,) flags of the Gram matrices with an eigenvalue at or below their floor.
+def _floor_binds(gram_t: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """(B,) flags of the (q, q, B) Gram stack's matrices with an eigenvalue at or below their floor.
 
     That is when gram - floor * I has no Cholesky factor: one symmetric
     elimination step per column, vectorised over the stack, meets a pivot
     that is not positive.  (np.linalg.cholesky fails the whole stack when
-    one matrix fails.)
+    one matrix fails.)  Step j leaves pivot j in place, so the pivots are
+    read off the diagonal at the end; a chain that has met a failing pivot
+    carries on with meaningless values, which only its own flag reads.
     """
-    q = gram.shape[-1]
-    rest = gram - floor[:, None, None] * np.eye(q)
-    binds = np.zeros(len(gram), dtype=bool)
-    for j in range(q):
-        binds |= ~(rest[:, j, j] > 0.0)
-        # a chain that has met its failing pivot stops changing
-        inv_pivot = np.divide(1.0, rest[:, j, j], out=np.zeros(len(rest)), where=~binds)
-        rest[:, j + 1 :, j + 1 :] -= rest[:, j + 1 :, j, None] * (rest[:, j, None, j + 1 :] * inv_pivot[:, None, None])
-    return binds
+    q = len(gram_t)
+    diag = np.arange(q)
+    rest = gram_t.copy()
+    rest[diag, diag] -= floor
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(q - 1):
+            scaled = rest[j, None, j + 1 :] / rest[j, j]
+            rest[j + 1 :, j + 1 :] -= rest[j + 1 :, j, None] * scaled
+    return ~(rest[diag, diag] > 0.0).all(axis=0)
 
 
-def _forward(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with low @ x = rhs, for a (B, q, q) lower-triangular stack and (B, q, r) right-hand sides."""
-    x = np.empty_like(rhs)
-    for i in range(rhs.shape[1]):
-        x[:, i] = (rhs[:, i] - np.matmul(low[:, None, i, :i], x[:, :i])[:, 0]) / low[:, i, i, None]
+def _forward(low_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
+    """x with low @ x = rhs, for a (q, q, B) lower-triangular stack and (q, r, B) right-hand sides."""
+    x = rhs_t.copy()
+    for i in range(len(x)):
+        x[i] /= low_t[i, i]
+        x[i + 1 :] -= low_t[i + 1 :, i, None] * x[i]
     return x
 
 
-def _backward(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with low^T @ x = rhs, for a (B, q, q) lower-triangular stack and (B, q, r) right-hand sides."""
-    x = np.empty_like(rhs)
-    for i in reversed(range(rhs.shape[1])):
-        x[:, i] = (rhs[:, i] - np.matmul(low[:, None, i + 1 :, i], x[:, i + 1 :])[:, 0]) / low[:, i, i, None]
+def _backward(low_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
+    """x with low^T @ x = rhs, for a (q, q, B) lower-triangular stack and (q, r, B) right-hand sides."""
+    x = rhs_t.copy()
+    for i in reversed(range(len(x))):
+        x[i] /= low_t[i, i]
+        x[:i] -= low_t[i, :i, None] * x[i]
     return x
 
 
@@ -154,21 +165,24 @@ def _floored_fit(
     n_obs the (B,) row counts; the floor is _EIG_FLOOR * trace(gram) /
     n_obs.  Returns the point fits G_f^-1 D'z, (B, q), and, when coef_noise
     holds (B, q) standard normals xi, the draw directions L_f^-T xi (else
-    None).
+    None).  A gram whose memory is already chain-last, such as a transposed
+    (q, q, B) array, is used without a copy.
     """
-    floor = np.maximum(_EIG_FLOOR * np.trace(gram, axis1=1, axis2=2) / n_obs, 1e-12)
-    gram_f = gram.copy()
-    binds = _floor_binds(gram, floor)
+    gram_t = np.ascontiguousarray(gram.transpose(1, 2, 0))
+    floor = np.maximum(_EIG_FLOOR * np.trace(gram_t) / n_obs, 1e-12)
+    binds = _floor_binds(gram_t, floor)
+    gram_f_t = gram_t
     if binds.any():
         eigval, eigvec = np.linalg.eigh(gram[binds])
         lifted = eigvec * np.maximum(eigval, floor[binds, None])[:, None, :]
-        gram_f[binds] = np.matmul(lifted, eigvec.transpose(0, 2, 1))
-    factor = np.linalg.cholesky(gram_f)
-    rhs = _forward(factor, cross[:, :, None])
+        gram_f_t = gram_t.copy()
+        gram_f_t[:, :, binds] = np.matmul(lifted, eigvec.transpose(0, 2, 1)).transpose(1, 2, 0)
+    factor_t = np.ascontiguousarray(np.linalg.cholesky(gram_f_t.transpose(2, 0, 1)).transpose(1, 2, 0))
+    rhs_t = _forward(factor_t, cross.T[:, None, :])
     if coef_noise is not None:
-        rhs = np.concatenate([rhs, coef_noise[:, :, None]], axis=2)
-    solved = _backward(factor, rhs)
-    return solved[:, :, 0], solved[:, :, 1] if coef_noise is not None else None
+        rhs_t = np.concatenate([rhs_t, coef_noise.T[:, None, :]], axis=1)
+    solved = _backward(factor_t, rhs_t)
+    return solved[:, 0].T, solved[:, 1].T if coef_noise is not None else None
 
 
 def _fit_draw(a_obs: np.ndarray, k: int, coef_noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -182,20 +196,24 @@ def _fit_draw(a_obs: np.ndarray, k: int, coef_noise: np.ndarray | None) -> tuple
     """
     width = a_obs.shape[2]
     design = np.delete(np.arange(width), k)  # the intercept and the other covariates
-    full = np.matmul(a_obs.transpose(0, 2, 1), a_obs)
-    n_obs = full[:, 0, 0]  # the intercept column is 1 on a chain's rows and 0 beyond
-    beta_hat, spread = _floored_fit(full[:, design[:, None], design], full[:, design, k], n_obs, coef_noise)
-    coef = np.zeros((len(a_obs), width))
-    coef[:, design] = beta_hat
-    target = a_obs[:, :, k]
-    resid = target - _mv(a_obs, coef)
-    centred = (target - (full[:, 0, k] / n_obs)[:, None]) * a_obs[:, :, 0]
+    full_t = np.matmul(a_obs.transpose(0, 2, 1), a_obs).transpose(1, 2, 0)
+    gram_t = full_t[design[:, None], design]  # (q, q, B)
+    cross_t = full_t[design, k]  # (q, B)
+    n_obs = full_t[0, 0]  # the intercept column is 1 on a chain's rows and 0 beyond
+    beta_hat, spread = _floored_fit(gram_t.transpose(2, 0, 1), cross_t.T, n_obs, coef_noise)
+    # residual and centred sums of squares of column k from the cross-products
+    # alone: rss = z'z - 2 beta_hat'D'z + beta_hat'G beta_hat with the
+    # unfloored G (clamped at 0, which roundoff can cross), and
+    # n s0^2 = z'z - (sum z)^2 / n_obs
+    beta_t = beta_hat.T
+    zz, z_sum = full_t[k, k], full_t[0, k]
+    fitted_sq = np.einsum("ib,ijb,jb->b", beta_t, gram_t, beta_t)
+    rss = np.maximum(zz - 2.0 * np.einsum("ib,ib->b", beta_t, cross_t) + fitted_sq, 0.0)
+    s0_sq = (zz - z_sum * z_sum / n_obs) / n_obs + 1e-12
     dof = np.maximum(n_obs - len(design), 1.0)
-    s0_sq = np.einsum("ij,ij->i", centred, centred) / n_obs + 1e-12
-    rss = np.einsum("ij,ij->i", resid, resid)
     sigma_hat = np.sqrt((rss + _SIGMA_PRIOR_WEIGHT * s0_sq) / (dof + _SIGMA_PRIOR_WEIGHT))
-    if spread is not None:
-        coef[:, design] += sigma_hat[:, None] * spread
+    coef = np.zeros((len(a_obs), width))
+    coef[:, design] = beta_hat if spread is None else beta_hat + sigma_hat[:, None] * spread
     return coef, sigma_hat
 
 

@@ -51,7 +51,9 @@ def bvs_inclusion(post: np.ndarray, space: ModelSpace) -> np.ndarray:
         raise DataError(f"expected {space.m} probabilities, got {post.shape}")
     if np.any(post < 0) or abs(post.sum() - 1.0) > 1e-9:
         raise DataError("posterior must be a probability vector over the models")
-    return space.bits.T.astype(float) @ post
+    # in little-endian model order covariate k is in the upper half of every
+    # block of 2**(k+1) consecutive models
+    return np.array([post.reshape(-1, 2, 1 << k)[:, 1].sum() for k in range(space.p)])
 
 
 def smcs_inclusion(members: np.ndarray, space: ModelSpace) -> np.ndarray:

@@ -58,21 +58,22 @@ def write_trajectories_csv(results: list[ReplicationResult], path) -> None:
     """Canonical long-format record: rep,n,t,method,covariate,prob,set_size.
 
     Rows run over rep, then t, then method, then covariate.  Each (rep, t)
-    is written as one string: its "rep,n,t," prefix, the "method,covariate,"
-    cells and its ",set_size" suffix are formatted once and only the
-    probabilities are formatted per row (12 significant digits).
+    is written as one string: its "rep,n,t," prefix and ",set_size" suffix
+    join the rep's "method,covariate,%.12g" cells into one %-template, which
+    a single % call fills with the probabilities (12 significant digits;
+    '%.12g' % v is f"{v:.12g}", NaN included).
     """
     path = Path(path)
     with _open_for_write(path) as fh:
         fh.write(_TRAJECTORIES_HEADER + "\n")
         for res in results:
             probs = np.stack([res.trajectories[meth].probs for meth in METHODS], axis=1)  # (T, methods, p)
-            cells = [f"{meth},{k + 1}," for meth in METHODS for k in range(probs.shape[2])]
+            cells = [f"{meth},{k + 1},%.12g" for meth in METHODS for k in range(probs.shape[2])]
             rows = probs.reshape(probs.shape[0], -1).tolist()
             for t_idx, (row, size) in enumerate(zip(rows, res.set_sizes.tolist())):
                 prefix = f"{res.rep},{res.n_min + t_idx},{t_idx + 1},"
                 suffix = f",{size}\n"
-                fh.write("".join([f"{prefix}{cell}{v:.12g}{suffix}" for cell, v in zip(cells, row)]))
+                fh.write((prefix + (suffix + prefix).join(cells) + suffix) % tuple(row))
 
 
 def write_tables_csv(stats: CrossingStats, path) -> None:

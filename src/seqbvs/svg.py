@@ -84,11 +84,11 @@ class _Canvas:
             f'stroke="{color}" stroke-width="1"{dash}/>'
         )
 
-    def _points(self, xs: np.ndarray, ys: np.ndarray) -> list[str]:
-        """'px,py' strings; px/py repeat _px/_py's IEEE operations elementwise."""
+    def _points(self, xs: np.ndarray, ys: np.ndarray) -> str:
+        """The 'px,py px,py ...' text from one % call; px/py repeat _px/_py's IEEE operations elementwise."""
         px = MARGIN_L + (xs - self.x_lo) / (self.x_hi - self.x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
         py = HEIGHT - MARGIN_B - (ys - self.y_lo) / (self.y_hi - self.y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
-        return [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
+        return " ".join(["%.2f,%.2f"] * len(px)) % tuple(np.column_stack([px, py]).ravel().tolist())
 
     def polyline(self, xs, ys, color: str, width: float = 1.3, opacity: float = 1.0) -> None:
         xs = np.asarray(xs, dtype=float)
@@ -99,16 +99,18 @@ class _Canvas:
         pts = self._points(xs[finite], ys[finite])
         self.parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="{width:g}" '
-            f'stroke-opacity="{opacity:g}" points="{" ".join(pts)}"/>'
+            f'stroke-opacity="{opacity:g}" points="{pts}"/>'
         )
 
     def band(self, xs, lo, hi, color: str, opacity: float = 0.18) -> None:
         xs = np.asarray(xs, dtype=float)
-        fwd = self._points(xs, np.asarray(hi, dtype=float))
-        back = self._points(xs[::-1], np.asarray(lo, dtype=float)[::-1])
+        outline = self._points(
+            np.concatenate([xs, xs[::-1]]),
+            np.concatenate([np.asarray(hi, dtype=float), np.asarray(lo, dtype=float)[::-1]]),
+        )
         self.parts.append(
             f'<polygon fill="{color}" fill-opacity="{opacity:g}" stroke="none" '
-            f'points="{" ".join(fwd + back)}"/>'
+            f'points="{outline}"/>'
         )
 
     def label(self, text: str, x: float, y: float, color: str) -> None:

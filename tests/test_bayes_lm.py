@@ -146,37 +146,54 @@ def test_model_sweep_at_max_p():
 
 
 def test_batched_sweep_equals_single_sweeps():
-    # one lattice pass over M completions gives each completion's own sweep
-    # bit for bit, including the pivot rule applied per completion and a
-    # completion whose y is constant, where R^2 = 0 leaves every model its
-    # complexity penalty
+    # one lattice pass over a stack of M completions gives each completion's
+    # own sweep bit for bit, including the pivot rule applied per completion.
+    # A stack shares y, so a constant y is a stack of its own, where R^2 = 0
+    # leaves every model its complexity penalty
     rng = np.random.default_rng(15)
     space = enumerate_models(5)
-    batch = []
-    for c in range(5):
-        x, y = _random_dataset(rng, 24 + c, 5)
-        if c == 1:
-            x[:, 2] = 3.7
-        if c == 2:
-            x[:, 4] = x[:, 0] + x[:, 1]
-        if c == 3:
-            y = np.full_like(y, 2.0)
-        batch.append(GramStats.from_data(x, y))
-    table = model_sweep(batch, space, g=20.0)
-    assert table.shape == (5, space.m)
-    for c, stats in enumerate(batch):
-        np.testing.assert_array_equal(table[c], model_sweep(stats, space, g=20.0))
-        np.testing.assert_allclose(table[c], _per_model(stats, space, g=20.0), atol=1e-8)
-    np.testing.assert_allclose(table[3], -0.5 * space.sizes * math.log1p(20.0), atol=1e-12)
-    # g defaults to each completion's own n
-    default = model_sweep(batch, space)
-    for c, stats in enumerate(batch):
-        np.testing.assert_array_equal(default[c], model_sweep(stats, space, g=float(stats.n)))
+    n = 26
+    x, y = _random_dataset(rng, n, 5)
+    stack = np.stack([x] + [rng.standard_normal((n, 5)) for _ in range(3)])
+    stack[1, :, 2] = 3.7
+    stack[2, :, 4] = stack[2, :, 0] + stack[2, :, 1]
+    for resp in (y, np.full(n, 2.0)):
+        table = model_sweep(GramStats.from_data(stack, resp), space, g=20.0)
+        assert table.shape == (4, space.m)
+        for c, x_c in enumerate(stack):
+            stats = GramStats.from_data(x_c, resp)
+            np.testing.assert_array_equal(table[c], model_sweep(stats, space, g=20.0))
+            np.testing.assert_allclose(table[c], _per_model(stats, space, g=20.0), atol=1e-8)
+    # the last stack's y is constant
+    np.testing.assert_allclose(table, np.broadcast_to(-0.5 * space.sizes * math.log1p(20.0), table.shape), atol=1e-12)
+    # g defaults to the shared n
+    default = model_sweep(GramStats.from_data(stack, y), space)
+    for c, x_c in enumerate(stack):
+        np.testing.assert_array_equal(default[c], model_sweep(GramStats.from_data(x_c, y), space, g=float(n)))
+
+
+def test_stacked_gram_equals_per_completion_gram():
+    rng = np.random.default_rng(16)
+    stack = rng.standard_normal((6, 30, 4)) * [1.0, 1e3, 1.0, 1.0] + [0.0, 0.0, 1e5, 0.0]
+    y = rng.standard_normal(30)
+    stacked = GramStats.from_data(stack, y)
+    assert stacked.n == 30 and stacked.p == 4 and stacked.sxx.shape == (6, 5, 5) and stacked.sxy.shape == (6, 5)
+    for c, x_c in enumerate(stack):
+        alone = GramStats.from_data(x_c, y)
+        assert stacked.syy == alone.syy
+        np.testing.assert_allclose(stacked.sxx[c], alone.sxx, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stacked.sxy[c], alone.sxy, rtol=1e-12, atol=0)
+    # one non-finite cell anywhere in the stack rejects it
+    stack[4, 17, 1] = np.nan
+    with pytest.raises(DataError):
+        GramStats.from_data(stack, y)
 
 
 def test_batched_sweep_needs_a_completion():
     with pytest.raises(ShapeError):
-        model_sweep([], enumerate_models(3))
+        GramStats.from_data(np.empty((0, 30, 3)), np.zeros(30))
+    with pytest.raises(ShapeError):
+        GramStats.from_data(np.zeros((2, 30, 3)), np.zeros(29))
 
 
 def test_model_sweep_rejects_mismatched_space():

@@ -3,7 +3,7 @@ import pytest
 
 from seqbvs.data_gen import MissingDataset, apply_missingness
 from seqbvs.errors import ConfigError, InsufficientDataError, ShapeError
-from seqbvs.imputation import _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _floored_fit, impute
+from seqbvs.imputation import _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _floor_binds, _floored_fit, impute
 
 from oracles import chained_imputation_per_chain
 
@@ -153,6 +153,60 @@ def test_lockstep_matches_per_chain_reference(case):
         _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, coef_draw=config.coef_draw,
     )
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [19, 40, 100])
+def test_shifted_and_scaled_columns_match_per_chain_reference(n):
+    # sigma_hat comes from the raw cross-products, which carry a column's
+    # offset; it must still agree with the row-by-row residuals of the
+    # reference, to roundoff of each column's magnitude
+    from seqbvs.data_gen import DGPConfig, gen_covariates, gen_responses
+
+    rng = np.random.default_rng(30 + n)
+    cfg = DGPConfig()
+    x = gen_covariates(n, cfg.cov, rng)
+    y = gen_responses(x, cfg, rng)
+    x[:, 2] += 1e5
+    x[:, 5] *= 1e3
+    ds = apply_missingness(x, 0.4, "mcar", rng, y=y)
+    config = ImputationConfig(M=10)
+    out = impute_all_rows(ds, config, np.random.default_rng(n))
+    want = chained_imputation_per_chain(
+        ds.X, ds.mask, config.M, config.sweeps, np.random.default_rng(n), _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT
+    )
+    scale = np.nanmax(np.abs(ds.X), axis=0)
+    assert np.all(np.abs(out - want) <= 1e-9 * scale)
+
+
+def _gram_with_spectrum(rng, eigvals):
+    basis, _ = np.linalg.qr(rng.standard_normal((len(eigvals), len(eigvals))))
+    gram = (basis * eigvals) @ basis.T
+    return (gram + gram.T) / 2.0
+
+
+@pytest.mark.parametrize("q", [1, 4, 10])
+def test_floor_test_matches_eigenvalues(q):
+    # binding and clear chains mixed in one (q, q, B) stack: a smallest
+    # eigenvalue just below or just above the floor, and singular Gram
+    # matrices of fewer rows than columns
+    rng = np.random.default_rng(40 + q)
+    grams, floors = [], []
+    for b in range(24):
+        floor = rng.uniform(0.1, 5.0)
+        eigvals = floor * rng.uniform(1.5, 20.0, q)
+        eigvals[rng.integers(q)] = floor * (1.0 + 1e-6 if b % 2 else 1.0 - 1e-6)
+        grams.append(_gram_with_spectrum(rng, eigvals))
+        floors.append(floor)
+    for _ in range(4):
+        rows = rng.standard_normal((q - 1, q))
+        grams.append(rows.T @ rows)
+        floors.append(rng.uniform(1e-3, 1.0))
+    order = rng.permutation(len(grams))
+    gram, floor = np.stack(grams)[order], np.array(floors)[order]
+    want = np.linalg.eigvalsh(gram).min(axis=1) <= floor
+    assert 4 < want.sum() < len(want)
+    got = _floor_binds(np.ascontiguousarray(gram.transpose(1, 2, 0)), floor)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_chains_do_not_depend_on_chain_count():

@@ -36,6 +36,28 @@ class TestBvs:
         post = np.array([0.1, 0.2, 0.3, 0.4])
         np.testing.assert_allclose(bvs_inclusion(post, space), [0.6, 0.7], atol=1e-15)
 
+    @pytest.mark.parametrize("p", [1, 3, 10, 14])
+    def test_block_sums_match_bits_product(self, p):
+        space = enumerate_models(p)
+        post = np.random.default_rng(p).dirichlet(np.full(space.m, 0.3))
+        want = space.bits.T.astype(float) @ post
+        np.testing.assert_allclose(bvs_inclusion(post, space), want, rtol=0, atol=1e-12)
+
+    def test_no_float_copy_of_the_bits(self):
+        # an (m, p) float64 copy of the bits is 38 MB at p = 18
+        import tracemalloc
+
+        space = enumerate_models(18)
+        post = np.full(space.m, 1.0 / space.m)
+        tracemalloc.start()
+        try:
+            got = bvs_inclusion(post, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(got, 0.5, atol=1e-12)
+        assert peak < 4e6, f"bvs_inclusion peaked at {peak / 1e6:.2f} MB"
+
     def test_non_simplex_rejected(self):
         space = enumerate_models(2)
         with pytest.raises(DataError):

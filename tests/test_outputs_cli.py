@@ -117,11 +117,21 @@ class TestOutputs:
         res = results[0]
         smcs = res.trajectories["smcs"].probs.copy()
         smcs[3:5] = np.nan  # an emptied confidence set
-        trajectories = {**res.trajectories, "smcs": InclusionTrajectory("smcs", smcs)}
+        bvs = res.trajectories["bvs"].probs.copy()
+        bvs[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]  # a signed zero, the least subnormal, a 17-digit sum
+        trajectories = {
+            **res.trajectories,
+            "smcs": InclusionTrajectory("smcs", smcs),
+            "bvs": InclusionTrajectory("bvs", bvs),
+        }
         path = tmp_path / "traj.csv"
         write_trajectories_csv([ReplicationResult(**{**vars(res), "trajectories": trajectories})], path)
         lines = path.read_text().splitlines()[1:]
-        text = np.array([float(line.split(",")[5]) for line in lines])
+        cells = [line.split(",")[5] for line in lines]
+        written = np.stack([trajectories[meth].probs for meth in METHODS], axis=1).ravel()
+        assert cells == [f"{v:.12g}" for v in written.tolist()]
+        assert cells[:3] == ["-0", "4.94065645841e-324", "0.3"]
+        text = np.array([float(cell) for cell in cells])
         back = read_trajectories_csv(path)[0]
         cube = np.stack([back.trajectories[meth].probs for meth in METHODS], axis=1)  # (T, methods, p)
         assert np.isnan(text).sum() == 2 * cfg.dgp.p
@@ -215,7 +225,7 @@ class TestSvg:
         xs = np.arange(19, 101, dtype=float)
         ys = rng.random(xs.size) * 1.7
         want = [f"{canvas._px(float(x)):.2f},{canvas._py(float(y)):.2f}" for x, y in zip(xs, ys)]
-        assert canvas._points(xs, ys) == want
+        assert canvas._points(xs, ys) == " ".join(want)
 
     def test_trajectory_chart_handles_nan(self):
         ns = np.arange(19, 25)
