@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config
+from .config import build_config, parse_config_text
 from .errors import SeqbvsError
-from .experiment import aggregate, default_config, run_experiment
+from .experiment import aggregate, run_experiment
 from .inclusion import METHODS
 from .outputs import (
     TRAJECTORIES_CSV,
@@ -20,8 +20,8 @@ from .outputs import (
     emit_outputs,
     read_trajectories_csv,
     write_crossing_totals_plot,
+    write_trajectory_plot,
 )
-from .svg import trajectory_chart
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,15 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    if args.config is not None:
-        config = load_config(args.config, profile=args.profile)
-    else:
-        config = default_config(args.profile)
-    if args.reps is not None:
-        config.reps = args.reps
-    if args.seed is not None:
-        config.base_seed = args.seed
-    config.__post_init__()
+    # profile defaults < config file < flags: the flags are keys layered over the file's
+    kv = parse_config_text(args.config.read_text()) if args.config is not None else {}
+    flags = {"run.reps": args.reps, "run.base_seed": args.seed}
+    kv.update((key, str(value)) for key, value in flags.items() if value is not None)
+    config = build_config(kv, args.profile, args.config.parent if args.config is not None else None)
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     started = time.time()
@@ -102,16 +98,8 @@ def _cmd_plot(args) -> int:
         return 2
     res = match[0]
     # true actives are unknown from the CSV alone; colour by final bvs call
-    active = res.final_included["bvs"]
-    strong: tuple[int, ...] = ()
-    plots_dir = Path(args.indir) / "plots"
-    plots_dir.mkdir(parents=True, exist_ok=True)
-    ns = np.arange(res.n_min, res.n_max + 1)
-    methods = METHODS if args.method == "all" else (args.method,)
-    for meth in methods:
-        svg = trajectory_chart(ns, res.trajectories[meth].probs, active, strong, f"rep {res.rep}, method {meth}")
-        path = plots_dir / f"rep{res.rep:03d}_{meth}.svg"
-        path.write_text(svg)
+    for meth in METHODS if args.method == "all" else (args.method,):
+        path = write_trajectory_plot(res, meth, res.final_included["bvs"], (), args.indir)
         print(f"wrote {path}")
     stats = aggregate(results)
     path = write_crossing_totals_plot(stats, args.indir)

@@ -47,13 +47,17 @@ class DGPConfig:
         self.beta = np.asarray(self.beta, dtype=float)
         if self.beta.shape != (self.p,):
             raise ShapeError(f"beta must have length p={self.p}, got {self.beta.shape}")
-        if not self.sigma2 > 0:
-            raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
+        if not np.all(np.isfinite(self.beta)):
+            raise ConfigError(f"beta must be finite, got {self.beta}")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if self.cov is None:
             self.cov = equicorrelated_cov(self.p)
         self.cov = np.asarray(self.cov, dtype=float)
         if self.cov.shape != (self.p, self.p):
             raise ShapeError(f"cov must be {self.p}x{self.p}, got {self.cov.shape}")
+        if not np.all(np.isfinite(self.cov)):
+            raise ConfigError("cov must be finite")
         if not np.allclose(self.cov, self.cov.T, atol=1e-12):
             raise DataError("cov must be symmetric")
         try:

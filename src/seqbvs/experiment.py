@@ -25,6 +25,7 @@ model_sweep.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -118,21 +119,12 @@ class ExperimentConfig:
         return self.n_max - self.n_min + 1
 
 
-def default_config(profile: str = "desk", **overrides) -> ExperimentConfig:
+def default_config(profile: str = "desk") -> ExperimentConfig:
     """The paper-style setup at the given profile (desk: 20 reps, M=10)."""
     if profile not in PROFILES:
         raise ConfigError(f"profile must be one of {tuple(PROFILES)}, got {profile!r}")
     sizes = PROFILES[profile]
-    cfg = ExperimentConfig(
-        reps=sizes["reps"],
-        imp=ImputationConfig(M=sizes["M"]),
-    )
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown config field {key!r}")
-        setattr(cfg, key, value)
-    cfg.__post_init__()  # re-validate after overrides
-    return cfg
+    return ExperimentConfig(reps=sizes["reps"], imp=ImputationConfig(M=sizes["M"]))
 
 
 def g_for_n(rule: str, n: int) -> float:
@@ -149,8 +141,8 @@ def g_for_n(rule: str, n: int) -> float:
             value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"bad g rule {rule!r}") from exc
-        if value <= 0:
-            raise ConfigError(f"g rule parameter must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"g rule parameter must be positive and finite, got {value}")
         return value if kind == "fixed" else float(n) / value
     raise ConfigError(
         f"unknown g rule {rule!r}; expected 'unit-info', 'scaled:<c>' or 'fixed:<value>'"
@@ -175,6 +167,29 @@ class ReplicationResult:
     final_included: dict[str, np.ndarray]  # per method, (p,) bools at t_max
     had_nan: dict[str, bool]  # NaN spans bridged over when counting crossings
     zero_out_fallbacks: int = 0
+
+    @classmethod
+    def from_probs(
+        cls,
+        rep: int,
+        n_min: int,
+        n_max: int,
+        probs: dict[str, np.ndarray],
+        set_sizes: np.ndarray,
+        zero_out_fallbacks: int = 0,
+    ) -> ReplicationResult:
+        """The record of per-method (T, p) trajectories; crossings, final calls and NaN flags follow from them."""
+        return cls(
+            rep=rep,
+            n_min=n_min,
+            n_max=n_max,
+            trajectories={meth: InclusionTrajectory(meth, probs[meth]) for meth in METHODS},
+            set_sizes=set_sizes,
+            crossings={meth: count_crossings(probs[meth]) for meth in METHODS},
+            final_included={meth: probs[meth][-1] >= 0.5 for meth in METHODS},
+            had_nan={meth: bool(np.isnan(probs[meth]).any()) for meth in METHODS},
+            zero_out_fallbacks=zero_out_fallbacks,
+        )
 
 
 @dataclass
@@ -289,27 +304,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         probs["zero_out"][t - 1] = zo.probs
         probs["mixed"][t - 1] = mixed_inclusion(p_bvs, p_smcs, members.size, m)
 
-    trajectories = {meth: InclusionTrajectory(meth, probs[meth]) for meth in METHODS}
-    crossings = {}
-    final_included = {}
-    had_nan = {}
-    for meth in METHODS:
-        mat = probs[meth]
-        crossings[meth] = count_crossings(mat)
-        final_included[meth] = mat[-1] >= 0.5
-        had_nan[meth] = bool(np.isnan(mat).any())
-
-    return ReplicationResult(
-        rep=rep_index,
-        n_min=config.n_min,
-        n_max=config.n_max,
-        trajectories=trajectories,
-        set_sizes=set_sizes,
-        crossings=crossings,
-        final_included=final_included,
-        had_nan=had_nan,
-        zero_out_fallbacks=zero_out_fallbacks,
-    )
+    return ReplicationResult.from_probs(rep_index, config.n_min, config.n_max, probs, set_sizes, zero_out_fallbacks)
 
 
 def aggregate(results: list[ReplicationResult]) -> CrossingStats:

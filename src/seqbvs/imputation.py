@@ -285,7 +285,12 @@ def impute(
     sweep_index, sweep_len = _draw_index(n_miss, n_coef)
     # one sweep's normals for every chain; the last slot stays 0 and is what
     # index -1 reads
-    noise = np.zeros((t_count, chains, int(sweep_len.max()) + 1))
+    width = int(sweep_len.max()) + 1
+    noise = np.zeros((t_count, chains, width))
+    # per column, the (T, M, slots) flat index into noise, built once per call
+    row_start = (np.arange(t_count * chains) * width).reshape(t_count, chains, 1)
+    fill_gather = [index[:, None, :] % width + row_start for index in fill_index]
+    sweep_gather = [index[:, None, :] % width + row_start for index in sweep_index]
     children = [rng.spawn(chains) for rng in streams.values()]
 
     def draw(lengths: np.ndarray) -> None:
@@ -295,22 +300,19 @@ def impute(
             for child, chain_noise in zip(size_children, size_noise):
                 child.standard_normal(out=chain_noise[:length])
 
-    def take(index: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(noise, index[:, None, :], axis=2)
-
     draw(fill_len)
-    for k, miss, obs, index in zip(cols, miss_rows, obs_rows, fill_index):
+    for k, miss, obs, gather in zip(cols, miss_rows, obs_rows, fill_gather):
         vals = np.where(obs < sizes[:, None], x[obs, k], np.nan)  # (T, observed rows)
         mean = np.nanmean(vals, axis=1)[:, None, None]
         scale = np.nanstd(vals, axis=1)[:, None, None]
         in_miss = (miss < sizes[:, None])[:, None, :]
-        stack[:, :, miss, k + 1] = np.where(in_miss, mean + scale * take(index), 0.0)
+        stack[:, :, miss, k + 1] = np.where(in_miss, mean + scale * noise.take(gather), 0.0)
 
     flat = stack.reshape(t_count * chains, n_hi, p + 1)
     for _ in range(config.sweeps):
         draw(sweep_len)
-        for k, miss, obs, index in zip(cols, miss_rows, obs_rows, sweep_index):
-            cell_noise = take(index).reshape(len(flat), -1)
+        for k, miss, obs, gather in zip(cols, miss_rows, obs_rows, sweep_gather):
+            cell_noise = noise.take(gather).reshape(len(flat), -1)
             coef, sigma_hat = _fit_draw(
                 np.take(flat, obs, axis=1),
                 k + 1,

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, OutputError
-from .experiment import CrossingStats, ExperimentConfig, ReplicationResult, aggregate, count_crossings
-from .inclusion import METHODS, InclusionTrajectory
+from .experiment import CrossingStats, ExperimentConfig, ReplicationResult, aggregate
+from .inclusion import METHODS
 from .svg import crossing_totals_chart, trajectory_chart
 
 TRAJECTORIES_CSV = "trajectories.csv"
@@ -103,29 +103,12 @@ def write_crossing_totals_csv(stats: CrossingStats, path) -> None:
                 )
 
 
-def _config_dict(config: ExperimentConfig) -> dict:
-    raw = asdict(config)
-
-    def clean(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        return obj
-
-    return clean(raw)
-
-
 def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) -> None:
     path = Path(path)
     manifest = {
         "package": "seqbvs",
         "version": __version__,
-        "config": _config_dict(config),
+        "config": asdict(config),
         "seed_rule": "SeedSequence([base_seed, rep_index, tag]); tags: 1 covariates, "
         "2 noise, 3 mask, 1000+n imputation at sample size n",
         "crossing_tie_rule": "prob == 0.5 counts as active",
@@ -136,50 +119,54 @@ def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) ->
         manifest.update(extra)
     try:
         with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
             fh.write("\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def write_replication_plots(results: list[ReplicationResult], config: ExperimentConfig, outdir) -> list[Path]:
+def _plots_dir(outdir) -> Path:
     plots = Path(outdir) / PLOTS_DIR
     try:
         plots.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot create {plots}: {exc}") from exc
+    return plots
+
+
+def write_trajectory_plot(
+    res: ReplicationResult, meth: str, active: np.ndarray, strong: tuple[int, ...], outdir
+) -> Path:
+    """plots/repNNN_<method>.svg: one method's inclusion trajectories in one replication."""
+    ns = np.arange(res.n_min, res.n_max + 1)
+    svg = trajectory_chart(ns, res.trajectories[meth].probs, active, strong, f"rep {res.rep}, method {meth}")
+    path = _plots_dir(outdir) / f"rep{res.rep:03d}_{meth}.svg"
+    with _open_for_write(path) as fh:
+        fh.write(svg)
+    return path
+
+
+def write_replication_plots(results: list[ReplicationResult], config: ExperimentConfig, outdir) -> list[Path]:
+    """Every replication's trajectory plots, coloured by the data-generating model."""
     active = np.array(config.dgp.true_model.bits, dtype=bool)
     strong = tuple(
         k + 1 for k, b in enumerate(config.dgp.beta) if abs(b) == np.max(np.abs(config.dgp.beta)) and b != 0
     )
     paths = []
     for res in results:
-        ns = np.arange(res.n_min, res.n_max + 1)
         for meth in METHODS:
-            svg = trajectory_chart(
-                ns,
-                res.trajectories[meth].probs,
-                active,
-                strong,
-                f"rep {res.rep}, method {meth}",
-            )
-            path = plots / f"rep{res.rep:03d}_{meth}.svg"
-            with _open_for_write(path) as fh:
-                fh.write(svg)
-            paths.append(path)
+            paths.append(write_trajectory_plot(res, meth, active, strong, outdir))
     return paths
 
 
 def write_crossing_totals_plot(stats: CrossingStats, outdir) -> Path:
-    plots = Path(outdir) / PLOTS_DIR
-    plots.mkdir(parents=True, exist_ok=True)
     ts = np.arange(1, stats.t_max + 1)
     svg = crossing_totals_chart(
         ts,
         {meth: (stats.cum_mean[meth], stats.cum_sd[meth]) for meth in ("bvs", "mixed")},
         "cumulative total crossings (mean, +-1 sd)",
     )
-    path = plots / "crossing_totals.svg"
+    path = _plots_dir(outdir) / "crossing_totals.svg"
     with _open_for_write(path) as fh:
         fh.write(svg)
     return path
@@ -267,22 +254,10 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     n_at[rep_idx, t_idx] = rows["n"]
     sizes[rep_idx, t_idx] = rows["set_size"]
 
-    results = []
-    for r, rep in enumerate(rep_ids.tolist()):
-        trajectories = {meth: InclusionTrajectory(meth, cube[r, i]) for i, meth in enumerate(METHODS)}
-        results.append(
-            ReplicationResult(
-                rep=rep,
-                n_min=int(n_at[r, 0]),
-                n_max=int(n_at[r, -1]),
-                trajectories=trajectories,
-                set_sizes=sizes[r],
-                crossings={meth: count_crossings(cube[r, i]) for i, meth in enumerate(METHODS)},
-                final_included={meth: cube[r, i, -1] >= 0.5 for i, meth in enumerate(METHODS)},
-                had_nan={meth: bool(np.isnan(cube[r, i]).any()) for i, meth in enumerate(METHODS)},
-            )
-        )
-    return results
+    return [
+        ReplicationResult.from_probs(rep, int(n_at[r, 0]), int(n_at[r, -1]), dict(zip(METHODS, cube[r])), sizes[r])
+        for r, rep in enumerate(rep_ids.tolist())
+    ]
 
 
 def analyze_directory(directory) -> CrossingStats:

@@ -47,8 +47,15 @@ class SmcsConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.lam is not None and not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if self.varsigma is not None:
-            implied = 1.0 / (8.0 * self.varsigma**2)
+            if not 0.0 < self.varsigma < math.inf:
+                raise ConfigError(f"varsigma must be positive and finite, got {self.varsigma}")
+            try:
+                implied = 1.0 / (8.0 * self.varsigma**2)
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise ConfigError(f"varsigma={self.varsigma}: varsigma**2 is out of float range") from exc
             if self.lam is None:
                 self.lam = implied
             elif not math.isclose(self.lam, implied, rel_tol=1e-9):
@@ -58,8 +65,6 @@ class SmcsConfig:
                 )
         if self.lam is None:
             raise ConfigError("either lam or varsigma must be set")
-        if self.lam < 0.0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
 
     @property
     def log_threshold(self) -> float:

@@ -10,7 +10,7 @@ import pytest
 
 import seqbvs
 from seqbvs.cli import main
-from seqbvs.config import build_config, load_config, parse_config_text
+from seqbvs.config import KNOWN_KEYS, build_config, parse_config_text
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
 from seqbvs.errors import ConfigError, DataError
 from seqbvs.experiment import ExperimentConfig, MissingnessConfig, ReplicationResult, aggregate, run_experiment
@@ -282,8 +282,18 @@ class TestConfigFile:
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(TINY_CONFIG_TEXT)
-        cfg = load_config(path)
-        assert cfg.n_max == 26
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out_dir), "--reps", "1", "--no-plots"]) == 0
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert config["n_max"] == 26 and config["reps"] == 1
+
+    def test_readme_block_builds_and_names_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Config files", 1)[1].split("```\n", 2)[1]
+        cfg = build_config(parse_config_text(block))
+        assert cfg.g_rule == "scaled:4" and cfg.pooling == "mixture"
+        named = {line.lstrip("# ").split("=", 1)[0] for line in block.splitlines() if "=" in line}
+        assert set(KNOWN_KEYS) <= named
 
 
 class TestCli:
@@ -344,20 +354,40 @@ class TestCli:
         [
             ("dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,x\n0,0,1\n", "cov.csv"),
             ("dgp.cov_csv=cov.csv\n", "1,2,0\n2,1,0\n0,0,1\n", "positive definite"),
+            ("dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,nan\n0,nan,1\n", "cov must be finite"),
             ("run.model_prior=scott_berger\n", None, "model_prior"),
             ("missing.mechanism=foo\n", None, "mechanism must be one of"),
             ("missing.rate=1.5\n", None, "missingness rate"),
             ("imp.min_n=5\n", None, "imp.min_n must exceed p + 2"),
             ("imp.min_n=20\n", None, "below the imputation minimum"),
+            ("smcs.lambda=nan\n", None, "lam must be finite"),
+            ("smcs.varsigma=nan\n", None, "varsigma must be positive and finite"),
+            ("smcs.varsigma=0\n", None, "varsigma must be positive and finite"),
+            ("smcs.varsigma=-0.65\n", None, "varsigma must be positive and finite"),
+            ("dgp.beta=2,nan,1\n", None, "beta must be finite"),
+            ("dgp.beta=2,0,inf\n", None, "beta must be finite"),
+            ("dgp.sigma2=inf\n", None, "sigma2 must be positive and finite"),
+            ("run.g_rule=fixed:nan\n", None, "g rule parameter must be positive and finite"),
+            ("run.g_rule=scaled:inf\n", None, "g rule parameter must be positive and finite"),
         ],
         ids=[
             "non_numeric_cov_csv",
             "indefinite_cov_csv",
+            "nan_cov_csv",
             "unknown_model_prior",
             "unknown_mechanism",
             "rate_above_one",
             "min_n_at_p_plus_2",
             "n_min_below_min_n",
+            "nan_lambda",
+            "nan_varsigma",
+            "zero_varsigma",
+            "negative_varsigma",
+            "nan_beta",
+            "inf_beta",
+            "inf_sigma2",
+            "nan_fixed_g",
+            "inf_scaled_g",
         ],
     )
     def test_bad_config_reported_as_exit_2(self, tmp_path, capsys, monkeypatch, extra, cov_text, message):

@@ -42,6 +42,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SmcsConfig(lam=-0.1, varsigma=None)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lam": float("nan"), "varsigma": None},
+            {"lam": float("inf"), "varsigma": None},
+            {"varsigma": float("inf")},
+            {"varsigma": 1e-200},  # varsigma**2 underflows to 0
+            {"varsigma": 1e200},  # varsigma**2 overflows
+        ],
+        ids=["nan_lam", "inf_lam", "inf_varsigma", "underflowing_varsigma", "overflowing_varsigma"],
+    )
+    def test_non_finite_scale(self, kwargs):
+        with pytest.raises(ConfigError):
+            SmcsConfig(**kwargs)
+
 
 class TestLoss:
     def test_equal_marginals_zero_loss(self):
