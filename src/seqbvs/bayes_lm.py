@@ -15,8 +15,10 @@ whose highest covariate is j is its parent, the same model without j, plus
 one sweep pivot on column j, so the residual sums of squares of all 2**p
 models come out of p batched rank-1 updates.  The M completions of one time
 step share that pass: their models sit side by side on the last axis of
-each level's block.  log_bf_null solves one model at a time with a
-Cholesky factor and is the independent reference for the sweep.
+each level's block, and the result is copied once into a C-ordered (M, m)
+table, so pooling across the completions adds whole contiguous rows.
+log_bf_null solves one model at a time with a Cholesky factor and is the
+independent reference for the sweep.
 """
 
 from __future__ import annotations
@@ -142,10 +144,11 @@ def log_bf_null(stats: GramStats, gamma: ModelVector, g: float | None = None) ->
 
 
 def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: np.ndarray, raw_ss: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of every model of M completions, shape (M, m).
+    """Residual sum of squares of every model of M completions, a C-ordered (M, m) table.
 
     Inputs are stacked per completion: a_mat (M, p, p), bvec (M, p),
-    syy_c (M,), raw_ss (M, p).  The models axis is last: before level j,
+    syy_c (M,), raw_ss (M, p).  Inside the pass the models are on the last
+    axis, with the completions interleaved: before level j,
     `block[:, :, c + M * i]` is the centred cross-product matrix of the
     columns (x_j, ..., x_{p-1}, y) of completion c after regression on model
     i, a subset of the first j covariates, so a level is a (p+1-j, p+1-j,
@@ -154,6 +157,8 @@ def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: np.ndarray, raw_ss:
     next level; it is written in place into the next level's two halves,
     swept = rest - (inv * col_a) * col_b.  A pivot at or below
     _PIVOT_EPS * raw_ss[c, j] leaves the swept block equal to the kept one.
+    The last level's (m * M,) residuals are transposed into (M, m) with one
+    copy.
     """
     n_comp = len(syy_c)
     top = np.concatenate([a_mat, bvec[:, :, None]], axis=2)
@@ -171,14 +176,14 @@ def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: np.ndarray, raw_ss:
         swept = block[:, :, k:]
         np.multiply(inv * col[:, None, :], col[None, :, :], out=swept)
         np.subtract(rest, swept, out=swept)
-    return block[0, 0].reshape(-1, n_comp).T
+    return np.ascontiguousarray(block[0, 0].reshape(-1, n_comp).T)
 
 
 def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> np.ndarray:
     """Log Bayes factors against the null for every model in the space.
 
     `stats` from one data set gives an (m,) vector; a stack of M
-    completions gives an (M, m) table from a single lattice pass
+    completions gives a C-ordered (M, m) table from a single lattice pass
     (_lattice_rss) over all of them.  The closed form then maps R^2 and the
     model size to log BF.  The null entry is exactly 0.  A completion whose
     y is constant has R^2 = 0 under every model, as in model_r_squared, so

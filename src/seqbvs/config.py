@@ -94,6 +94,8 @@ def _dgp_fields(kv: dict[str, str], base: ExperimentConfig, config_dir: Path | N
     else:
         raise ConfigError("dgp.beta must be given when dgp.p differs from the default")
     if "dgp.cov_csv" in kv:
+        if "dgp.rho" in kv:
+            raise ConfigError("dgp.rho and dgp.cov_csv exclude each other: give one covariance")
         cov_path = Path(kv["dgp.cov_csv"])
         if not cov_path.is_absolute() and config_dir is not None:
             cov_path = config_dir / cov_path

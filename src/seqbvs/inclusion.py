@@ -7,6 +7,11 @@ mixed: the convex combination weighting smcs by |set|/m and bvs by the rest.
 
 Empty confidence sets are legal: smcs yields NaN, zero_out falls back to
 the unrestricted posterior (flagged), and mixed degrades to bvs exactly.
+
+bvs, smcs and zero_out share one marginal kernel (_marginals) over a weight
+per model: the posterior, the posterior masked to the set, or the set's
+membership indicator.  It folds the weights pairwise, p passes of halving
+length, so each call is O(m) with no (m, p) gather of the bits.
 """
 
 from __future__ import annotations
@@ -44,16 +49,36 @@ class InclusionTrajectory:
             raise DataError("inclusion probabilities must lie in [0, 1]")
 
 
-def bvs_inclusion(post: np.ndarray, space: ModelSpace) -> np.ndarray:
-    """Posterior inclusion probability of every covariate."""
+def _marginals(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weight of the models containing each covariate, and the total weight.
+
+    w holds one weight per model in little-endian order.  Folding it
+    pairwise, w[0::2] + w[1::2], sums out the lowest covariate and leaves a
+    weight per model of the rest, again in little-endian order; before fold
+    k the odd entries are exactly the models containing covariate k.  The p
+    folds halve w each time, so the whole pass is O(m), and its temporaries
+    add up to fewer than m entries.
+    """
+    out = np.empty(w.size.bit_length() - 1)
+    for k in range(out.size):
+        odd = w[1::2]
+        out[k] = odd.sum()
+        w = w[0::2] + odd
+    return out, float(w[0])
+
+
+def _checked_posterior(post: np.ndarray, space: ModelSpace) -> np.ndarray:
     post = np.asarray(post, dtype=float)
     if post.shape != (space.m,):
         raise DataError(f"expected {space.m} probabilities, got {post.shape}")
     if np.any(post < 0) or abs(post.sum() - 1.0) > 1e-9:
         raise DataError("posterior must be a probability vector over the models")
-    # in little-endian model order covariate k is in the upper half of every
-    # block of 2**(k+1) consecutive models
-    return np.array([post.reshape(-1, 2, 1 << k)[:, 1].sum() for k in range(space.p)])
+    return post
+
+
+def bvs_inclusion(post: np.ndarray, space: ModelSpace) -> np.ndarray:
+    """Posterior inclusion probability of every covariate."""
+    return _marginals(_checked_posterior(post, space))[0]
 
 
 def smcs_inclusion(members: np.ndarray, space: ModelSpace) -> np.ndarray:
@@ -64,7 +89,10 @@ def smcs_inclusion(members: np.ndarray, space: ModelSpace) -> np.ndarray:
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         return np.full(space.p, np.nan)
-    return space.bits[members].mean(axis=0)
+    counts = np.zeros(space.m)
+    counts[members] = 1.0
+    in_set, size = _marginals(counts)
+    return in_set / size
 
 
 class ZeroOutResult(NamedTuple):
@@ -78,15 +106,16 @@ def zero_out(post: np.ndarray, members: np.ndarray, space: ModelSpace) -> ZeroOu
     Falls back to the unrestricted posterior when the set is empty or the
     restricted mass is numerically zero.
     """
-    post = np.asarray(post, dtype=float)
+    post = _checked_posterior(post, space)
     members = np.asarray(members, dtype=np.int64)
     if members.size:
-        mass = float(post[members].sum())
+        inside = np.zeros(space.m, dtype=bool)
+        inside[members] = True
+        in_set, mass = _marginals(np.where(inside, post, 0.0))
         if mass >= _MIN_RESTRICTED_MASS:
-            restricted = np.zeros(space.m)
-            restricted[members] = post[members] / mass
-            return ZeroOutResult(bvs_inclusion(restricted, space), False)
-    return ZeroOutResult(bvs_inclusion(post / post.sum(), space), True)
+            return ZeroOutResult(in_set / mass, False)
+    in_set, mass = _marginals(post)
+    return ZeroOutResult(in_set / mass, True)
 
 
 def mixed_inclusion(

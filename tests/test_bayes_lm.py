@@ -159,7 +159,7 @@ def test_batched_sweep_equals_single_sweeps():
     stack[2, :, 4] = stack[2, :, 0] + stack[2, :, 1]
     for resp in (y, np.full(n, 2.0)):
         table = model_sweep(GramStats.from_data(stack, resp), space, g=20.0)
-        assert table.shape == (4, space.m)
+        assert table.shape == (4, space.m) and table.flags.c_contiguous
         for c, x_c in enumerate(stack):
             stats = GramStats.from_data(x_c, resp)
             np.testing.assert_array_equal(table[c], model_sweep(stats, space, g=20.0))

@@ -38,30 +38,62 @@ class TestBvs:
 
     @pytest.mark.parametrize("p", [1, 3, 10, 14])
     def test_block_sums_match_bits_product(self, p):
+        # the marginal kernel of all three methods against the bits product
         space = enumerate_models(p)
-        post = np.random.default_rng(p).dirichlet(np.full(space.m, 0.3))
-        want = space.bits.T.astype(float) @ post
-        np.testing.assert_allclose(bvs_inclusion(post, space), want, rtol=0, atol=1e-12)
+        rng = np.random.default_rng(p)
+        post = rng.dirichlet(np.full(space.m, 0.3))
+        bits = space.bits.T.astype(float)
+        np.testing.assert_allclose(bvs_inclusion(post, space), bits @ post, rtol=0, atol=1e-12)
+        empty = np.array([], dtype=np.int64)
+        assert np.all(np.isnan(smcs_inclusion(empty, space)))
+        zo = zero_out(post, empty, space)
+        assert zo.fallback
+        np.testing.assert_allclose(zo.probs, bits @ post, rtol=0, atol=1e-12)
+        single = rng.integers(space.m, size=1)
+        half = np.sort(rng.permutation(space.m)[: space.m // 2])
+        for members in (single, half, np.arange(space.m)):
+            # integer counts: equal bit for bit to the mean of the gathered bits
+            np.testing.assert_array_equal(smcs_inclusion(members, space), space.bits[members].mean(axis=0))
+            restricted = np.zeros(space.m)
+            restricted[members] = post[members] / post[members].sum()
+            zo = zero_out(post, members, space)
+            assert not zo.fallback
+            np.testing.assert_allclose(zo.probs, bits @ restricted, rtol=0, atol=1e-12)
 
     def test_no_float_copy_of_the_bits(self):
-        # an (m, p) float64 copy of the bits is 38 MB at p = 18
+        # an (m, p) float64 copy of the bits is 38 MB at p = 18, and an
+        # (m, p) uint8 gather of a full set's bits 4.7 MB
         import tracemalloc
 
         space = enumerate_models(18)
         post = np.full(space.m, 1.0 / space.m)
-        tracemalloc.start()
-        try:
-            got = bvs_inclusion(post, space)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_allclose(got, 0.5, atol=1e-12)
-        assert peak < 4e6, f"bvs_inclusion peaked at {peak / 1e6:.2f} MB"
+        for members in (np.arange(space.m), np.arange(0, space.m, 2), np.arange(6)):
+            calls = {
+                "bvs_inclusion": lambda: bvs_inclusion(post, space),
+                "smcs_inclusion": lambda: smcs_inclusion(members, space),
+                "zero_out": lambda: zero_out(post, members, space).probs,
+            }
+            for name, call in calls.items():
+                tracemalloc.start()
+                try:
+                    got = call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # under a uniform posterior zero_out gives the set's own fractions
+                want = 0.5 if name == "bvs_inclusion" else space.bits[members].mean(axis=0)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                assert peak < 4e6, f"{name} with {members.size} members peaked at {peak / 1e6:.2f} MB"
 
     def test_non_simplex_rejected(self):
         space = enumerate_models(2)
         with pytest.raises(DataError):
             bvs_inclusion(np.array([0.5, 0.5, 0.5, 0.5]), space)
+        # zero_out checks the posterior it receives, not only its restriction
+        for post in (np.array([0.5, 0.5, 0.5, 0.5]), np.array([-0.1, 0.6, 0.3, 0.2])):
+            for members in (np.array([1]), np.array([], dtype=np.int64)):
+                with pytest.raises(DataError):
+                    zero_out(post, members, space)
 
 
 class TestSmcs:

@@ -56,6 +56,8 @@ imp.sweeps=2
 smcs.alpha=0.1
 smcs.varsigma=0.65
 """
+# without the equicorrelation, for cases that give a covariance file
+_NO_RHO = TINY_CONFIG_TEXT.replace("dgp.rho=0.4\n", "")
 
 
 @pytest.fixture(scope="module")
@@ -350,30 +352,32 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "extra, cov_text, message",
+        "text, cov_text, message",
         [
-            ("dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,x\n0,0,1\n", "cov.csv"),
-            ("dgp.cov_csv=cov.csv\n", "1,2,0\n2,1,0\n0,0,1\n", "positive definite"),
-            ("dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,nan\n0,nan,1\n", "cov must be finite"),
-            ("run.model_prior=scott_berger\n", None, "model_prior"),
-            ("missing.mechanism=foo\n", None, "mechanism must be one of"),
-            ("missing.rate=1.5\n", None, "missingness rate"),
-            ("imp.min_n=5\n", None, "imp.min_n must exceed p + 2"),
-            ("imp.min_n=20\n", None, "below the imputation minimum"),
-            ("smcs.lambda=nan\n", None, "lam must be finite"),
-            ("smcs.varsigma=nan\n", None, "varsigma must be positive and finite"),
-            ("smcs.varsigma=0\n", None, "varsigma must be positive and finite"),
-            ("smcs.varsigma=-0.65\n", None, "varsigma must be positive and finite"),
-            ("dgp.beta=2,nan,1\n", None, "beta must be finite"),
-            ("dgp.beta=2,0,inf\n", None, "beta must be finite"),
-            ("dgp.sigma2=inf\n", None, "sigma2 must be positive and finite"),
-            ("run.g_rule=fixed:nan\n", None, "g rule parameter must be positive and finite"),
-            ("run.g_rule=scaled:inf\n", None, "g rule parameter must be positive and finite"),
+            (_NO_RHO + "dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,x\n0,0,1\n", "cov.csv"),
+            (_NO_RHO + "dgp.cov_csv=cov.csv\n", "1,2,0\n2,1,0\n0,0,1\n", "positive definite"),
+            (_NO_RHO + "dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,nan\n0,nan,1\n", "cov must be finite"),
+            (TINY_CONFIG_TEXT + "dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,0\n0,0,1\n", "exclude each other"),
+            (TINY_CONFIG_TEXT + "run.model_prior=scott_berger\n", None, "model_prior"),
+            (TINY_CONFIG_TEXT + "missing.mechanism=foo\n", None, "mechanism must be one of"),
+            (TINY_CONFIG_TEXT + "missing.rate=1.5\n", None, "missingness rate"),
+            (TINY_CONFIG_TEXT + "imp.min_n=5\n", None, "imp.min_n must exceed p + 2"),
+            (TINY_CONFIG_TEXT + "imp.min_n=20\n", None, "below the imputation minimum"),
+            (TINY_CONFIG_TEXT + "smcs.lambda=nan\n", None, "lam must be finite"),
+            (TINY_CONFIG_TEXT + "smcs.varsigma=nan\n", None, "varsigma must be positive and finite"),
+            (TINY_CONFIG_TEXT + "smcs.varsigma=0\n", None, "varsigma must be positive and finite"),
+            (TINY_CONFIG_TEXT + "smcs.varsigma=-0.65\n", None, "varsigma must be positive and finite"),
+            (TINY_CONFIG_TEXT + "dgp.beta=2,nan,1\n", None, "beta must be finite"),
+            (TINY_CONFIG_TEXT + "dgp.beta=2,0,inf\n", None, "beta must be finite"),
+            (TINY_CONFIG_TEXT + "dgp.sigma2=inf\n", None, "sigma2 must be positive and finite"),
+            (TINY_CONFIG_TEXT + "run.g_rule=fixed:nan\n", None, "g rule parameter must be positive and finite"),
+            (TINY_CONFIG_TEXT + "run.g_rule=scaled:inf\n", None, "g rule parameter must be positive and finite"),
         ],
         ids=[
             "non_numeric_cov_csv",
             "indefinite_cov_csv",
             "nan_cov_csv",
+            "rho_with_cov_csv",
             "unknown_model_prior",
             "unknown_mechanism",
             "rate_above_one",
@@ -390,14 +394,14 @@ class TestCli:
             "inf_scaled_g",
         ],
     )
-    def test_bad_config_reported_as_exit_2(self, tmp_path, capsys, monkeypatch, extra, cov_text, message):
+    def test_bad_config_reported_as_exit_2(self, tmp_path, capsys, monkeypatch, text, cov_text, message):
         # rejected while the config is built, before any replication runs
         def no_run(*args, **kwargs):
             raise AssertionError("run_experiment reached with an invalid config")
 
         monkeypatch.setattr("seqbvs.cli.run_experiment", no_run)
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(TINY_CONFIG_TEXT + extra)
+        cfg_path.write_text(text)
         if cov_text is not None:
             (tmp_path / "cov.csv").write_text(cov_text)
         out_dir = tmp_path / "out"
