@@ -6,6 +6,8 @@ literal formula evaluation) and never calls the package's optimized paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -267,3 +269,69 @@ def crossing_events_reference(traj: np.ndarray) -> np.ndarray:
             events[i] = 1
         prev_side = side
     return events
+
+
+def model_bits(p: int) -> np.ndarray:
+    """(2**p, p) uint8 matrix whose row i is the inclusion vector of model i."""
+    idx = np.arange(1 << p)
+    return ((idx[:, None] >> np.arange(p)) & 1).astype(np.uint8)
+
+
+def sequential_reference(tables, pooling, loss_mode, prior, lam, alpha):
+    """Inclusion trajectories of the post-sweep steps, evaluated literally.
+
+    `tables` holds one (M, m) per-imputation log-BF table per time step.
+    Each step pools by formula (arithmetic: log of the mean BF; geometric
+    and mixture: the mean log BF) and forms the posterior under the model
+    prior (mixture: the mean of the per-row posteriors, renormalised).  The
+    E-processes run on the mean pairwise loss of the pooled vector
+    (increment: of its change since the previous step) through
+    literal_log_e_pairwise.  Inclusion is the bits product; the mixed weight
+    is |S|/m.  Returns ({method: (T, p)}, (T,) set sizes, fallback count).
+    """
+    t_count, (_, m) = len(tables), tables[0].shape
+    p = m.bit_length() - 1
+    bits = model_bits(p).astype(float)
+    sizes = bits.sum(axis=1).astype(int)
+    if prior == "uniform":
+        log_prior = np.full(m, -np.log(m))
+    else:
+        log_prior = np.array([-np.log(p + 1) - np.log(math.comb(p, int(k))) for k in sizes])
+
+    def softmax(logits):
+        w = np.exp(logits - logits.max())
+        return w / w.sum()
+
+    pooled, posts = [], []
+    for tab in tables:
+        if pooling == "arithmetic":
+            pooled.append(np.log(np.exp(tab).mean(axis=0)))
+        else:
+            pooled.append(tab.mean(axis=0))
+        if pooling == "mixture":
+            mix = np.mean([softmax(row + log_prior) for row in tab], axis=0)
+            posts.append(mix / mix.sum())
+        else:
+            posts.append(softmax(pooled[-1] + log_prior))
+
+    d_steps = np.empty((t_count, m, m))
+    for t in range(t_count):
+        vec = pooled[t] - pooled[t - 1] if loss_mode == "increment" and t > 0 else pooled[t]
+        loss = np.array([sum(vec[j] - vec[i] for j in range(m) if j != i) / (m - 1) for i in range(m)])
+        d_steps[t] = loss[:, None] - loss[None, :]
+    member = literal_log_e_pairwise(d_steps, lam) <= np.log(1.0 / alpha)
+
+    probs = {meth: np.empty((t_count, p)) for meth in ("bvs", "smcs", "zero_out", "mixed")}
+    fallbacks = 0
+    for t in range(t_count):
+        post, inside = posts[t], member[t]
+        probs["bvs"][t] = bits.T @ post
+        probs["smcs"][t] = bits[inside].mean(axis=0) if inside.any() else np.nan
+        if inside.any() and post[inside].sum() > 0:
+            probs["zero_out"][t] = bits.T @ np.where(inside, post, 0.0) / post[inside].sum()
+        else:
+            probs["zero_out"][t] = probs["bvs"][t]
+            fallbacks += 1
+        w = inside.sum() / m
+        probs["mixed"][t] = w * probs["smcs"][t] + (1 - w) * probs["bvs"][t] if inside.any() else probs["bvs"][t]
+    return probs, member.sum(axis=1), fallbacks

@@ -23,7 +23,7 @@ from seqbvs.experiment import (
 from seqbvs.imputation import ImputationConfig
 from seqbvs.inclusion import METHODS, InclusionTrajectory
 
-from oracles import crossing_events_reference
+from oracles import crossing_events_reference, sequential_reference
 
 
 def tiny_config(**overrides):
@@ -216,6 +216,42 @@ class TestRunReplication:
         cfg = tiny_config(imp=ImputationConfig(M=2, min_col_obs=19))
         with pytest.raises(ConfigError, match="infeasible at n_min=19"):
             run_replication(cfg, 0)
+
+
+@pytest.fixture(scope="module")
+def tiny_tables():
+    """The per-step (M, m) log-BF tables of tiny_config's replication 0."""
+    from seqbvs.bayes_lm import GramStats, model_sweep
+    from seqbvs.data_gen import apply_missingness, gen_covariates, gen_responses
+    from seqbvs.experiment import _STREAM_COVARIATES, _STREAM_MASK, _STREAM_NOISE, _imputed_stream, stream_rng
+    from seqbvs.model_space import enumerate_models
+
+    cfg = tiny_config()
+    x = gen_covariates(cfg.n_max, cfg.dgp.cov, stream_rng(cfg.base_seed, 0, _STREAM_COVARIATES))
+    y = gen_responses(x, cfg.dgp, stream_rng(cfg.base_seed, 0, _STREAM_NOISE))
+    data = apply_missingness(x, cfg.missing.rate, cfg.missing.mechanism, stream_rng(cfg.base_seed, 0, _STREAM_MASK), y=y)
+    space = enumerate_models(cfg.dgp.p)
+    return [
+        model_sweep(GramStats.from_data(completions, y[:n]), space, g_for_n(cfg.g_rule, n))
+        for n, completions in _imputed_stream(data, cfg, 0)
+    ]
+
+
+@pytest.mark.parametrize("prior", ["uniform", "scott-berger"])
+@pytest.mark.parametrize("loss_mode", ["cumulative", "increment"])
+@pytest.mark.parametrize("pooling", ["geometric", "arithmetic", "mixture"])
+def test_replication_matches_literal_steps(tiny_tables, pooling, loss_mode, prior):
+    # every pooling rule, loss mode and model prior through run_replication,
+    # against the steps evaluated literally from the same sweep tables
+    cfg = tiny_config(pooling=pooling, loss_mode=loss_mode, model_prior=prior)
+    res = run_replication(cfg, 0)
+    probs, set_sizes, fallbacks = sequential_reference(
+        tiny_tables, pooling, loss_mode, prior, cfg.smcs.lam, cfg.smcs.alpha
+    )
+    np.testing.assert_array_equal(res.set_sizes, set_sizes)
+    assert res.zero_out_fallbacks == fallbacks
+    for meth in METHODS:
+        np.testing.assert_allclose(res.trajectories[meth].probs, probs[meth], rtol=0, atol=1e-10)
 
 
 class TestAggregate:
