@@ -205,43 +205,11 @@ def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> 
     varies = syy_c > 0.0
     r2 = np.clip(1.0 - rss / np.where(varies, syy_c, 1.0)[:, None], 0.0, R2_CEIL)
     r2[~varies] = 0.0
-    log_bf = 0.5 * (n - 1 - space.sizes) * np.log1p(g) - 0.5 * (n - 1) * np.log1p(g * (1.0 - r2))
+    log_bf = 0.5 * (n - 1.0 - space.sizes) * np.log1p(g) - 0.5 * (n - 1) * np.log1p(g * (1.0 - r2))
     return log_bf[0] if single else log_bf
 
 
-def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    a = np.asarray(a, dtype=float)
-    hi = np.max(a, axis=axis, keepdims=True)
-    hi = np.where(np.isfinite(hi), hi, 0.0)
-    out = np.log(np.sum(np.exp(a - hi), axis=axis, keepdims=True)) + hi
-    return float(out.reshape(())) if axis is None else np.squeeze(out, axis=axis)
-
-
 POOLING_RULES = ("arithmetic", "geometric", "mixture")
-
-
-def pool_log_bf(tables: np.ndarray, rule: str = "geometric") -> np.ndarray:
-    """Combine per-imputation log Bayes factors into one vector.
-
-    arithmetic: log of the mean Bayes factor, via log-sum-exp per model;
-    dominated by the single most favourable completion when the spread is
-    large.  geometric: the mean of the log Bayes factors; systematic
-    complexity penalties survive while zero-mean per-completion noise
-    cancels, which keeps the pooled ranking stable under noisy imputation.
-    The "mixture" rule only affects the posterior (see
-    posterior_from_imputations) and pools log Bayes factors geometrically.
-    """
-    tables = np.asarray(tables, dtype=float)
-    if tables.ndim == 1:
-        tables = tables[None, :]
-    if tables.ndim != 2:
-        raise ShapeError(f"expected M x m table, got shape {tables.shape}")
-    if rule == "arithmetic":
-        hi = np.max(tables, axis=0)
-        return hi + np.log(np.mean(np.exp(tables - hi), axis=0))
-    if rule in ("geometric", "mixture"):
-        return tables.mean(axis=0)
-    raise DataError(f"unknown pooling rule {rule!r}; expected one of {POOLING_RULES}")
 
 
 def _log_model_prior(space: ModelSpace, prior: str) -> np.ndarray:
@@ -257,19 +225,24 @@ def _log_model_prior(space: ModelSpace, prior: str) -> np.ndarray:
 
 
 def posterior_model_probs(
-    avg_log_bf: np.ndarray,
+    log_bf: np.ndarray,
     space: ModelSpace,
     prior: str = "uniform",
 ) -> np.ndarray:
-    """Posterior model probabilities from relative log marginals."""
-    avg_log_bf = np.asarray(avg_log_bf, dtype=float)
-    if avg_log_bf.shape != (space.m,):
-        raise ShapeError(f"expected {space.m} log marginals, got {avg_log_bf.shape}")
-    if not np.all(np.isfinite(avg_log_bf)):
+    """Posterior model probabilities from relative log marginals.
+
+    The softmax runs along the last axis, which holds the m models: an (m,)
+    vector gives one posterior, an (M, m) table one posterior per row.
+    """
+    log_bf = np.asarray(log_bf, dtype=float)
+    if log_bf.shape[-1:] != (space.m,):
+        raise ShapeError(f"expected {space.m} log marginals on the last axis, got {log_bf.shape}")
+    if not np.all(np.isfinite(log_bf)):
         raise DataError("log marginals must be finite")
-    logits = avg_log_bf + _log_model_prior(space, prior)
-    probs = np.exp(logits - logsumexp(logits))
-    return probs / probs.sum()
+    logits = log_bf + _log_model_prior(space, prior)
+    hi = np.max(logits, axis=-1, keepdims=True)
+    probs = np.exp(logits - (np.log(np.sum(np.exp(logits - hi), axis=-1, keepdims=True)) + hi))
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def posterior_from_imputations(
@@ -277,17 +250,29 @@ def posterior_from_imputations(
     space: ModelSpace,
     prior: str = "uniform",
     pooling: str = "geometric",
-) -> np.ndarray:
-    """Posterior model probabilities from per-imputation log Bayes factors.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled log Bayes factors and the posterior, from one pooling of an (M, m) table.
 
-    For "arithmetic" and "geometric" the log Bayes factors are pooled first
-    and one posterior is formed.  For "mixture" the posterior is the average
-    of the per-completion posteriors, the completed-data mixture that caps
-    any single completion's influence at 1/M.
+    arithmetic pools to the log of the mean Bayes factor (log-sum-exp per
+    model), which the most favourable completion dominates when the spread
+    is large.  geometric pools to the mean log Bayes factor: systematic
+    complexity penalties survive while zero-mean per-completion noise
+    cancels.  Both form the posterior from the pooled vector.  mixture pools
+    geometrically, but its posterior is the mean of the per-completion
+    posteriors (one stacked softmax, renormalised), the completed-data
+    mixture that caps any completion's influence at 1/M.
     """
-    tables = np.atleast_2d(np.asarray(tables, dtype=float))
+    tables = np.asarray(tables, dtype=float)
+    if tables.ndim != 2:
+        raise ShapeError(f"expected M x m table, got shape {tables.shape}")
+    if pooling == "arithmetic":
+        hi = np.max(tables, axis=0)
+        pooled = hi + np.log(np.mean(np.exp(tables - hi), axis=0))
+    elif pooling in ("geometric", "mixture"):
+        pooled = tables.mean(axis=0)
+    else:
+        raise DataError(f"unknown pooling rule {pooling!r}; expected one of {POOLING_RULES}")
     if pooling == "mixture":
-        per = np.stack([posterior_model_probs(row, space, prior) for row in tables])
-        probs = per.mean(axis=0)
-        return probs / probs.sum()
-    return posterior_model_probs(pool_log_bf(tables, pooling), space, prior)
+        probs = posterior_model_probs(tables, space, prior).mean(axis=0)
+        return pooled, probs / probs.sum()
+    return pooled, posterior_model_probs(pooled, space, prior)

@@ -87,10 +87,6 @@ class MissingDataset:
         if not np.all(np.isfinite(self.y)):
             raise DataError("responses must be finite (never masked)")
 
-    def head(self, n: int) -> MissingDataset:
-        """The first n rows, sharing storage with the parent."""
-        return MissingDataset(self.y[:n], self.X[:n], self.mask[:n])
-
 
 def gen_covariates(n: int, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. mean-zero multivariate normal rows with covariance cov."""

@@ -3,10 +3,12 @@
 One replication draws a dataset of size n_max, masks covariate cells once,
 and then replays the stream: for every n from n_min to n_max it re-imputes
 the first n rows from scratch (M completions; consecutive sizes share one
-stacked impute call, each on its own stream), averages the per-imputation
-Bayes factors, forms the mean pairwise log-Bayes-factor losses, advances
-the E-processes, and records the four covariate inclusion vectors.  Time is
-indexed t = n - n_min + 1.
+stacked impute call, each on its own stream), sweeps all models on the M
+completions, and hands the (M, m) log-BF table to one step function,
+advance_step.  The step pools the table once: the pooled vector gives both
+the posterior and the mean pairwise log-Bayes-factor losses that advance
+the E-processes.  It returns the four covariate inclusion vectors, the set
+size and the zero-out fallback flag.  Time is indexed t = n - n_min + 1.
 
 Replications are deterministic given (base_seed, rep_index): every random
 stream is derived from numpy's SeedSequence([base_seed, rep_index, tag]),
@@ -29,6 +31,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .bayes_lm import (
     POOLING_RULES,
     GramStats,
     model_sweep,
-    pool_log_bf,
     posterior_from_imputations,
 )
 from .data_gen import (
@@ -58,7 +60,7 @@ from .inclusion import (
     smcs_inclusion,
     zero_out,
 )
-from .model_space import enumerate_models
+from .model_space import ModelSpace, enumerate_models
 from .smcs import EProcessState, SmcsConfig, confidence_set, loss_from_log_marginals, step
 
 log = logging.getLogger(__name__)
@@ -254,13 +256,48 @@ def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: i
         del stacked  # freed before the next call builds its stack
 
 
+class StepState(NamedTuple):
+    """What one time step hands to the next."""
+
+    eprocess: EProcessState
+    pooled: np.ndarray | None  # the last step's pooled log BFs; None before the first
+
+
+class StepRecord(NamedTuple):
+    """The per-step outputs stored in a replication's trajectories."""
+
+    probs: dict[str, np.ndarray]  # per method, (p,) inclusion probabilities
+    set_size: int
+    fallback: bool  # zero_out used the unrestricted posterior
+
+
+def advance_step(
+    state: StepState, tables: np.ndarray, config: ExperimentConfig, space: ModelSpace
+) -> tuple[StepState, StepRecord]:
+    """One time step from the (M, m) per-imputation log-BF table at n.
+
+    The table is pooled once; the pooled vector drives both the posterior
+    (bvs, zero_out, mixed) and the mean pairwise loss of the E-processes,
+    which under loss_mode "increment" is taken of its change since the
+    previous step.
+    """
+    pooled, post = posterior_from_imputations(tables, space, config.model_prior, config.pooling)
+    increment = config.loss_mode == "increment" and state.pooled is not None
+    loss = loss_from_log_marginals(pooled - state.pooled if increment else pooled)
+    eprocess = step(state.eprocess, loss, config.smcs)
+    members = confidence_set(eprocess)
+    p_bvs = bvs_inclusion(post, space)
+    p_smcs = smcs_inclusion(members, space)
+    zo = zero_out(post, members, space)
+    p_mixed = mixed_inclusion(p_bvs, p_smcs, members.size, space.m)
+    probs = dict(zip(METHODS, (p_bvs, p_smcs, zo.probs, p_mixed)))
+    return StepState(eprocess, pooled), StepRecord(probs, members.size, zo.fallback)
+
+
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
     """One full sequential pass; deterministic given (base_seed, rep_index)."""
     dgp = config.dgp
     space = enumerate_models(dgp.p)
-    m = space.m
-    t_count = config.t_max
-
     x_full = gen_covariates(config.n_max, dgp.cov, stream_rng(config.base_seed, rep_index, _STREAM_COVARIATES))
     y_full = gen_responses(x_full, dgp, stream_rng(config.base_seed, rep_index, _STREAM_NOISE))
     data = apply_missingness(
@@ -271,38 +308,18 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         y=y_full,
     )
 
-    probs = {meth: np.full((t_count, dgp.p), np.nan) for meth in METHODS}
-    set_sizes = np.zeros(t_count, dtype=np.int64)
-    state = EProcessState.fresh(m)
-    prev_avg: np.ndarray | None = None
+    probs = {meth: np.full((config.t_max, dgp.p), np.nan) for meth in METHODS}
+    set_sizes = np.zeros(config.t_max, dtype=np.int64)
+    state = StepState(EProcessState.fresh(space.m), None)
     zero_out_fallbacks = 0
-
     for n, completions in _imputed_stream(data, config, rep_index):
-        t = n - config.n_min + 1
-        sub = data.head(n)
-        g = g_for_n(config.g_rule, n)
-        per_imp = model_sweep(GramStats.from_data(completions, sub.y), space, g)
-        avg = pool_log_bf(per_imp, config.pooling)
-
-        post = posterior_from_imputations(per_imp, space, config.model_prior, config.pooling)
-        if config.loss_mode == "increment" and prev_avg is not None:
-            loss_vec = avg - prev_avg
-        else:
-            loss_vec = avg
-        prev_avg = avg
-
-        state = step(state, loss_from_log_marginals(loss_vec), config.smcs)
-        members = confidence_set(state)
-        set_sizes[t - 1] = members.size
-
-        p_bvs = bvs_inclusion(post, space)
-        p_smcs = smcs_inclusion(members, space)
-        zo = zero_out(post, members, space)
-        zero_out_fallbacks += int(zo.fallback)
-        probs["bvs"][t - 1] = p_bvs
-        probs["smcs"][t - 1] = p_smcs
-        probs["zero_out"][t - 1] = zo.probs
-        probs["mixed"][t - 1] = mixed_inclusion(p_bvs, p_smcs, members.size, m)
+        tables = model_sweep(GramStats.from_data(completions, data.y[:n]), space, g_for_n(config.g_rule, n))
+        state, record = advance_step(state, tables, config, space)
+        t = n - config.n_min
+        for meth, row in record.probs.items():
+            probs[meth][t] = row
+        set_sizes[t] = record.set_size
+        zero_out_fallbacks += record.fallback
 
     return ReplicationResult.from_probs(rep_index, config.n_min, config.n_max, probs, set_sizes, zero_out_fallbacks)
 

@@ -71,7 +71,8 @@ def _checked_posterior(post: np.ndarray, space: ModelSpace) -> np.ndarray:
     post = np.asarray(post, dtype=float)
     if post.shape != (space.m,):
         raise DataError(f"expected {space.m} probabilities, got {post.shape}")
-    if np.any(post < 0) or abs(post.sum() - 1.0) > 1e-9:
+    # written as negations so that NaN, which fails every comparison, is refused
+    if not np.all(post >= 0) or not abs(post.sum() - 1.0) <= 1e-9:
         raise DataError("posterior must be a probability vector over the models")
     return post
 

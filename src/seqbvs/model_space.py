@@ -44,8 +44,8 @@ class ModelVector:
 class ModelSpace:
     """The complete ordered list of all 2**p models.
 
-    `bits` is the (m, p) uint8 matrix whose row i is the inclusion vector of
-    model i; `sizes` holds the per-model covariate counts.  Instances are
+    `sizes` holds the per-model covariate counts (uint8); `model(i)` reads
+    the bits of i, so no (m, p) inclusion matrix is kept.  Instances are
     immutable after construction and safe to share across threads.
     """
 
@@ -54,16 +54,16 @@ class ModelSpace:
             raise SizeLimitError(f"p must be in 1..{MAX_P}, got {p}")
         self.p = p
         self.m = 1 << p
-        idx = np.arange(self.m, dtype=np.uint32)
-        self.bits = ((idx[:, None] >> np.arange(p, dtype=np.uint32)) & 1).astype(np.uint8)
-        self.bits.setflags(write=False)
-        self.sizes = self.bits.sum(axis=1).astype(np.int64)
-        self.sizes.setflags(write=False)
+        sizes = np.zeros(1, dtype=np.uint8)
+        for k in range(p):  # models 2**k .. 2**(k+1)-1 are models 0 .. 2**k-1 plus covariate k+1
+            sizes = np.concatenate([sizes, sizes + 1])
+        sizes.setflags(write=False)
+        self.sizes = sizes
 
     def model(self, i: int) -> ModelVector:
         if not 0 <= i < self.m:
             raise IndexError(f"model index {i} outside 0..{self.m - 1}")
-        return ModelVector(tuple(int(b) for b in self.bits[i]))
+        return ModelVector(tuple((int(i) >> k) & 1 for k in range(self.p)))
 
     def __repr__(self) -> str:
         return f"ModelSpace(p={self.p}, m={self.m})"

@@ -274,7 +274,10 @@ def crossing_events_reference(traj: np.ndarray) -> np.ndarray:
 def model_bits(p: int) -> np.ndarray:
     """(2**p, p) uint8 matrix whose row i is the inclusion vector of model i."""
     idx = np.arange(1 << p)
-    return ((idx[:, None] >> np.arange(p)) & 1).astype(np.uint8)
+    bits = np.empty((idx.size, p), dtype=np.uint8)
+    for k in range(p):  # a column at a time: an (m, p) int64 temporary is 168 MB at p = 20
+        bits[:, k] = (idx >> k) & 1
+    return bits
 
 
 def sequential_reference(tables, pooling, loss_mode, prior, lam, alpha):

@@ -10,13 +10,13 @@ from seqbvs.bayes_lm import (
     log_bf_null,
     model_r_squared,
     model_sweep,
-    pool_log_bf,
+    posterior_from_imputations,
     posterior_model_probs,
 )
 from seqbvs.errors import DataError, InsufficientDataError, ShapeError
 from seqbvs.model_space import MAX_P, ModelVector, enumerate_models
 
-from oracles import gprior_log_bf_quadrature
+from oracles import gprior_log_bf_quadrature, model_bits
 
 
 def _random_dataset(rng, n, p):
@@ -82,6 +82,15 @@ def test_model_sweep_matches_per_model():
     np.testing.assert_allclose(swept, _per_model(stats, space, g=30.0), atol=1e-10)
 
 
+def test_model_sweep_matches_per_model_past_256_rows():
+    # n - 1 - k in the closed form must not wrap when the sizes are uint8
+    rng = np.random.default_rng(17)
+    x, y = _random_dataset(rng, 300, 5)
+    stats = GramStats.from_data(x, y)
+    space = enumerate_models(5)
+    np.testing.assert_allclose(model_sweep(stats, space), _per_model(stats, space), atol=1e-8)
+
+
 def _degenerate_design(kind):
     rng = np.random.default_rng(11)
     x, _ = _random_dataset(rng, 30, 4)
@@ -112,7 +121,7 @@ def test_constant_column_adds_no_fit():
     swept = model_sweep(stats, space)
     assert np.all(np.isfinite(swept))
     # with covariate 3 a model pays one more prior penalty and gains no fit
-    with_c = space.bits[:, 2] == 1
+    with_c = model_bits(4)[:, 2] == 1
     np.testing.assert_allclose(swept[with_c], swept[~with_c] - 0.5 * math.log1p(stats.n), atol=1e-12)
     # the reference agrees on every model, the constant column alone (model 4)
     # included: no fit, R^2 = 0
@@ -236,31 +245,43 @@ def test_r_squared_nesting_monotone():
                 assert r2[sup] >= r2[i] - 1e-12
 
 
+def _pooled(tables, rule):
+    tables = np.asarray(tables, dtype=float)
+    space = enumerate_models(tables.shape[-1].bit_length() - 1)
+    return posterior_from_imputations(tables, space, pooling=rule)[0]
+
+
 def test_average_over_imputations_identity_and_exact_zero():
-    v = np.array([0.4, -1.2, 3.0])
-    np.testing.assert_array_equal(pool_log_bf(v[None, :], "arithmetic"), v)
+    v = np.array([0.4, -1.2, 3.0, 0.0])
+    np.testing.assert_array_equal(_pooled(v[None, :], "arithmetic"), v)
     two = np.zeros((2, 4))
-    out = pool_log_bf(two, "arithmetic")
+    out = _pooled(two, "arithmetic")
     assert np.all(out == 0.0)
 
 
 def test_average_over_imputations_mean_of_bfs():
-    tables = np.array([[0.0], [math.log(3.0)]])
-    out = pool_log_bf(tables, "arithmetic")
-    assert abs(out[0] - math.log(2.0)) < 1e-12
+    tables = np.array([[0.0, 0.0], [0.0, math.log(3.0)]])
+    out = _pooled(tables, "arithmetic")
+    assert abs(out[1] - math.log(2.0)) < 1e-12
 
 
 def test_average_shape_mismatch():
     with pytest.raises(ShapeError):
-        pool_log_bf(np.zeros((2, 3, 4)), "arithmetic")
+        posterior_from_imputations(np.zeros((2, 3, 4)), enumerate_models(2))
 
 
 def test_pool_log_bf_rules():
     tables = np.array([[0.0, 2.0], [0.0, 4.0]])
-    np.testing.assert_allclose(pool_log_bf(tables, "geometric"), [0.0, 3.0])
-    np.testing.assert_allclose(pool_log_bf(tables, "arithmetic"), [0.0, math.log((math.exp(2.0) + math.exp(4.0)) / 2)])
+    space = enumerate_models(1)
+    np.testing.assert_allclose(_pooled(tables, "geometric"), [0.0, 3.0])
+    np.testing.assert_allclose(_pooled(tables, "arithmetic"), [0.0, math.log((math.exp(2.0) + math.exp(4.0)) / 2)])
+    # mixture pools like geometric; its posterior is the mean of the per-row posteriors
+    pooled, post = posterior_from_imputations(tables, space, pooling="mixture")
+    np.testing.assert_allclose(pooled, [0.0, 3.0])
+    rows = [1.0 / (1.0 + math.exp(-2.0)), 1.0 / (1.0 + math.exp(-4.0))]
+    np.testing.assert_allclose(post, [1.0 - np.mean(rows), np.mean(rows)], rtol=0, atol=1e-15)
     with pytest.raises(DataError):
-        pool_log_bf(tables, "harmonic")
+        posterior_from_imputations(tables, space, pooling="harmonic")
 
 
 def test_posterior_uniform_examples():
@@ -287,4 +308,8 @@ def test_posterior_is_simplex(p, data):
         probs = posterior_model_probs(np.array(log_bf), space, prior=prior)
         assert np.all(probs >= 0.0)
         assert abs(probs.sum() - 1.0) < 1e-12
+        # a stacked table softmaxes each row along the last axis, bit for bit
+        stacked = posterior_model_probs(np.stack([log_bf, log_bf[::-1]]), space, prior=prior)
+        np.testing.assert_array_equal(stacked[0], probs)
+        np.testing.assert_array_equal(stacked[1], posterior_model_probs(np.array(log_bf[::-1]), space, prior=prior))
 

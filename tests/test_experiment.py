@@ -229,7 +229,8 @@ def tiny_tables():
     cfg = tiny_config()
     x = gen_covariates(cfg.n_max, cfg.dgp.cov, stream_rng(cfg.base_seed, 0, _STREAM_COVARIATES))
     y = gen_responses(x, cfg.dgp, stream_rng(cfg.base_seed, 0, _STREAM_NOISE))
-    data = apply_missingness(x, cfg.missing.rate, cfg.missing.mechanism, stream_rng(cfg.base_seed, 0, _STREAM_MASK), y=y)
+    mask_rng = stream_rng(cfg.base_seed, 0, _STREAM_MASK)
+    data = apply_missingness(x, cfg.missing.rate, cfg.missing.mechanism, mask_rng, y=y)
     space = enumerate_models(cfg.dgp.p)
     return [
         model_sweep(GramStats.from_data(completions, y[:n]), space, g_for_n(cfg.g_rule, n))
@@ -252,6 +253,22 @@ def test_replication_matches_literal_steps(tiny_tables, pooling, loss_mode, prio
     assert res.zero_out_fallbacks == fallbacks
     for meth in METHODS:
         np.testing.assert_allclose(res.trajectories[meth].probs, probs[meth], rtol=0, atol=1e-10)
+
+
+def test_benchmark_tracer_finds_every_layer(monkeypatch):
+    # the benchmark's tracer wraps the layer functions by the names bound in
+    # seqbvs.experiment and skips a name that is not bound, so a renamed
+    # call would read zero for its layer without failing
+    from pathlib import Path
+
+    from seqbvs import experiment
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import spans
+
+    served = {name for attr, name, _ in spans.EXPERIMENT_CALLS if callable(getattr(experiment, attr, None))}
+    assert served == {name for _, name, _ in spans.EXPERIMENT_CALLS}
+    assert callable(experiment.GramStats.from_data)
 
 
 class TestAggregate:

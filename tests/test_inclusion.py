@@ -14,6 +14,8 @@ from seqbvs.inclusion import (
 )
 from seqbvs.model_space import enumerate_models
 
+from oracles import model_bits
+
 
 def test_methods_roster():
     assert METHODS == ("bvs", "smcs", "zero_out", "mixed")
@@ -42,7 +44,7 @@ class TestBvs:
         space = enumerate_models(p)
         rng = np.random.default_rng(p)
         post = rng.dirichlet(np.full(space.m, 0.3))
-        bits = space.bits.T.astype(float)
+        bits = model_bits(p).T.astype(float)
         np.testing.assert_allclose(bvs_inclusion(post, space), bits @ post, rtol=0, atol=1e-12)
         empty = np.array([], dtype=np.int64)
         assert np.all(np.isnan(smcs_inclusion(empty, space)))
@@ -53,7 +55,7 @@ class TestBvs:
         half = np.sort(rng.permutation(space.m)[: space.m // 2])
         for members in (single, half, np.arange(space.m)):
             # integer counts: equal bit for bit to the mean of the gathered bits
-            np.testing.assert_array_equal(smcs_inclusion(members, space), space.bits[members].mean(axis=0))
+            np.testing.assert_array_equal(smcs_inclusion(members, space), model_bits(p)[members].mean(axis=0))
             restricted = np.zeros(space.m)
             restricted[members] = post[members] / post[members].sum()
             zo = zero_out(post, members, space)
@@ -66,6 +68,7 @@ class TestBvs:
         import tracemalloc
 
         space = enumerate_models(18)
+        bits = model_bits(18)
         post = np.full(space.m, 1.0 / space.m)
         for members in (np.arange(space.m), np.arange(0, space.m, 2), np.arange(6)):
             calls = {
@@ -81,7 +84,7 @@ class TestBvs:
                 finally:
                     tracemalloc.stop()
                 # under a uniform posterior zero_out gives the set's own fractions
-                want = 0.5 if name == "bvs_inclusion" else space.bits[members].mean(axis=0)
+                want = 0.5 if name == "bvs_inclusion" else bits[members].mean(axis=0)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
                 assert peak < 4e6, f"{name} with {members.size} members peaked at {peak / 1e6:.2f} MB"
 
@@ -94,6 +97,12 @@ class TestBvs:
             for members in (np.array([1]), np.array([], dtype=np.int64)):
                 with pytest.raises(DataError):
                     zero_out(post, members, space)
+        # NaN fails both comparisons of the check; outside the set the
+        # restriction alone would mask it
+        with pytest.raises(DataError):
+            bvs_inclusion(np.full(4, np.nan), space)
+        with pytest.raises(DataError):
+            zero_out(np.array([0.5, 0.5, 0.0, np.nan]), np.array([0, 1]), space)
 
 
 class TestSmcs:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from seqbvs.errors import SizeLimitError
 from seqbvs.model_space import ModelVector, enumerate_models
 
+from oracles import model_bits
+
 
 def test_enumerate_p2_index_order():
     space = enumerate_models(2)
@@ -49,14 +51,39 @@ def test_index_roundtrip_random(p, data):
 @pytest.mark.parametrize("p", [1, 3, 6, 10])
 def test_balance_property(p):
     space = enumerate_models(p)
-    counts = space.bits.sum(axis=0)
+    counts = np.array([space.model(i).bits for i in range(space.m)]).sum(axis=0)
     assert np.all(counts == space.m // 2)
 
 
-def test_bits_matrix_immutable():
+@pytest.mark.parametrize("p", [1, 3, 10, 20])
+def test_sizes_and_models_match_bits(p):
+    space = enumerate_models(p)
+    bits = model_bits(p)
+    assert space.sizes.shape == (space.m,)
+    np.testing.assert_array_equal(space.sizes, bits.sum(axis=1))
+    rng = np.random.default_rng(p)
+    indices = range(space.m) if p <= 10 else np.concatenate([[0, space.m - 1], rng.integers(space.m, size=200)])
+    for i in indices:
+        assert space.model(int(i)).bits == tuple(bits[i])
+
+
+def test_p20_space_holds_no_bits_matrix():
+    # an (m, p) uint8 matrix alone is 21 MB at p = 20; the sizes are 1 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        enumerate_models(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, f"enumerate_models(20) peaked at {peak / 1e6:.1f} MB"
+
+
+def test_sizes_immutable():
     space = enumerate_models(3)
     with pytest.raises(ValueError):
-        space.bits[0, 0] = 1
+        space.sizes[0] = 1
 
 
 def test_model_vector_validation():
