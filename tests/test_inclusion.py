@@ -55,7 +55,7 @@ class TestBvs:
         half = np.sort(rng.permutation(space.m)[: space.m // 2])
         for members in (single, half, np.arange(space.m)):
             # integer counts: equal bit for bit to the mean of the gathered bits
-            np.testing.assert_array_equal(smcs_inclusion(members, space), model_bits(p)[members].mean(axis=0))
+            np.testing.assert_array_equal(smcs_inclusion(members, space), bits.T[members].mean(axis=0))
             restricted = np.zeros(space.m)
             restricted[members] = post[members] / post[members].sum()
             zo = zero_out(post, members, space)
