@@ -16,7 +16,10 @@ one sweep pivot on column j, so the residual sums of squares of all 2**p
 models come out of p batched rank-1 updates.  The M completions of one time
 step share that pass: their models sit side by side on the last axis of
 each level's block, and the result is copied once into a C-ordered (M, m)
-table, so pooling across the completions adds whole contiguous rows.
+table, so pooling across the completions adds whole contiguous rows.  When
+the widest level of all M would exceed CELL_BUDGET values (see model_space;
+not at desk or wide_sweep sizes), the pass runs over chunks of completions,
+each written into its own rows of the table.
 log_bf_null solves one model at a time with a Cholesky factor and is the
 independent reference for the sweep.
 """
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, ShapeError
-from .model_space import ModelSpace, ModelVector
+from .model_space import CELL_BUDGET, ModelSpace, ModelVector
 
 R2_CEIL = 1.0 - 1e-12
 
@@ -158,7 +161,8 @@ def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: np.ndarray, raw_ss:
     swept = rest - (inv * col_a) * col_b.  A pivot at or below
     _PIVOT_EPS * raw_ss[c, j] leaves the swept block equal to the kept one.
     The last level's (m * M,) residuals are transposed into (M, m) with one
-    copy.
+    copy.  The completions never mix, so a pass over a part of them gives
+    their rows bit for bit.
     """
     n_comp = len(syy_c)
     top = np.concatenate([a_mat, bvec[:, :, None]], axis=2)
@@ -179,15 +183,28 @@ def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: np.ndarray, raw_ss:
     return np.ascontiguousarray(block[0, 0].reshape(-1, n_comp).T)
 
 
+def _lattice_chunk(p: int) -> int:
+    """How many completions one lattice pass takes: its widest level stays within CELL_BUDGET values.
+
+    Level j holds (p + 1 - j)**2 * 2**j values per completion; the widest
+    is about 2.25 * 2**p for p >= 2.
+    """
+    widest = max((p + 1 - j) ** 2 << j for j in range(p + 1))
+    return max(1, CELL_BUDGET // widest)
+
+
 def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> np.ndarray:
     """Log Bayes factors against the null for every model in the space.
 
     `stats` from one data set gives an (m,) vector; a stack of M
-    completions gives a C-ordered (M, m) table from a single lattice pass
-    (_lattice_rss) over all of them.  The closed form then maps R^2 and the
-    model size to log BF.  The null entry is exactly 0.  A completion whose
-    y is constant has R^2 = 0 under every model, as in model_r_squared, so
-    each model gets its complexity penalty -(k/2) log(1+g).  g defaults to n.
+    completions gives a C-ordered (M, m) table.  The lattice pass
+    (_lattice_rss) and the closed form, which maps R^2 and the model size to
+    log BF, run over chunks of completions (_lattice_chunk), each written
+    into its rows of the table, so memory stays bounded at large p; the rows
+    do not depend on the chunking.  The null entry is exactly 0.  A
+    completion whose y is constant has R^2 = 0 under every model, as in
+    model_r_squared, so each model gets its complexity penalty
+    -(k/2) log(1+g).  g defaults to n.
     """
     if space.p != stats.p:
         raise ShapeError(f"model space has p={space.p}, statistics have p={stats.p}")
@@ -201,11 +218,36 @@ def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> 
     raw_ss = np.diagonal(stats.sxx, axis1=1, axis2=2)[:, 1:]
     if g is None:
         g = n
-    rss = _lattice_rss(a_mat, bvec, syy_c, raw_ss)
     varies = syy_c > 0.0
-    r2 = np.clip(1.0 - rss / np.where(varies, syy_c, 1.0)[:, None], 0.0, R2_CEIL)
-    r2[~varies] = 0.0
-    log_bf = 0.5 * (n - 1.0 - space.sizes) * np.log1p(g) - 0.5 * (n - 1) * np.log1p(g * (1.0 - r2))
+    denom = np.where(varies, syy_c, 1.0)
+    penalty = 0.5 * (n - 1.0 - space.sizes) * np.log1p(g)
+
+    def log_bf_rows(part: slice) -> np.ndarray:
+        rows = _lattice_rss(a_mat[part], bvec[part], syy_c[part], raw_ss[part])
+        # the closed form in place, R^2 first, then log BF: written as one
+        # expression, its (M, m) temporaries made the sweeps of a p = 14,
+        # M = 2 replication ~6% slower
+        np.divide(rows, denom[part, None], out=rows)
+        np.subtract(1.0, rows, out=rows)
+        np.clip(rows, 0.0, R2_CEIL, out=rows)
+        rows[~varies[part]] = 0.0
+        np.subtract(1.0, rows, out=rows)
+        np.multiply(rows, g, out=rows)
+        np.log1p(rows, out=rows)
+        np.multiply(rows, 0.5 * (n - 1), out=rows)
+        np.subtract(penalty, rows, out=rows)
+        return rows
+
+    n_comp, step = len(syy_c), _lattice_chunk(space.p)
+    if step >= n_comp:
+        # one pass: its own rows are the table.  A table allocated ahead of
+        # the pass made the pass ~20% slower inside a p = 14, M = 2
+        # replication
+        log_bf = log_bf_rows(slice(None))
+    else:
+        log_bf = np.empty((n_comp, space.m))
+        for lo in range(0, n_comp, step):
+            log_bf[lo : lo + step] = log_bf_rows(slice(lo, lo + step))
     return log_bf[0] if single else log_bf
 
 

@@ -239,7 +239,7 @@ def count_crossings(probs: np.ndarray) -> int | np.ndarray:
 
 
 def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: int):
-    """(n, completions) for n = n_min..n_max, imputed a stack of sizes per call."""
+    """(n, completions) for n = n_min..n_max, imputed a stack of sizes per call; each size's completions are a copy."""
     sizes = range(config.n_min, config.n_max + 1)
     per_call = stack_sizes(config.n_max, config.imp.M, config.dgp.p)
     for first in range(0, len(sizes), per_call):
@@ -252,8 +252,12 @@ def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: i
             if first == 0:
                 raise ConfigError(f"imputation infeasible at n_min={config.n_min} ({exc}); increase n_min") from exc
             raise
-        yield from zip(chunk, stacked)
-        del stacked  # freed before the next call builds its stack
+        # a copy at hand-off, so that only the stack, and no completion the
+        # caller still holds, is alive when the next call builds its stack;
+        # popping leaves no view behind in a loop variable
+        stacked.reverse()
+        for n in chunk:
+            yield n, stacked.pop().copy()
 
 
 class StepState(NamedTuple):

@@ -11,14 +11,15 @@ One call imputes a stack of sample sizes: the completions of every size and
 chain sit in one (T, M, n_hi, p + 1) array [1, x] over the first n_hi rows,
 and the rows beyond a size are zero in every column (the intercept too), so
 they add nothing to a product.  Each (sweep, column) step then fits all T*M
-chains at once: one batched product gives each chain's (p + 1) x (p + 1)
+chains at once: batched products give each chain's (p + 1) x (p + 1)
 cross-product matrix of [1, x] over the rows where the column is observed,
 which holds the Gram matrix G = D'D of the design D (the intercept and the
-other columns), D'z for the column z, z'z and sum z.  The coefficient draw
-goes through a Cholesky factor, as in van Buuren (2018, Flexible Imputation
-of Missing Data, Algorithm 3.1): beta = G_f^-1 D'z + sigma_hat L_f^-T xi,
-where G_f is G when every eigenvalue clears the floor f and
-V diag(max(lambda, f)) V' otherwise, and L_f is its Cholesky factor.
+other columns), D'z for the column z, z'z and sum z; the missing cells
+are then read off [1, x] beta, formed over every row of the stack.  The
+coefficient draw goes through a Cholesky factor, as in van Buuren (2018,
+Flexible Imputation of Missing Data, Algorithm 3.1): beta = G_f^-1 D'z +
+sigma_hat L_f^-T xi, where G_f is G when every eigenvalue clears the floor f
+and V diag(max(lambda, f)) V' otherwise, and L_f is its Cholesky factor.
 sigma_hat needs no pass over the rows: the residual sum of squares is
 z'z - 2 beta_hat'D'z + beta_hat'G beta_hat with the unfloored G, and the
 centred one z'z - (sum z)^2 / n_obs.  The small linear algebra keeps the
@@ -29,6 +30,16 @@ the chains whose G - f I has no Cholesky factor (only those go through
 The draw is a continuous function of the data, so sums that add in another
 order (a padded stack, another chunk of sizes) move the completions by
 roundoff only.
+
+Memory is set by the stack, which holds at most CELL_BUDGET values (see
+model_space).  Next to it a step holds one sweep's normals for every chain
+(about half the stack's size) and arrays of one value, or one small matrix,
+per chain; the observed rows are gathered a bounded chunk of chains at a
+time, and each step's temporaries die with it.  At desk size (M = 10,
+n = 100, p = 10) a call stacks 23 sample sizes, a stack of up to 2 MB, and a
+whole desk stream peaks at about 3.8 MB (tracemalloc).  The completions
+handed back are views into the stack: a caller that keeps a size copies it,
+as experiment._imputed_stream does, one size at a time.
 
 Sample size n draws only from its own stream, and chain j from child j of
 that stream's spawn(M), in the order a lone chain would use: the initial
@@ -61,6 +72,7 @@ import numpy as np
 
 from .data_gen import MissingDataset
 from .errors import ConfigError, InsufficientDataError, ShapeError
+from .model_space import CELL_BUDGET
 
 
 @dataclass
@@ -98,20 +110,17 @@ _SIGMA_PRIOR_WEIGHT = 2.0
 _EIG_FLOOR = 0.15
 
 
-# Values one impute call stacks, T * M * n_hi * (p + 1).  A larger stack pays
-# less Python dispatch per fit but holds more memory at once; at the desk size
-# (M = 10, n = 100, p = 10) this is 11 sample sizes per call and about 1 MB.
-_STACK_CELLS = 1 << 17
+# The stack of one impute call holds at most CELL_BUDGET values,
+# T * M * n_hi * (p + 1): at desk size (M = 10, n = 100, p = 10) that is 23
+# sample sizes per call, four calls per replication.  The observed rows of a
+# (sweep, column) fit are gathered in chunks of at most _GATHER_CELLS values,
+# which keeps a chunk and the cross-products below the fit's own arrays.
+_GATHER_CELLS = CELL_BUDGET // 8
 
 
 def stack_sizes(n_max: int, M: int, p: int) -> int:
     """How many consecutive sample sizes up to n_max one impute call should stack."""
-    return max(1, _STACK_CELLS // (M * n_max * (p + 1)))
-
-
-def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product, (B, a, b) x (B, b) -> (B, a)."""
-    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
+    return max(1, CELL_BUDGET // (M * n_max * (p + 1)))
 
 
 def _floor_binds(gram_t: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -170,14 +179,11 @@ def _floored_fit(
     """
     gram_t = np.ascontiguousarray(gram.transpose(1, 2, 0))
     floor = np.maximum(_EIG_FLOOR * np.trace(gram_t) / n_obs, 1e-12)
-    binds = _floor_binds(gram_t, floor)
-    gram_f_t = gram_t
-    if binds.any():
-        eigval, eigvec = np.linalg.eigh(gram[binds])
-        lifted = eigvec * np.maximum(eigval, floor[binds, None])[:, None, :]
-        gram_f_t = gram_t.copy()
-        gram_f_t[:, :, binds] = np.matmul(lifted, eigvec.transpose(0, 2, 1)).transpose(1, 2, 0)
-    factor_t = np.ascontiguousarray(np.linalg.cholesky(gram_f_t.transpose(2, 0, 1)).transpose(1, 2, 0))
+    # the floored stack and the factor in numpy's layout are temporaries, so
+    # neither outlives its use
+    factor = np.linalg.cholesky(_lift(gram, gram_t, floor).transpose(2, 0, 1))
+    factor_t = np.ascontiguousarray(factor.transpose(1, 2, 0))
+    del factor
     rhs_t = _forward(factor_t, cross.T[:, None, :])
     if coef_noise is not None:
         rhs_t = np.concatenate([rhs_t, coef_noise.T[:, None, :]], axis=1)
@@ -185,36 +191,90 @@ def _floored_fit(
     return solved[:, 0].T, solved[:, 1].T if coef_noise is not None else None
 
 
-def _fit_draw(a_obs: np.ndarray, k: int, coef_noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _lift(gram: np.ndarray, gram_t: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """G_f of each chain, (q, q, B): G where every eigenvalue clears the floor, V diag(max(lambda, f)) V' elsewhere.
+
+    gram and gram_t are the (B, q, q) and chain-last (q, q, B) forms of the
+    same stack; only the chains where the floor binds pay for `eigh` and a
+    copy of the stack.
+    """
+    binds = _floor_binds(gram_t, floor)
+    if not binds.any():
+        return gram_t
+    eigval, eigvec = np.linalg.eigh(gram[binds])
+    lifted = eigvec * np.maximum(eigval, floor[binds, None])[:, None, :]
+    gram_f_t = gram_t.copy()
+    gram_f_t[:, :, binds] = np.matmul(lifted, eigvec.transpose(0, 2, 1)).transpose(1, 2, 0)
+    return gram_f_t
+
+
+def _cross_products(flat: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cross-products of [1, x] over the given rows of each chain of the (B, n_hi, p + 1) stack, split for column k.
+
+    Returns, chain axis last, the Gram matrices G = D'D of the design D (the
+    intercept and every column but k), (q, q, B); the products D'z with
+    column k, (q, B); and the row counts, z'z and sum z, (3, B).  The rows
+    are gathered a chunk of chains at a time, at most _GATHER_CELLS values
+    per chunk; each chain's product is computed on its own, so the chunking
+    does not change a bit of the result.  The pieces are copies, so the full
+    products are freed on return.
+    """
+    chains, width = len(flat), flat.shape[2]
+    full = np.empty((chains, width, width))
+    step = max(1, _GATHER_CELLS // (len(rows) * width))
+    for lo in range(0, chains, step):
+        part = np.take(flat[lo : lo + step], rows, axis=1)
+        np.matmul(part.transpose(0, 2, 1), part, out=full[lo : lo + step])
+        del part  # freed before the next chunk is gathered
+    full_t = full.transpose(1, 2, 0)
+    design = np.delete(np.arange(width), k)
+    return full_t[design[:, None], design], full_t[design, k], full_t[[0, k, 0], [0, k, k]]
+
+
+def _fit_draw(
+    flat: np.ndarray, rows: np.ndarray, k: int, coef_noise: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
     """Fit column k of a stack of chains on the other columns, then draw its coefficients.
 
-    a_obs is the (B, rows, p + 1) stack [1, x] on the rows where column k is
-    observed; a chain's rows beyond its sample size are zero.  Returns the
-    (B, p + 1) coefficients, 0 at column k, and the (B,) residual scales.
-    When coef_noise holds (B, p) standard normals, the coefficients are one
-    draw from N(beta_hat, sigma_hat^2 G_f^-1) rather than the point fit.
+    flat is the (B, n_hi, p + 1) stack [1, x] and rows the rows where
+    column k is observed; a chain's rows beyond its sample size are zero.
+    Returns the (B, p + 1) coefficients, 0 at column k, and the (B,)
+    residual scales.  When coef_noise holds (B, p) standard normals, the
+    coefficients are one draw from N(beta_hat, sigma_hat^2 G_f^-1) rather
+    than the point fit.
     """
-    width = a_obs.shape[2]
+    width = flat.shape[2]
     design = np.delete(np.arange(width), k)  # the intercept and the other covariates
-    full_t = np.matmul(a_obs.transpose(0, 2, 1), a_obs).transpose(1, 2, 0)
-    gram_t = full_t[design[:, None], design]  # (q, q, B)
-    cross_t = full_t[design, k]  # (q, B)
-    n_obs = full_t[0, 0]  # the intercept column is 1 on a chain's rows and 0 beyond
+    gram_t, cross_t, (n_obs, zz, z_sum) = _cross_products(flat, rows, k)
+    # n_obs: the intercept column is 1 on a chain's rows and 0 beyond
     beta_hat, spread = _floored_fit(gram_t.transpose(2, 0, 1), cross_t.T, n_obs, coef_noise)
     # residual and centred sums of squares of column k from the cross-products
     # alone: rss = z'z - 2 beta_hat'D'z + beta_hat'G beta_hat with the
     # unfloored G (clamped at 0, which roundoff can cross), and
     # n s0^2 = z'z - (sum z)^2 / n_obs
     beta_t = beta_hat.T
-    zz, z_sum = full_t[k, k], full_t[0, k]
     fitted_sq = np.einsum("ib,ijb,jb->b", beta_t, gram_t, beta_t)
     rss = np.maximum(zz - 2.0 * np.einsum("ib,ib->b", beta_t, cross_t) + fitted_sq, 0.0)
     s0_sq = (zz - z_sum * z_sum / n_obs) / n_obs + 1e-12
     dof = np.maximum(n_obs - len(design), 1.0)
     sigma_hat = np.sqrt((rss + _SIGMA_PRIOR_WEIGHT * s0_sq) / (dof + _SIGMA_PRIOR_WEIGHT))
-    coef = np.zeros((len(a_obs), width))
+    coef = np.zeros((len(flat), width))
     coef[:, design] = beta_hat if spread is None else beta_hat + sigma_hat[:, None] * spread
     return coef, sigma_hat
+
+
+def _redraw(flat: np.ndarray, k: int, obs: np.ndarray, miss: np.ndarray, normals: np.ndarray, n_coef: int) -> None:
+    """One (sweep, column) step: refit column k of every chain of the stack, then redraw its missing rows in place.
+
+    normals holds each chain's n_coef coefficient normals (none for the
+    point fit), then one per missing row.  Every temporary dies on return,
+    so none outlives the step.
+    """
+    coef, sigma_hat = _fit_draw(flat, obs, k, normals[:, :n_coef] if n_coef else None)
+    # every row's prediction, read at the missing ones; rows beyond a chain's
+    # size are zero and draw 0, so they stay 0
+    pred = np.matmul(flat, coef[:, :, None])[:, miss, 0]
+    flat[:, miss, k] = pred + sigma_hat[:, None] * normals[:, n_coef:]
 
 
 def _draw_index(n_miss: np.ndarray, n_coef: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -224,15 +284,16 @@ def _draw_index(n_miss: np.ndarray, n_coef: int) -> tuple[list[np.ndarray], np.n
     at each of the T sizes.  At a size, the block holds for each column with
     a missing cell there, in column order, n_coef coefficient normals and
     then one normal per missing cell in row order.  Returns, per column, a
-    (T, n_coef + most missing cells) index into the block, -1 where the
-    column draws nothing at that size, and the (T,) block lengths.
+    (T, 1, n_coef + most missing cells) index into the block, shared by
+    every chain of a size, -1 where the column draws nothing at that size;
+    and the (T,) block lengths.
     """
     width = np.where(n_miss > 0, n_coef + n_miss, 0)
     start = np.cumsum(width, axis=0) - width
     index = []
     for col_width, col_start, most in zip(width, start, n_miss.max(axis=1)):
         span = np.arange(n_coef + most)
-        index.append(np.where(span < col_width[:, None], col_start[:, None] + span, -1))
+        index.append(np.where(span < col_width[:, None], col_start[:, None] + span, -1)[:, None, :])
     return index, width.sum(axis=0)
 
 
@@ -245,11 +306,15 @@ def impute(
 
     streams maps each sample size to its random stream; the result follows
     its order.  Every completion agrees with data.X on the observed cells.
+    The completions are views into one stack that holds them all: copy a
+    size's completions to keep them without the stack.
 
     Raises InsufficientDataError when a size is below config.min_n (the
     imputer needs a minimum number of rows) or when some covariate column
     has fewer than config.min_col_obs observed entries at the smallest size.
     """
+    if not streams:
+        raise ShapeError("impute needs at least one sample size")
     sizes = np.fromiter(streams, dtype=np.int64, count=len(streams))
     n_rows, p = data.X.shape
     if config.min_n <= p + 2:
@@ -273,25 +338,28 @@ def impute(
     stack = np.zeros((t_count, chains, n_hi, p + 1))
     stack[..., 0] = in_size[:, None, :]
     stack[..., 1:] = np.where(mask & in_size[:, :, None], x, 0.0)[:, None]
+    completions = [stack[t, :, :n, 1:] for t, n in enumerate(sizes)]
 
     cols = [k for k in range(p) if not mask[:, k].all()]
     if not cols:
-        return [stack[t, :, :n, 1:].copy() for t, n in enumerate(sizes)]
+        return completions
     miss_rows = [np.flatnonzero(~mask[:, k]) for k in cols]
     obs_rows = [np.flatnonzero(mask[:, k]) for k in cols]
     n_miss = np.array([(rows < sizes[:, None]).sum(axis=1) for rows in miss_rows])  # (K, T)
     n_coef = p if config.coef_draw else 0  # q = p: intercept plus p - 1 others
-    fill_index, fill_len = _draw_index(n_miss, 0)
     sweep_index, sweep_len = _draw_index(n_miss, n_coef)
     # one sweep's normals for every chain; the last slot stays 0 and is what
     # index -1 reads
     width = int(sweep_len.max()) + 1
     noise = np.zeros((t_count, chains, width))
-    # per column, the (T, M, slots) flat index into noise, built once per call
     row_start = (np.arange(t_count * chains) * width).reshape(t_count, chains, 1)
-    fill_gather = [index[:, None, :] % width + row_start for index in fill_index]
-    sweep_gather = [index[:, None, :] % width + row_start for index in sweep_index]
     children = [rng.spawn(chains) for rng in streams.values()]
+
+    def normals(index: np.ndarray) -> np.ndarray:
+        # (T, M, slots): every chain's normals at a column's slots.  The flat
+        # index is built per read, so no (T, M, slots) index outlives it; a
+        # flat take is several times faster than take_along_axis here
+        return noise.take(row_start + index % width)
 
     def draw(lengths: np.ndarray) -> None:
         # standard_normal fills element by element, so one call per chain and
@@ -300,26 +368,19 @@ def impute(
             for child, chain_noise in zip(size_children, size_noise):
                 child.standard_normal(out=chain_noise[:length])
 
+    fill_index, fill_len = _draw_index(n_miss, 0)
     draw(fill_len)
-    for k, miss, obs, gather in zip(cols, miss_rows, obs_rows, fill_gather):
+    for k, miss, obs, index in zip(cols, miss_rows, obs_rows, fill_index):
         vals = np.where(obs < sizes[:, None], x[obs, k], np.nan)  # (T, observed rows)
         mean = np.nanmean(vals, axis=1)[:, None, None]
         scale = np.nanstd(vals, axis=1)[:, None, None]
         in_miss = (miss < sizes[:, None])[:, None, :]
-        stack[:, :, miss, k + 1] = np.where(in_miss, mean + scale * noise.take(gather), 0.0)
+        stack[:, :, miss, k + 1] = np.where(in_miss, mean + scale * normals(index), 0.0)
+    del fill_index  # the sweeps do not need it
 
     flat = stack.reshape(t_count * chains, n_hi, p + 1)
     for _ in range(config.sweeps):
         draw(sweep_len)
-        for k, miss, obs, gather in zip(cols, miss_rows, obs_rows, sweep_gather):
-            cell_noise = noise.take(gather).reshape(len(flat), -1)
-            coef, sigma_hat = _fit_draw(
-                np.take(flat, obs, axis=1),
-                k + 1,
-                cell_noise[:, :n_coef] if config.coef_draw else None,
-            )
-            # rows beyond a chain's size are zero and draw 0, so they stay 0
-            pred = _mv(np.take(flat, miss, axis=1), coef)
-            flat[:, miss, k + 1] = pred + sigma_hat[:, None] * cell_noise[:, n_coef:]
-    # copies, so that no size's completions keep the whole stack alive
-    return [stack[t, :, :n, 1:].copy() for t, n in enumerate(sizes)]
+        for k, miss, obs, index in zip(cols, miss_rows, obs_rows, sweep_index):
+            _redraw(flat, k + 1, obs, miss, normals(index).reshape(len(flat), -1), n_coef)
+    return completions

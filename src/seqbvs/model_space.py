@@ -19,6 +19,16 @@ from .errors import SizeLimitError
 
 MAX_P = 20
 
+# Values (float64, 2 MB) that one batched pass holds in its main array: the
+# imputer's stack of sample sizes (imputation.stack_sizes) and the widest
+# level of the all-subsets sweep over a chunk of completions
+# (bayes_lm._lattice_chunk).  A larger budget pays less numpy dispatch per
+# sample size.  2**18 gives 23 sample sizes per desk call, the most under
+# which a desk imputation stream stays within 4 MB (tracemalloc: 3.8 MB; 24
+# sizes read 4.0 MB), and desk, full and wide_sweep tables still come from
+# one lattice pass.
+CELL_BUDGET = 1 << 18
+
 
 @dataclass(frozen=True)
 class ModelVector:

@@ -181,6 +181,58 @@ def test_batched_sweep_equals_single_sweeps():
         np.testing.assert_array_equal(default[c], model_sweep(GramStats.from_data(x_c, y), space, g=float(n)))
 
 
+def test_chunked_lattice_equals_one_pass(monkeypatch):
+    # a budget that takes one completion, or three, per lattice pass splits
+    # the stack into chunks; the completions never mix in the pass, so the
+    # table is the one-pass table bit for bit, constant and collinear
+    # columns included
+    from seqbvs import bayes_lm
+
+    rng = np.random.default_rng(17)
+    space = enumerate_models(10)
+    n = 30
+    x, y = _random_dataset(rng, n, 10)
+    stack = np.stack([x] + [rng.standard_normal((n, 10)) for _ in range(9)])
+    stack[1, :, 2] = 3.7
+    stack[2, :, 4] = stack[2, :, 0] + stack[2, :, 1]
+    stats = GramStats.from_data(stack, y)
+    assert bayes_lm._lattice_chunk(10) >= 10  # the desk stack is one pass
+    one_pass = model_sweep(stats, space)
+    # the widest level at p = 10 is level 8: 3 * 3 * 2**8 values per completion
+    for per_pass in (1, 3):
+        monkeypatch.setattr(bayes_lm, "CELL_BUDGET", per_pass * 9 * 2**8)
+        assert bayes_lm._lattice_chunk(10) == per_pass
+        chunked = model_sweep(stats, space)
+        assert chunked.flags.c_contiguous
+        np.testing.assert_array_equal(chunked, one_pass)
+
+
+def test_sweep_at_max_p_in_bounded_memory():
+    # at p = MAX_P the (M, m) table of ten completions is 84 MB itself; the
+    # lattice runs one completion at a time next to it (one pass over all
+    # ten peaked at 425 MB)
+    import tracemalloc
+
+    rng = np.random.default_rng(18)
+    space = enumerate_models(MAX_P)
+    n = 30
+    y = rng.standard_normal(n)
+    stack = rng.standard_normal((10, n, MAX_P))
+    stats = GramStats.from_data(stack, y)
+    tracemalloc.start()
+    try:
+        table = model_sweep(stats, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (10, space.m) and table.flags.c_contiguous
+    assert peak < 180e6, f"model_sweep peaked at {peak / 1e6:.0f} MB"
+    for c in (0, 9):
+        single = GramStats.from_data(stack[c], y)
+        for i in (0, 1, 2**19 + 5, space.m - 1):
+            assert table[c, i] == pytest.approx(log_bf_null(single, space.model(i)), abs=1e-8)
+
+
 def test_stacked_gram_equals_per_completion_gram():
     rng = np.random.default_rng(16)
     stack = rng.standard_normal((6, 30, 4)) * [1.0, 1e3, 1.0, 1.0] + [0.0, 0.0, 1e5, 0.0]

@@ -50,6 +50,12 @@ def test_min_n_guard():
         impute(ds, ImputationConfig(M=2, min_n=17), {19: np.random.default_rng(0)})
 
 
+def test_no_sample_size_is_a_shape_error():
+    _, ds = make_masked(np.random.default_rng(29))
+    with pytest.raises(ShapeError, match="at least one sample size"):
+        impute(ds, ImputationConfig(M=2), {})
+
+
 def test_min_n_must_exceed_p_plus_two():
     rng = np.random.default_rng(5)
     _, ds = make_masked(rng, n=30, p=10, rate=0.2)
@@ -307,6 +313,26 @@ def test_size_does_not_depend_on_its_stack():
     np.testing.assert_allclose(pair[1], stacked[25 - 19], rtol=0, atol=1e-10)
 
 
+def test_chunked_gathers_change_no_bit(monkeypatch):
+    # the observed rows of a fit are gathered a bounded chunk of chains at a
+    # time; each chain's cross-products are its own, so one chain per chunk,
+    # or uneven chunks of a few, give the completions of a single gather
+    from seqbvs import imputation
+
+    ds = _default_dgp(29, n=40)
+    config = ImputationConfig(M=4)
+
+    def run():
+        return impute(ds, config, {n: np.random.default_rng([29, n]) for n in (19, 30, 40)})
+
+    monkeypatch.setattr(imputation, "_GATHER_CELLS", 1 << 40)
+    whole = run()
+    for cells in (1, 3 * 40 * 11):
+        monkeypatch.setattr(imputation, "_GATHER_CELLS", cells)
+        for chunked, single in zip(run(), whole):
+            np.testing.assert_array_equal(chunked, single)
+
+
 def test_pinned_completions_at_min_n():
     # frozen per-chain column sums of one small case; a change to the draw
     # (its order, its distribution) has to update them on purpose
@@ -331,6 +357,32 @@ def test_desk_stream_imputes_in_little_memory():
     from seqbvs.experiment import _imputed_stream, default_config
 
     config = default_config("desk")
+    rng = np.random.default_rng(28)
+    x = gen_covariates(config.n_max, config.dgp.cov, rng)
+    data = apply_missingness(x, config.missing.rate, "mcar", rng, y=gen_responses(x, config.dgp, rng))
+    tracemalloc.start()
+    try:
+        sizes = [n for n, _ in _imputed_stream(data, config, 0)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == list(range(config.n_min, config.n_max + 1))
+    assert peak < 4e6, f"imputation peaked at {peak / 1e6:.2f} MB"
+
+
+def test_full_profile_stream_imputes_in_little_memory():
+    # M = 50 stacks fewer sizes per call under the same cell budget, so the
+    # paper-scale stream stays inside the desk stream's 4 MB.  Stacks grow
+    # with n, so the last 20 sizes hold the largest ones; the sizes below
+    # would only make the test slower
+    import dataclasses
+    import tracemalloc
+
+    from seqbvs.data_gen import gen_covariates, gen_responses
+    from seqbvs.experiment import _imputed_stream, default_config
+
+    config = dataclasses.replace(default_config("full"), n_min=81)
+    assert config.imp.M == 50
     rng = np.random.default_rng(28)
     x = gen_covariates(config.n_max, config.dgp.cov, rng)
     data = apply_missingness(x, config.missing.rate, "mcar", rng, y=gen_responses(x, config.dgp, rng))
