@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .model_space import ModelVector
+from .model_space import MAX_P, ModelVector
 
 DEFAULT_BETA = (1.0, 2.0, 0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0)
 DEFAULT_SIGMA2 = 2.5
@@ -44,6 +44,8 @@ class DGPConfig:
     true_model: ModelVector = field(init=False)
 
     def __post_init__(self) -> None:
+        if not 1 <= self.p <= MAX_P:
+            raise ConfigError(f"p must be in 1..{MAX_P}, got {self.p}")
         self.beta = np.asarray(self.beta, dtype=float)
         if self.beta.shape != (self.p,):
             raise ShapeError(f"beta must have length p={self.p}, got {self.beta.shape}")
@@ -141,7 +143,7 @@ def apply_missingness(
     rate: float,
     mechanism: str,
     rng: np.random.Generator,
-    y: np.ndarray | None = None,
+    y: np.ndarray,
 ) -> MissingDataset:
     """Mask covariate cells at the given marginal rate.
 
@@ -152,8 +154,6 @@ def apply_missingness(
     """
     x_mat = np.asarray(x_mat, dtype=float)
     mech = validate_missingness(rate, mechanism)
-    if y is None:
-        raise DataError("apply_missingness requires y (responses are part of the dataset)")
     y = np.asarray(y, dtype=float)
 
     n, p = x_mat.shape

@@ -14,22 +14,24 @@ they add nothing to a product.  Each (sweep, column) step then fits all T*M
 chains at once: batched products give each chain's (p + 1) x (p + 1)
 cross-product matrix of [1, x] over the rows where the column is observed,
 which holds the Gram matrix G = D'D of the design D (the intercept and the
-other columns), D'z for the column z, z'z and sum z; the missing cells
-are then read off [1, x] beta, formed over every row of the stack.  The
-coefficient draw goes through a Cholesky factor, as in van Buuren (2018,
-Flexible Imputation of Missing Data, Algorithm 3.1): beta = G_f^-1 D'z +
-sigma_hat L_f^-T xi, where G_f is G when every eigenvalue clears the floor f
-and V diag(max(lambda, f)) V' otherwise, and L_f is its Cholesky factor.
-sigma_hat needs no pass over the rows: the residual sum of squares is
-z'z - 2 beta_hat'D'z + beta_hat'G beta_hat with the unfloored G, and the
-centred one z'z - (sum z)^2 / n_obs.  The small linear algebra keeps the
-chain axis last, on (q, q, B) and (q, r, B) arrays, so each numpy call runs
-one contiguous loop over the B chains: a vectorised elimination pass finds
-the chains whose G - f I has no Cholesky factor (only those go through
-`eigh`), and the forward and back substitutions run one row at a time.
-The draw is a continuous function of the data, so sums that add in another
-order (a padded stack, another chunk of sizes) move the completions by
-roundoff only.
+other columns), D'z for the column z, z'z and sum z.  From these one
+function, _redraw, fits, draws and fills: every step draws each chain's
+coefficients, and the missing cells are then read off [1, x] beta, formed
+over every row of the stack.  The draw goes through a Cholesky factor, as
+in van Buuren (2018, Flexible Imputation of Missing Data, Algorithm 3.1):
+beta = G_f^-1 D'z + sigma_hat L_f^-T xi, where G_f is G when every
+eigenvalue clears the floor f and V diag(max(lambda, f)) V' otherwise, and
+L_f is its Cholesky factor.  sigma_hat needs no pass over the rows: the
+residual sum of squares is z'z - 2 beta_hat'D'z + beta_hat'G beta_hat with
+the unfloored G, and the centred one z'z - (sum z)^2 / n_obs.  The small
+linear algebra keeps the chain axis last from the cross-products to the
+coefficients, on (q, q, B), (q, r, B) and (q, B) arrays, so each numpy call
+runs one contiguous loop over the B chains: a vectorised elimination pass
+finds the chains whose G - f I has no Cholesky factor (only those go
+through `eigh`), and the forward and back substitutions run one row at a
+time.  The draw is a continuous function of the data, so sums that add in
+another order (a padded stack, another chunk of sizes) move the completions
+by roundoff only.
 
 Memory is set by the stack, which holds at most CELL_BUDGET values (see
 model_space).  Next to it a step holds one sweep's normals for every chain
@@ -44,10 +46,10 @@ as experiment._imputed_stream does, one size at a time.
 Sample size n draws only from its own stream, and chain j from child j of
 that stream's spawn(M), in the order a lone chain would use: the initial
 fill of each column with missing cells, then per (sweep, column) p
-coefficient normals (when coef_draw) followed by the noise of the missing
-cells.  Each chain's normals are drawn one sweep at a time.  In a given
-stack of sizes, chain j's completion does not depend on M, bit for bit; it
-matches the same size imputed alone, and the one-chain-at-a-time loop kept
+coefficient normals followed by the noise of the missing cells.  Each
+chain's normals are drawn one sweep at a time.  In a given stack of sizes,
+chain j's completion does not depend on M, bit for bit; it matches the same
+size imputed alone, and the one-chain-at-a-time loop kept
 as a reference in the tests, up to roundoff.
 
 The response is not a predictor.  The observed-data Bayes factor of a model
@@ -81,7 +83,6 @@ class ImputationConfig:
     sweeps: int = 5
     min_n: int = 19
     min_col_obs: int = 2
-    coef_draw: bool = True  # draw coefficients from their asymptotic normal
 
     def __post_init__(self) -> None:
         if self.M < 1:
@@ -163,45 +164,36 @@ def _backward(low_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
 
 
 def _floored_fit(
-    gram: np.ndarray,
-    cross: np.ndarray,
-    n_obs: np.ndarray,
-    coef_noise: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Floored least-squares fits of a stack of chains.
+    gram_t: np.ndarray, cross_t: np.ndarray, n_obs: np.ndarray, coef_noise_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Floored least-squares fits of a stack of chains, and their draw directions.
 
-    gram is the (B, q, q) stack of D'D, cross the (B, q) stack of D'z and
-    n_obs the (B,) row counts; the floor is _EIG_FLOOR * trace(gram) /
-    n_obs.  Returns the point fits G_f^-1 D'z, (B, q), and, when coef_noise
-    holds (B, q) standard normals xi, the draw directions L_f^-T xi (else
-    None).  A gram whose memory is already chain-last, such as a transposed
-    (q, q, B) array, is used without a copy.
+    gram_t is the (q, q, B) stack of D'D, cross_t the (q, B) stack of D'z,
+    n_obs the (B,) row counts and coef_noise_t (q, B) standard normals xi;
+    the floor is _EIG_FLOOR * trace(gram) / n_obs.  Returns the point fits
+    G_f^-1 D'z and the draw directions L_f^-T xi, both (q, B).
     """
-    gram_t = np.ascontiguousarray(gram.transpose(1, 2, 0))
     floor = np.maximum(_EIG_FLOOR * np.trace(gram_t) / n_obs, 1e-12)
     # the floored stack and the factor in numpy's layout are temporaries, so
     # neither outlives its use
-    factor = np.linalg.cholesky(_lift(gram, gram_t, floor).transpose(2, 0, 1))
+    factor = np.linalg.cholesky(_lift(gram_t, floor).transpose(2, 0, 1))
     factor_t = np.ascontiguousarray(factor.transpose(1, 2, 0))
     del factor
-    rhs_t = _forward(factor_t, cross.T[:, None, :])
-    if coef_noise is not None:
-        rhs_t = np.concatenate([rhs_t, coef_noise.T[:, None, :]], axis=1)
+    rhs_t = np.concatenate([_forward(factor_t, cross_t[:, None, :]), coef_noise_t[:, None, :]], axis=1)
     solved = _backward(factor_t, rhs_t)
-    return solved[:, 0].T, solved[:, 1].T if coef_noise is not None else None
+    return solved[:, 0], solved[:, 1]
 
 
-def _lift(gram: np.ndarray, gram_t: np.ndarray, floor: np.ndarray) -> np.ndarray:
+def _lift(gram_t: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """G_f of each chain, (q, q, B): G where every eigenvalue clears the floor, V diag(max(lambda, f)) V' elsewhere.
 
-    gram and gram_t are the (B, q, q) and chain-last (q, q, B) forms of the
-    same stack; only the chains where the floor binds pay for `eigh` and a
-    copy of the stack.
+    Only the chains where the floor binds pay for `eigh`, and only then is
+    the stack copied.
     """
     binds = _floor_binds(gram_t, floor)
     if not binds.any():
         return gram_t
-    eigval, eigvec = np.linalg.eigh(gram[binds])
+    eigval, eigvec = np.linalg.eigh(gram_t[:, :, binds].transpose(2, 0, 1))
     lifted = eigvec * np.maximum(eigval, floor[binds, None])[:, None, :]
     gram_f_t = gram_t.copy()
     gram_f_t[:, :, binds] = np.matmul(lifted, eigvec.transpose(0, 2, 1)).transpose(1, 2, 0)
@@ -231,50 +223,37 @@ def _cross_products(flat: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndar
     return full_t[design[:, None], design], full_t[design, k], full_t[[0, k, 0], [0, k, k]]
 
 
-def _fit_draw(
-    flat: np.ndarray, rows: np.ndarray, k: int, coef_noise: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fit column k of a stack of chains on the other columns, then draw its coefficients.
+def _redraw(flat: np.ndarray, k: int, obs: np.ndarray, miss: np.ndarray, normals: np.ndarray) -> None:
+    """One (sweep, column) step: refit column k of every chain of the stack, then redraw its missing rows in place.
 
-    flat is the (B, n_hi, p + 1) stack [1, x] and rows the rows where
-    column k is observed; a chain's rows beyond its sample size are zero.
-    Returns the (B, p + 1) coefficients, 0 at column k, and the (B,)
-    residual scales.  When coef_noise holds (B, p) standard normals, the
-    coefficients are one draw from N(beta_hat, sigma_hat^2 G_f^-1) rather
-    than the point fit.
+    flat is the (B, n_hi, p + 1) stack [1, x], obs and miss the rows where
+    column k is observed and missing; a chain's rows beyond its sample size
+    are zero.  normals holds each chain's p coefficient normals, then one
+    per missing row.  The coefficients are one draw from N(beta_hat,
+    sigma_hat^2 G_f^-1).  Every temporary dies on return, so none outlives
+    the step.
     """
     width = flat.shape[2]
     design = np.delete(np.arange(width), k)  # the intercept and the other covariates
-    gram_t, cross_t, (n_obs, zz, z_sum) = _cross_products(flat, rows, k)
+    q = len(design)
+    gram_t, cross_t, (n_obs, zz, z_sum) = _cross_products(flat, obs, k)
     # n_obs: the intercept column is 1 on a chain's rows and 0 beyond
-    beta_hat, spread = _floored_fit(gram_t.transpose(2, 0, 1), cross_t.T, n_obs, coef_noise)
+    beta_t, spread_t = _floored_fit(gram_t, cross_t, n_obs, normals[:, :q].T)
     # residual and centred sums of squares of column k from the cross-products
     # alone: rss = z'z - 2 beta_hat'D'z + beta_hat'G beta_hat with the
     # unfloored G (clamped at 0, which roundoff can cross), and
     # n s0^2 = z'z - (sum z)^2 / n_obs
-    beta_t = beta_hat.T
     fitted_sq = np.einsum("ib,ijb,jb->b", beta_t, gram_t, beta_t)
     rss = np.maximum(zz - 2.0 * np.einsum("ib,ib->b", beta_t, cross_t) + fitted_sq, 0.0)
     s0_sq = (zz - z_sum * z_sum / n_obs) / n_obs + 1e-12
-    dof = np.maximum(n_obs - len(design), 1.0)
+    dof = np.maximum(n_obs - q, 1.0)
     sigma_hat = np.sqrt((rss + _SIGMA_PRIOR_WEIGHT * s0_sq) / (dof + _SIGMA_PRIOR_WEIGHT))
     coef = np.zeros((len(flat), width))
-    coef[:, design] = beta_hat if spread is None else beta_hat + sigma_hat[:, None] * spread
-    return coef, sigma_hat
-
-
-def _redraw(flat: np.ndarray, k: int, obs: np.ndarray, miss: np.ndarray, normals: np.ndarray, n_coef: int) -> None:
-    """One (sweep, column) step: refit column k of every chain of the stack, then redraw its missing rows in place.
-
-    normals holds each chain's n_coef coefficient normals (none for the
-    point fit), then one per missing row.  Every temporary dies on return,
-    so none outlives the step.
-    """
-    coef, sigma_hat = _fit_draw(flat, obs, k, normals[:, :n_coef] if n_coef else None)
+    coef[:, design] = (beta_t + sigma_hat * spread_t).T
     # every row's prediction, read at the missing ones; rows beyond a chain's
     # size are zero and draw 0, so they stay 0
     pred = np.matmul(flat, coef[:, :, None])[:, miss, 0]
-    flat[:, miss, k] = pred + sigma_hat[:, None] * normals[:, n_coef:]
+    flat[:, miss, k] = pred + sigma_hat[:, None] * normals[:, q:]
 
 
 def _draw_index(n_miss: np.ndarray, n_coef: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -346,8 +325,7 @@ def impute(
     miss_rows = [np.flatnonzero(~mask[:, k]) for k in cols]
     obs_rows = [np.flatnonzero(mask[:, k]) for k in cols]
     n_miss = np.array([(rows < sizes[:, None]).sum(axis=1) for rows in miss_rows])  # (K, T)
-    n_coef = p if config.coef_draw else 0  # q = p: intercept plus p - 1 others
-    sweep_index, sweep_len = _draw_index(n_miss, n_coef)
+    sweep_index, sweep_len = _draw_index(n_miss, p)  # q = p: intercept plus p - 1 others
     # one sweep's normals for every chain; the last slot stays 0 and is what
     # index -1 reads
     width = int(sweep_len.max()) + 1
@@ -382,5 +360,5 @@ def impute(
     for _ in range(config.sweeps):
         draw(sweep_len)
         for k, miss, obs, index in zip(cols, miss_rows, obs_rows, sweep_index):
-            _redraw(flat, k + 1, obs, miss, normals(index).reshape(len(flat), -1), n_coef)
+            _redraw(flat, k + 1, obs, miss, normals(index).reshape(len(flat), -1))
     return completions

@@ -36,11 +36,11 @@ class _Canvas:
         ]
         self._axes(x_label, y_label)
 
-    def _px(self, x: float) -> float:
+    def _px(self, x: float | np.ndarray) -> float | np.ndarray:
         span = self.x_hi - self.x_lo
         return MARGIN_L + (x - self.x_lo) / span * (WIDTH - MARGIN_L - MARGIN_R)
 
-    def _py(self, y: float) -> float:
+    def _py(self, y: float | np.ndarray) -> float | np.ndarray:
         span = self.y_hi - self.y_lo
         return HEIGHT - MARGIN_B - (y - self.y_lo) / span * (HEIGHT - MARGIN_T - MARGIN_B)
 
@@ -85,9 +85,8 @@ class _Canvas:
         )
 
     def _points(self, xs: np.ndarray, ys: np.ndarray) -> str:
-        """The 'px,py px,py ...' text from one % call; px/py repeat _px/_py's IEEE operations elementwise."""
-        px = MARGIN_L + (xs - self.x_lo) / (self.x_hi - self.x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
-        py = HEIGHT - MARGIN_B - (ys - self.y_lo) / (self.y_hi - self.y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
+        """The 'px,py px,py ...' text of the mapped points, from one % call."""
+        px, py = self._px(xs), self._py(ys)
         return " ".join(["%.2f,%.2f"] * len(px)) % tuple(np.column_stack([px, py]).ravel().tolist())
 
     def polyline(self, xs, ys, color: str, width: float = 1.3, opacity: float = 1.0) -> None:

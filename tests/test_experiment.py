@@ -255,6 +255,34 @@ def test_replication_matches_literal_steps(tiny_tables, pooling, loss_mode, prio
         np.testing.assert_allclose(res.trajectories[meth].probs, probs[meth], rtol=0, atol=1e-10)
 
 
+def test_replication_at_max_p_in_bounded_memory():
+    # p = MAX_P = 20: 2^20 models, a (10, m) table of 84 MB per step.  The
+    # whole replication, three steps with the default pooling, stays under
+    # 300 MB (247 MB measured)
+    import tracemalloc
+
+    from seqbvs.model_space import MAX_P
+
+    beta = np.zeros(MAX_P)
+    beta[[0, 1, 5, 6]] = [1.0, 2.0, 1.0, 2.0]
+    cfg = ExperimentConfig(
+        reps=1, n_min=23, n_max=25, dgp=DGPConfig(p=MAX_P, beta=beta), imp=ImputationConfig(M=10, min_n=23)
+    )
+    tracemalloc.start()
+    try:
+        res = run_replication(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300e6, f"a p = {MAX_P} replication peaked at {peak / 1e6:.0f} MB"
+    assert res.set_sizes.shape == (cfg.t_max,)
+    assert 1 <= res.set_sizes[-1] <= res.set_sizes[0] <= 1 << MAX_P
+    for meth in METHODS:
+        probs = res.trajectories[meth].probs
+        assert probs.shape == (cfg.t_max, MAX_P)
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+
+
 def test_benchmark_tracer_finds_every_layer(monkeypatch):
     # the benchmark's tracer wraps the layer functions by the names bound in
     # seqbvs.experiment and skips a name that is not bound, so a renamed

@@ -372,6 +372,12 @@ class TestCli:
             (TINY_CONFIG_TEXT + "dgp.sigma2=inf\n", None, "sigma2 must be positive and finite"),
             (TINY_CONFIG_TEXT + "run.g_rule=fixed:nan\n", None, "g rule parameter must be positive and finite"),
             (TINY_CONFIG_TEXT + "run.g_rule=scaled:inf\n", None, "g rule parameter must be positive and finite"),
+            (
+                TINY_CONFIG_TEXT + "dgp.p=21\ndgp.beta=" + ",".join(["1"] * 21)
+                + "\nimp.min_n=24\nrun.n_min=24\nrun.n_max=30\n",
+                None,
+                "p must be in 1..20",
+            ),
         ],
         ids=[
             "non_numeric_cov_csv",
@@ -392,6 +398,7 @@ class TestCli:
             "inf_sigma2",
             "nan_fixed_g",
             "inf_scaled_g",
+            "p_above_max_p",
         ],
     )
     def test_bad_config_reported_as_exit_2(self, tmp_path, capsys, monkeypatch, text, cov_text, message):
