@@ -301,20 +301,22 @@ def posterior_from_imputations(
     complexity penalties survive while zero-mean per-completion noise
     cancels.  Both form the posterior from the pooled vector.  mixture pools
     geometrically, but its posterior is the mean of the per-completion
-    posteriors (one stacked softmax, renormalised), the completed-data
-    mixture that caps any completion's influence at 1/M.
+    posteriors (renormalised), the completed-data mixture that caps any
+    completion's influence at 1/M.  Both non-geometric rules run over the
+    table one row at a time, so their temporaries are (m,) vectors rather
+    than (M, m) tables.
     """
     tables = np.asarray(tables, dtype=float)
     if tables.ndim != 2:
         raise ShapeError(f"expected M x m table, got shape {tables.shape}")
     if pooling == "arithmetic":
         hi = np.max(tables, axis=0)
-        pooled = hi + np.log(np.mean(np.exp(tables - hi), axis=0))
+        pooled = hi + np.log(sum(np.exp(row - hi) for row in tables) / len(tables))
     elif pooling in ("geometric", "mixture"):
         pooled = tables.mean(axis=0)
     else:
         raise DataError(f"unknown pooling rule {pooling!r}; expected one of {POOLING_RULES}")
     if pooling == "mixture":
-        probs = posterior_model_probs(tables, space, prior).mean(axis=0)
+        probs = sum(posterior_model_probs(row, space, prior) for row in tables) / len(tables)
         return pooled, probs / probs.sum()
     return pooled, posterior_model_probs(pooled, space, prior)

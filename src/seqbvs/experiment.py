@@ -317,8 +317,9 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     state = StepState(EProcessState.fresh(space.m), None)
     zero_out_fallbacks = 0
     for n, completions in _imputed_stream(data, config, rep_index):
-        tables = model_sweep(GramStats.from_data(completions, data.y[:n]), space, g_for_n(config.g_rule, n))
-        state, record = advance_step(state, tables, config, space)
+        # the (M, m) table is bound only inside the step, so it is freed before the next sweep
+        stats = GramStats.from_data(completions, data.y[:n])
+        state, record = advance_step(state, model_sweep(stats, space, g_for_n(config.g_rule, n)), config, space)
         t = n - config.n_min
         for meth, row in record.probs.items():
             probs[meth][t] = row

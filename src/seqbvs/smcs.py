@@ -25,26 +25,23 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 
-# Models whose share of sum_j exp(-lam*A_j) exceeds 1 - RECOMPUTE_GAP get an
-# exact leave-one-out logsumexp; the O(1) subtraction trick loses precision
-# exactly there.  At most one model can sit above 1/2, so this stays O(m).
-_RECOMPUTE_GAP = 1e-3
-
 
 @dataclass
 class SmcsConfig:
     """Error level alpha and the sub-exponential tuning parameter lambda.
 
     Either pass `lam` directly or a scale `varsigma`, in which case
-    lam = 1 / (8 varsigma^2).  Defaults give alpha = 0.1 and varsigma =
-    0.65, hence lam ~= 0.296.
+    lam = 1 / (8 varsigma^2).  Defaults give alpha = 0.1 and, when neither is
+    passed, varsigma = 0.65, hence lam ~= 0.296.
     """
 
     alpha: float = 0.1
     lam: float | None = None
-    varsigma: float | None = 0.65
+    varsigma: float | None = None
 
     def __post_init__(self) -> None:
+        if self.lam is None and self.varsigma is None:
+            self.varsigma = 0.65
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.lam is not None and not 0.0 <= self.lam < math.inf:
@@ -63,8 +60,6 @@ class SmcsConfig:
                     f"lam={self.lam} inconsistent with varsigma={self.varsigma} "
                     f"(implies lam={implied})"
                 )
-        if self.lam is None:
-            raise ConfigError("either lam or varsigma must be set")
 
     @property
     def log_threshold(self) -> float:
@@ -107,26 +102,25 @@ def loss_from_log_marginals(log_bf: np.ndarray) -> np.ndarray:
     return (total - m * log_bf) / (m - 1)
 
 
-def _masked_row_logsumexp(v: np.ndarray, skip: int) -> float:
-    rest = np.delete(v, skip)
-    hi = rest.max()
-    if not np.isfinite(hi):
-        return float(hi)
-    return float(hi + np.log(np.exp(rest - hi).sum()))
-
-
 def _rt_log_terms(cum_losses: np.ndarray, lam: float, t: int) -> np.ndarray:
-    """log of the r = t term of every model's E-process, O(m) amortized."""
+    """log of the r = t term of every model's E-process, O(m).
+
+    The leave-one-out sums are shifted by the top model's exponent, so every
+    model but the top one keeps the top's weight of 1 in its sum:
+    w.sum() - w_i >= max(1, w.sum() / 2) and no digits cancel.  The top
+    model's own sum is taken directly over the rest.
+    """
     m = cum_losses.size
     v = -lam * cum_losses
-    hi = v.max()
-    total = hi + np.log(np.exp(v - hi).sum())
-    gap = total - v  # >= 0; exp(-gap) is model i's share of the total sum
-    with np.errstate(divide="ignore"):
-        lse_without = total + np.log1p(-np.exp(-gap))
-    risky = gap < _RECOMPUTE_GAP
-    for i in np.nonzero(risky)[0]:
-        lse_without[i] = _masked_row_logsumexp(v, i)
+    top = np.argmax(v)
+    rest = np.delete(v, top)
+    hi = rest.max()
+    lse_top = hi + np.log(np.exp(rest - hi).sum())
+    del rest  # so that at most four (m,) vectors are live at once
+    w = np.exp(v - v[top])
+    with np.errstate(divide="ignore"):  # log 0 at the top when the rest underflow
+        lse_without = v[top] + np.log(w.sum() - w)
+    lse_without[top] = lse_top
     return -v + lse_without - math.log(m - 1) - t / 8.0
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqbvs.bayes_lm import POOLING_RULES
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
 from seqbvs.errors import ConfigError, DataError
 from seqbvs.experiment import (
@@ -255,10 +256,12 @@ def test_replication_matches_literal_steps(tiny_tables, pooling, loss_mode, prio
         np.testing.assert_allclose(res.trajectories[meth].probs, probs[meth], rtol=0, atol=1e-10)
 
 
-def test_replication_at_max_p_in_bounded_memory():
+@pytest.mark.parametrize("pooling", POOLING_RULES)
+def test_replication_at_max_p_in_bounded_memory(pooling):
     # p = MAX_P = 20: 2^20 models, a (10, m) table of 84 MB per step.  The
-    # whole replication, three steps with the default pooling, stays under
-    # 300 MB (247 MB measured)
+    # whole replication, three steps, stays under 220 MB under every pooling
+    # rule (179 MB measured under each): one table is live at a time, and
+    # the non-geometric rules pool it row by row
     import tracemalloc
 
     from seqbvs.model_space import MAX_P
@@ -266,7 +269,12 @@ def test_replication_at_max_p_in_bounded_memory():
     beta = np.zeros(MAX_P)
     beta[[0, 1, 5, 6]] = [1.0, 2.0, 1.0, 2.0]
     cfg = ExperimentConfig(
-        reps=1, n_min=23, n_max=25, dgp=DGPConfig(p=MAX_P, beta=beta), imp=ImputationConfig(M=10, min_n=23)
+        reps=1,
+        n_min=23,
+        n_max=25,
+        pooling=pooling,
+        dgp=DGPConfig(p=MAX_P, beta=beta),
+        imp=ImputationConfig(M=10, min_n=23),
     )
     tracemalloc.start()
     try:
@@ -274,7 +282,7 @@ def test_replication_at_max_p_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 300e6, f"a p = {MAX_P} replication peaked at {peak / 1e6:.0f} MB"
+    assert peak < 220e6, f"a p = {MAX_P} {pooling} replication peaked at {peak / 1e6:.0f} MB"
     assert res.set_sizes.shape == (cfg.t_max,)
     assert 1 <= res.set_sizes[-1] <= res.set_sizes[0] <= 1 << MAX_P
     for meth in METHODS:

@@ -29,6 +29,9 @@ class TestConfig:
     def test_explicit_lam(self):
         cfg = SmcsConfig(alpha=0.05, lam=0.7, varsigma=None)
         assert cfg.lam == 0.7
+        cfg = SmcsConfig(lam=0.3)  # lam alone: no default varsigma to contradict it
+        assert cfg.lam == 0.3
+        assert cfg.varsigma is None
 
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ConfigError):
@@ -127,6 +130,22 @@ class TestStep:
         for t in range(20):
             state = step(state, losses[t], cfg)
             np.testing.assert_allclose(state.log_sup, want[t], atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "losses, lam",
+        [
+            ([0.0, 0.0, 1.0, 2.0, 3.0], 0.3),
+            ([0.0, 1e4, 1e4 + 1.0, 1e4 + 2.5], 1.0),  # every other weight underflows
+            ([1.7] * 6, 0.3),
+            ([0.4, -1.1], 0.3),
+            ([0.3, -2.0, 1.2, 0.0], 0.0),
+        ],
+        ids=["tied_top", "top_ahead_1e4_nats", "all_equal", "m2", "lambda_zero"],
+    )
+    def test_one_step_matches_literal_leave_one_out(self, losses, lam):
+        losses = np.array(losses)
+        state = step(EProcessState.fresh(losses.size), losses, SmcsConfig(lam=lam))
+        np.testing.assert_allclose(state.log_sup, literal_log_e(losses[None], lam)[0], rtol=0, atol=1e-12)
 
     def test_step_and_pairwise_agree(self):
         rng = np.random.default_rng(5)
