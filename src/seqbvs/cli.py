@@ -18,9 +18,10 @@ from .outputs import (
     TRAJECTORIES_CSV,
     analyze_directory,
     emit_outputs,
+    read_dgp_beta,
     read_trajectories_csv,
     write_crossing_totals_plot,
-    write_trajectory_plot,
+    write_replication_plots,
 )
 
 
@@ -96,10 +97,10 @@ def _cmd_plot(args) -> int:
     if not match:
         print(f"no replication {args.rep} in {args.indir}", file=sys.stderr)
         return 2
-    res = match[0]
-    # true actives are unknown from the CSV alone; colour by final bvs call
-    for meth in METHODS if args.method == "all" else (args.method,):
-        path = write_trajectory_plot(res, meth, res.final_included["bvs"], (), args.indir)
+    # coloured by the manifest's data-generating beta, as simulate draws them;
+    # a directory without a manifest is coloured by the final bvs call
+    methods = METHODS if args.method == "all" else (args.method,)
+    for path in write_replication_plots(match, args.indir, read_dgp_beta(args.indir), methods):
         print(f"wrote {path}")
     stats = aggregate(results)
     path = write_crossing_totals_plot(stats, args.indir)

@@ -2,7 +2,10 @@
 
 All numeric output is decimal text with 12 significant digits.  The
 trajectories CSV is the canonical record; `analyze` recomputes the report
-tables from it alone.
+tables from it alone.  The CSVs and SVGs are functions of the results and
+the config alone, so reruns write them byte-identical; the report tables
+fill one %-template per line (per method for the crossing totals), and the
+plots of one call go into one plots/ directory made once.
 
 The CSV and the arrays it holds are both whole-array: the writer joins the
 rows of one (rep, t) into one string, and the reader parses the file in one
@@ -43,10 +46,6 @@ _TRAJECTORY_DTYPE = np.dtype(
 )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def _open_for_write(path: Path):
     try:
         return open(path, "w", newline="")
@@ -77,30 +76,33 @@ def write_trajectories_csv(results: list[ReplicationResult], path) -> None:
 
 
 def write_tables_csv(stats: CrossingStats, path) -> None:
-    """Report tables, wide layout: table,method,x1..xp."""
+    """Report tables, wide layout: table,method,x1..xp.
+
+    Each line is one %-template of p '%.12g' cells filled by one % call
+    ('%.12g' % v is f"{v:.12g}").
+    """
     path = Path(path)
     cols = ",".join(f"x{k}" for k in range(1, stats.p + 1))
+    cells = ",".join(["%.12g"] * stats.p) + "\n"
     with _open_for_write(path) as fh:
         fh.write(f"table,method,{cols}\n")
-        for meth in METHODS:
-            vals = ",".join(_fmt(v) for v in stats.mean_crossings[meth])
-            fh.write(f"mean_crossings,{meth},{vals}\n")
-        for meth in METHODS:
-            vals = ",".join(_fmt(v) for v in stats.final_freq[meth])
-            fh.write(f"final_inclusion_freq,{meth},{vals}\n")
+        for table, per_method in (("mean_crossings", stats.mean_crossings), ("final_inclusion_freq", stats.final_freq)):
+            for meth in METHODS:
+                fh.write(f"{table},{meth}," + cells % tuple(per_method[meth].tolist()))
 
 
 def write_crossing_totals_csv(stats: CrossingStats, path) -> None:
-    """Per-t mean and sd of the cumulative total crossings, per method."""
+    """Per-t mean and sd of the cumulative total crossings, per method.
+
+    A method's T lines are one %-template filled by one % call over its
+    interleaved (mean, sd) values.
+    """
     path = Path(path)
     with _open_for_write(path) as fh:
         fh.write("method,t,mean_total,sd_total\n")
         for meth in METHODS:
-            for t_idx in range(stats.t_max):
-                fh.write(
-                    f"{meth},{t_idx + 1},{_fmt(stats.cum_mean[meth][t_idx])},"
-                    f"{_fmt(stats.cum_sd[meth][t_idx])}\n"
-                )
+            lines = "".join(f"{meth},{t_idx + 1},%.12g,%.12g\n" for t_idx in range(stats.t_max))
+            fh.write(lines % tuple(np.column_stack([stats.cum_mean[meth], stats.cum_sd[meth]]).ravel().tolist()))
 
 
 def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) -> None:
@@ -125,6 +127,17 @@ def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) ->
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
+def read_dgp_beta(directory) -> np.ndarray | None:
+    """The data-generating beta recorded in a run directory's manifest, or None without one."""
+    path = Path(directory) / MANIFEST_JSON
+    if not path.exists():
+        return None
+    try:
+        return np.array(json.loads(path.read_text())["config"]["dgp"]["beta"], dtype=float)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read config.dgp.beta from {path}: {exc}") from exc
+
+
 def _plots_dir(outdir) -> Path:
     plots = Path(outdir) / PLOTS_DIR
     try:
@@ -134,28 +147,35 @@ def _plots_dir(outdir) -> Path:
     return plots
 
 
-def write_trajectory_plot(
-    res: ReplicationResult, meth: str, active: np.ndarray, strong: tuple[int, ...], outdir
-) -> Path:
-    """plots/repNNN_<method>.svg: one method's inclusion trajectories in one replication."""
-    ns = np.arange(res.n_min, res.n_max + 1)
-    svg = trajectory_chart(ns, res.trajectories[meth].probs, active, strong, f"rep {res.rep}, method {meth}")
-    path = _plots_dir(outdir) / f"rep{res.rep:03d}_{meth}.svg"
+def _write_text(path: Path, text: str) -> Path:
     with _open_for_write(path) as fh:
-        fh.write(svg)
+        fh.write(text)
     return path
 
 
-def write_replication_plots(results: list[ReplicationResult], config: ExperimentConfig, outdir) -> list[Path]:
-    """Every replication's trajectory plots, coloured by the data-generating model."""
-    active = np.array(config.dgp.true_model.bits, dtype=bool)
-    strong = tuple(
-        k + 1 for k, b in enumerate(config.dgp.beta) if abs(b) == np.max(np.abs(config.dgp.beta)) and b != 0
-    )
+def write_replication_plots(
+    results: list[ReplicationResult], outdir, beta: np.ndarray | None, methods: tuple[str, ...] = METHODS
+) -> list[Path]:
+    """plots/repNNN_<method>.svg: each replication's inclusion trajectories per method.
+
+    With the data-generating `beta`, its nonzero entries are drawn as actives
+    and those of largest |beta| with a thicker stroke.  Without it (a run
+    directory with no manifest), each replication is coloured by its final
+    bvs call.  plots/ is created once per call.
+    """
+    active, strong = None, ()
+    if beta is not None:
+        beta = np.asarray(beta, dtype=float)
+        active = beta != 0.0
+        strong = tuple(int(k) + 1 for k in np.flatnonzero(active & (np.abs(beta) == np.max(np.abs(beta)))))
+    plots = _plots_dir(outdir)
     paths = []
     for res in results:
-        for meth in METHODS:
-            paths.append(write_trajectory_plot(res, meth, active, strong, outdir))
+        ns = np.arange(res.n_min, res.n_max + 1)
+        colours = res.final_included["bvs"] if active is None else active
+        for meth in methods:
+            svg = trajectory_chart(ns, res.trajectories[meth].probs, colours, strong, f"rep {res.rep}, method {meth}")
+            paths.append(_write_text(plots / f"rep{res.rep:03d}_{meth}.svg", svg))
     return paths
 
 
@@ -166,10 +186,7 @@ def write_crossing_totals_plot(stats: CrossingStats, outdir) -> Path:
         {meth: (stats.cum_mean[meth], stats.cum_sd[meth]) for meth in ("bvs", "mixed")},
         "cumulative total crossings (mean, +-1 sd)",
     )
-    path = _plots_dir(outdir) / "crossing_totals.svg"
-    with _open_for_write(path) as fh:
-        fh.write(svg)
-    return path
+    return _write_text(_plots_dir(outdir) / "crossing_totals.svg", svg)
 
 
 def emit_outputs(
@@ -197,7 +214,7 @@ def emit_outputs(
     write_manifest(config, outdir / MANIFEST_JSON, extra=extra_manifest)
     written["manifest"] = outdir / MANIFEST_JSON
     if plots and results:
-        written["plots"] = write_replication_plots(results, config, outdir)
+        written["plots"] = write_replication_plots(results, outdir, config.dgp.beta)
         written["crossing_totals_plot"] = write_crossing_totals_plot(stats, outdir)
     return written
 

@@ -338,3 +338,57 @@ def sequential_reference(tables, pooling, loss_mode, prior, lam, alpha):
         w = inside.sum() / m
         probs["mixed"][t] = w * probs["smcs"][t] + (1 - w) * probs["bvs"][t] if inside.any() else probs["bvs"][t]
     return probs, member.sum(axis=1), fallbacks
+
+
+def per_point_text(px, py, xs, ys) -> str | None:
+    """A series' SVG points text, formatted point by point.
+
+    '%.2f,%.2f' of (px(x), py(y)) for each point with finite y, joined by
+    spaces; None when fewer than 2 points are finite (nothing is drawn).
+    """
+    pts = ["%.2f,%.2f" % (px(float(x)), py(float(y))) for x, y in zip(xs, ys) if math.isfinite(float(y))]
+    return " ".join(pts) if len(pts) >= 2 else None
+
+
+def per_point_trajectory_chart(ns, probs, active, emphasize, title) -> str:
+    """svg.trajectory_chart with every polyline drawn through per_point_text."""
+    from seqbvs import svg
+
+    canvas = svg._Canvas(title, ns, 0.0, 1.0, "n", "inclusion probability")
+    canvas.hline(0.5)
+    for k in np.argsort(np.asarray(active).astype(int)):
+        pts = per_point_text(canvas._px, canvas._py, ns, probs[:, k])
+        if pts is not None:
+            color = svg.ACTIVE_COLOR if active[k] else svg.INACTIVE_COLOR
+            width = 2.6 if (k + 1) in emphasize else 1.2
+            canvas.parts.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="{width:g}" '
+                f'stroke-opacity="1" points="{pts}"/>'
+            )
+    canvas.label("active", svg.WIDTH - 150, svg.MARGIN_T + 16, svg.ACTIVE_COLOR)
+    canvas.label("inactive", svg.WIDTH - 150, svg.MARGIN_T + 32, svg.INACTIVE_COLOR)
+    return canvas.render()
+
+
+def per_point_crossing_totals_chart(ts, series, title) -> str:
+    """svg.crossing_totals_chart with every band and line drawn through per_point_text."""
+    from seqbvs import svg
+
+    y_hi = max([1.0] + [float(np.max(mean + sd)) * 1.05 for mean, sd in series.values()])
+    canvas = svg._Canvas(title, ts, 0.0, y_hi, "t", "total crossings")
+    y_text = svg.MARGIN_T + 16
+    for meth, (mean, sd) in series.items():
+        color = svg.SERIES_COLORS.get(meth, "#333333")
+        lo = [max(m - s, 0.0) for m, s in zip(mean.tolist(), sd.tolist())]
+        hi = [m + s for m, s in zip(mean.tolist(), sd.tolist())]
+        outline = per_point_text(canvas._px, canvas._py, list(ts) + list(ts)[::-1], hi + lo[::-1])
+        if outline is not None:
+            canvas.parts.append(f'<polygon fill="{color}" fill-opacity="0.18" stroke="none" points="{outline}"/>')
+        pts = per_point_text(canvas._px, canvas._py, ts, mean)
+        if pts is not None:
+            canvas.parts.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="2" stroke-opacity="1" points="{pts}"/>'
+            )
+        canvas.label(meth, svg.WIDTH - 150, y_text, color)
+        y_text += 16
+    return canvas.render()

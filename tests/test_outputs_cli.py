@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import seqbvs
+from seqbvs import svg as svg_module
 from seqbvs.cli import main
 from seqbvs.config import KNOWN_KEYS, build_config, parse_config_text
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
@@ -20,10 +21,13 @@ from seqbvs.outputs import (
     analyze_directory,
     emit_outputs,
     read_trajectories_csv,
+    write_crossing_totals_csv,
     write_tables_csv,
     write_trajectories_csv,
 )
 from seqbvs.svg import _Canvas, crossing_totals_chart, trajectory_chart
+
+from oracles import per_point_crossing_totals_chart, per_point_trajectory_chart
 
 
 def tiny_config(**overrides):
@@ -160,6 +164,33 @@ class TestOutputs:
         fig = out["crossing_totals_plot"]
         ET.fromstring(fig.read_text())
 
+    def test_plots_rewrite_byte_identical(self, tiny_run, tmp_path):
+        cfg, results, stats = tiny_run
+        svg_module._axes.cache_clear()  # the first call builds the axes text, the second reuses it
+        trees = []
+        for name in ("a", "b"):
+            emit_outputs(results, stats, tmp_path / name, cfg, plots=True)
+            plots = tmp_path / name / "plots"
+            trees.append({path.name: path.read_bytes() for path in sorted(plots.iterdir())})
+        assert len(trees[0]) == cfg.reps * 4 + 1
+        assert trees[0] == trees[1]
+
+    def test_tables_match_per_value_format(self, tiny_run, tmp_path):
+        _, _, stats = tiny_run
+        write_tables_csv(stats, tmp_path / "tables.csv")
+        write_crossing_totals_csv(stats, tmp_path / "totals.csv")
+        want = ["table,method," + ",".join(f"x{k}" for k in range(1, stats.p + 1))]
+        for table, per_method in (("mean_crossings", stats.mean_crossings), ("final_inclusion_freq", stats.final_freq)):
+            want += [f"{table},{meth}," + ",".join(f"{v:.12g}" for v in per_method[meth]) for meth in METHODS]
+        assert (tmp_path / "tables.csv").read_text() == "\n".join(want) + "\n"
+        want = ["method,t,mean_total,sd_total"]
+        for meth in METHODS:
+            want += [
+                f"{meth},{t + 1},{stats.cum_mean[meth][t]:.12g},{stats.cum_sd[meth][t]:.12g}"
+                for t in range(stats.t_max)
+            ]
+        assert (tmp_path / "totals.csv").read_text() == "\n".join(want) + "\n"
+
 
 class TestReaderErrors:
     @pytest.fixture
@@ -222,12 +253,12 @@ class TestReaderErrors:
 
 class TestSvg:
     def test_points_match_scalar_maps(self):
-        canvas = _Canvas("t", 19.0, 100.0, 0.0, 1.7, "n", "y")
         rng = np.random.default_rng(4)
         xs = np.arange(19, 101, dtype=float)
+        canvas = _Canvas("t", xs, 0.0, 1.7, "n", "y")
         ys = rng.random(xs.size) * 1.7
         want = [f"{canvas._px(float(x)):.2f},{canvas._py(float(y)):.2f}" for x, y in zip(xs, ys)]
-        assert canvas._points(xs, ys) == " ".join(want)
+        assert canvas._points(canvas.x_cells, canvas._py(ys)) == " ".join(want)
 
     def test_trajectory_chart_handles_nan(self):
         ns = np.arange(19, 25)
@@ -238,13 +269,32 @@ class TestSvg:
         assert root.tag.endswith("svg")
         assert "&amp;" in svg
 
+    def test_trajectory_chart_matches_per_point_oracle(self):
+        ns = np.arange(19, 101)
+        probs = np.random.default_rng(7).random((ns.size, 6))
+        probs[10:30, 0] = np.nan  # NaN span inside the series
+        probs[:, 1] = np.nan
+        probs[[5, 60], 1] = [0.2, 0.9]  # exactly 2 finite points: drawn
+        probs[:, 2] = np.nan
+        probs[40, 2] = 0.7  # 1 finite point: skipped
+        probs[:, 3] = np.nan  # all NaN: skipped
+        probs[[0, -1], 4] = [0.0, 1.0]
+        active = np.array([True, False, True, False, True, False])
+        args = (ns, probs, active, (1, 5), "rep 3, method smcs")
+        svg = trajectory_chart(*args)
+        assert svg == per_point_trajectory_chart(*args)
+        assert svg.count("<polyline") == 4
+
     def test_crossing_totals_chart(self):
-        ts = np.arange(1, 9)
+        # matches the per-point oracle
+        ts = np.arange(1, 83)
         series = {
-            "bvs": (np.linspace(0, 5, 8), np.full(8, 1.0)),
-            "mixed": (np.linspace(0, 2, 8), np.full(8, 0.5)),
+            "bvs": (np.linspace(0.0, 5.0, ts.size), np.full(ts.size, 1.0)),  # band clipped at 0 early on
+            "mixed": (np.linspace(0.0, 2.0, ts.size), np.linspace(0.0, 0.4, ts.size)),
         }
-        ET.fromstring(crossing_totals_chart(ts, series, "totals"))
+        svg = crossing_totals_chart(ts, series, "totals")
+        assert svg == per_point_crossing_totals_chart(ts, series, "totals")
+        ET.fromstring(svg)
 
 
 class TestConfigFile:
@@ -313,6 +363,39 @@ class TestCli:
         assert main(["plot", "--in", str(out_dir), "--rep", "1"]) == 0
         plots = list((out_dir / "plots").glob("rep001_*.svg"))
         assert len(plots) == 4
+
+    def test_plot_rewrites_simulate_plots(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG_TEXT)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        before = {path.name: path.read_bytes() for path in (out_dir / "plots").iterdir()}
+        assert main(["plot", "--in", str(out_dir), "--rep", "1"]) == 0
+        after = {path.name: path.read_bytes() for path in (out_dir / "plots").iterdir()}
+        assert after == before
+
+    def test_plot_without_manifest_colours_by_final_bvs(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG_TEXT)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 0
+        (out_dir / "manifest.json").unlink()
+        assert main(["plot", "--in", str(out_dir), "--rep", "1", "--method", "smcs"]) == 0
+        res = [r for r in read_trajectories_csv(out_dir / "trajectories.csv") if r.rep == 1][0]
+        want = trajectory_chart(
+            np.arange(res.n_min, res.n_max + 1), res.trajectories["smcs"].probs, res.final_included["bvs"], (),
+            "rep 1, method smcs",
+        )
+        assert (out_dir / "plots" / "rep001_smcs.svg").read_text() == want
+
+    def test_plot_reports_unreadable_manifest(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG_TEXT)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 0
+        (out_dir / "manifest.json").write_text('{"config": {}}\n')
+        assert main(["plot", "--in", str(out_dir), "--rep", "1"]) == 2
+        assert "cannot read config.dgp.beta from" in capsys.readouterr().err
 
     def test_simulate_shows_progress(self, tmp_path):
         # run_experiment logs progress; the simulate command installs the handler
