@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import build_config, parse_config_text
 from .errors import SeqbvsError
-from .experiment import aggregate, run_experiment
+from .experiment import PROFILES, aggregate, run_experiment
 from .inclusion import METHODS
 from .outputs import (
     TRAJECTORIES_CSV,
@@ -25,6 +25,13 @@ from .outputs import (
 )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seqbvs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -33,9 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", type=Path, default=None, help="key=value config file")
     sim.add_argument("--out", type=Path, required=True, help="output directory")
     sim.add_argument("--reps", type=int, default=None, help="override replication count")
-    sim.add_argument("--profile", choices=("desk", "full"), default="desk")
+    sim.add_argument("--profile", choices=tuple(PROFILES), default="desk")
     sim.add_argument("--seed", type=int, default=None, help="override base seed")
-    sim.add_argument("--workers", type=int, default=1, help="parallel replication workers")
+    sim.add_argument("--workers", type=_positive_int, default=1, help="parallel replication workers (>= 1)")
     sim.add_argument("--no-plots", action="store_true", help="skip SVG emission")
 
     ana = sub.add_parser("analyze", help="recompute report tables from trajectories CSV")

@@ -7,8 +7,10 @@ stacked impute call, each on its own stream), sweeps all models on the M
 completions, and hands the (M, m) log-BF table to one step function,
 advance_step.  The step pools the table once: the pooled vector gives both
 the posterior and the mean pairwise log-Bayes-factor losses that advance
-the E-processes.  It returns the four covariate inclusion vectors, the set
-size and the zero-out fallback flag.  Time is indexed t = n - n_min + 1.
+the E-processes, whose state is all a step carries to the next (L is
+linear, so loss_mode "increment" telescopes to L(v_t) less that state's
+running loss sum).  It returns the four covariate inclusion vectors, the
+set size and the zero-out fallback flag.  Time is indexed t = n - n_min + 1.
 
 Replications are deterministic given (base_seed, rep_index): every random
 stream is derived from numpy's SeedSequence([base_seed, rep_index, tag]),
@@ -27,7 +29,6 @@ model_sweep.
 from __future__ import annotations
 
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -71,6 +72,7 @@ _STREAM_MASK = 3
 _STREAM_IMPUTE_BASE = 1000
 
 LOSS_MODES = ("cumulative", "increment")
+G_RULES = ("unit-info",)
 
 PROFILES = {"desk": {"reps": 20, "M": 10}, "full": {"reps": 100, "M": 50}}
 
@@ -86,11 +88,11 @@ class MissingnessConfig:
 
 @dataclass
 class ExperimentConfig:
-    reps: int = 20
+    reps: int = PROFILES["desk"]["reps"]
     n_min: int = 19
     n_max: int = 100
     dgp: DGPConfig = field(default_factory=DGPConfig)
-    imp: ImputationConfig = field(default_factory=lambda: ImputationConfig(M=10))
+    imp: ImputationConfig = field(default_factory=lambda: ImputationConfig(M=PROFILES["desk"]["M"]))
     smcs: SmcsConfig = field(default_factory=SmcsConfig)
     missing: MissingnessConfig = field(default_factory=MissingnessConfig)
     g_rule: str = "unit-info"
@@ -114,7 +116,8 @@ class ExperimentConfig:
             raise ConfigError(f"pooling must be one of {POOLING_RULES}, got {self.pooling!r}")
         if self.model_prior not in MODEL_PRIORS:
             raise ConfigError(f"model_prior must be one of {MODEL_PRIORS}, got {self.model_prior!r}")
-        g_for_n(self.g_rule, self.n_min)  # validates the rule string
+        if self.g_rule not in G_RULES:
+            raise ConfigError(f"g_rule must be one of {G_RULES}, got {self.g_rule!r}")
 
     @property
     def t_max(self) -> int:
@@ -130,25 +133,10 @@ def default_config(profile: str = "desk") -> ExperimentConfig:
 
 
 def g_for_n(rule: str, n: int) -> float:
-    """Prior scale for sample size n.
-
-    'unit-info' is g = n; 'scaled:<c>' spreads one unit of prior information
-    over c observations (g = n/c); 'fixed:<value>' holds g constant.
-    """
-    if rule == "unit-info":
-        return float(n)
-    if rule.startswith("fixed:") or rule.startswith("scaled:"):
-        kind, _, raw = rule.partition(":")
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad g rule {rule!r}") from exc
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"g rule parameter must be positive and finite, got {value}")
-        return value if kind == "fixed" else float(n) / value
-    raise ConfigError(
-        f"unknown g rule {rule!r}; expected 'unit-info', 'scaled:<c>' or 'fixed:<value>'"
-    )
+    """Prior scale for sample size n: 'unit-info' is Zellner's g = n."""
+    if rule not in G_RULES:
+        raise ConfigError(f"g_rule must be one of {G_RULES}, got {rule!r}")
+    return float(n)
 
 
 def stream_rng(base_seed: int, rep_index: int, tag: int) -> np.random.Generator:
@@ -260,13 +248,6 @@ def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: i
             yield n, stacked.pop().copy()
 
 
-class StepState(NamedTuple):
-    """What one time step hands to the next."""
-
-    eprocess: EProcessState
-    pooled: np.ndarray | None  # the last step's pooled log BFs; None before the first
-
-
 class StepRecord(NamedTuple):
     """The per-step outputs stored in a replication's trajectories."""
 
@@ -276,26 +257,28 @@ class StepRecord(NamedTuple):
 
 
 def advance_step(
-    state: StepState, tables: np.ndarray, config: ExperimentConfig, space: ModelSpace
-) -> tuple[StepState, StepRecord]:
+    eprocess: EProcessState, tables: np.ndarray, config: ExperimentConfig, space: ModelSpace
+) -> tuple[EProcessState, StepRecord]:
     """One time step from the (M, m) per-imputation log-BF table at n.
 
     The table is pooled once; the pooled vector drives both the posterior
-    (bvs, zero_out, mixed) and the mean pairwise loss of the E-processes,
-    which under loss_mode "increment" is taken of its change since the
-    previous step.
+    (bvs, zero_out, mixed) and the mean pairwise loss L(pooled) of the
+    E-processes.  Under loss_mode "increment" the step takes L(pooled) less
+    the running loss sum, which is L of the change since the previous step
+    because L is linear.
     """
     pooled, post = posterior_from_imputations(tables, space, config.model_prior, config.pooling)
-    increment = config.loss_mode == "increment" and state.pooled is not None
-    loss = loss_from_log_marginals(pooled - state.pooled if increment else pooled)
-    eprocess = step(state.eprocess, loss, config.smcs)
+    loss = loss_from_log_marginals(pooled)
+    if config.loss_mode == "increment":
+        loss -= eprocess.cum_losses
+    eprocess = step(eprocess, loss, config.smcs)
     members = confidence_set(eprocess)
     p_bvs = bvs_inclusion(post, space)
     p_smcs = smcs_inclusion(members, space)
     zo = zero_out(post, members, space)
     p_mixed = mixed_inclusion(p_bvs, p_smcs, members.size, space.m)
     probs = dict(zip(METHODS, (p_bvs, p_smcs, zo.probs, p_mixed)))
-    return StepState(eprocess, pooled), StepRecord(probs, members.size, zo.fallback)
+    return eprocess, StepRecord(probs, members.size, zo.fallback)
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
@@ -314,12 +297,12 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
 
     probs = {meth: np.full((config.t_max, dgp.p), np.nan) for meth in METHODS}
     set_sizes = np.zeros(config.t_max, dtype=np.int64)
-    state = StepState(EProcessState.fresh(space.m), None)
+    eprocess = EProcessState.fresh(space.m)
     zero_out_fallbacks = 0
     for n, completions in _imputed_stream(data, config, rep_index):
         # the (M, m) table is bound only inside the step, so it is freed before the next sweep
         stats = GramStats.from_data(completions, data.y[:n])
-        state, record = advance_step(state, model_sweep(stats, space, g_for_n(config.g_rule, n)), config, space)
+        eprocess, record = advance_step(eprocess, model_sweep(stats, space, g_for_n(config.g_rule, n)), config, space)
         t = n - config.n_min
         for meth, row in record.probs.items():
             probs[meth][t] = row

@@ -228,7 +228,9 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     probabilities are scattered into a (reps, methods, T, p) cube, and each
     (rep, method) slice gets its crossings from one 2-d crossing count.  A
     malformed row (wrong field count, a non-numeric field, an unknown
-    method) or an incomplete cube raises DataError naming the file.
+    method), an incomplete cube, rows of one (rep, t) that disagree on n or
+    set_size, or an n other than n(t = 1) + t - 1 raises DataError naming
+    the file.
     """
     path = Path(path)
     try:
@@ -270,6 +272,11 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     sizes = np.empty_like(n_at)
     n_at[rep_idx, t_idx] = rows["n"]
     sizes[rep_idx, t_idx] = rows["set_size"]
+    # every row of a (rep, t) must carry the n and set size kept for it
+    if np.any(n_at[rep_idx, t_idx] != rows["n"]) or np.any(sizes[rep_idx, t_idx] != rows["set_size"]):
+        raise DataError(f"{path} gives one (rep, t) more than one n or set_size")
+    if np.any(n_at != n_at[:, :1] + np.arange(shape[2])):
+        raise DataError(f"{path} has an n that is not n(t = 1) + t - 1")
 
     return [
         ReplicationResult.from_probs(rep, int(n_at[r, 0]), int(n_at[r, -1]), dict(zip(METHODS, cube[r])), sizes[r])

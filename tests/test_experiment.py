@@ -11,6 +11,7 @@ from seqbvs.errors import ConfigError, DataError
 from seqbvs.experiment import (
     CrossingStats,
     ExperimentConfig,
+    PROFILES,
     MissingnessConfig,
     ReplicationResult,
     aggregate,
@@ -127,13 +128,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(imp=ImputationConfig(min_n=6))  # p + 2 = 6
 
+    def test_default_config_has_desk_sizes(self):
+        cfg = ExperimentConfig()
+        assert (cfg.reps, cfg.imp.M) == (PROFILES["desk"]["reps"], PROFILES["desk"]["M"]) == (20, 10)
+
     def test_g_rules(self):
         assert g_for_n("unit-info", 25) == 25.0
-        assert g_for_n("fixed:6", 25) == 6.0
-        with pytest.raises(ConfigError):
-            g_for_n("fixed:-1", 25)
-        with pytest.raises(ConfigError):
-            g_for_n("bayes", 25)
+        for rule in ("fixed:6", "scaled:4", "bayes"):
+            with pytest.raises(ConfigError, match="unit-info"):
+                g_for_n(rule, 25)
+            with pytest.raises(ConfigError, match="unit-info"):
+                tiny_config(g_rule=rule)
 
 
 class TestRunReplication:

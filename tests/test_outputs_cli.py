@@ -214,12 +214,37 @@ class TestReaderErrors:
             lambda row: row.replace(row.split(",")[5], "high"),  # non-numeric prob
             lambda row: "x" + row,  # non-numeric rep
             lambda row: ",".join(row.split(",")[:4] + ["0"] + row.split(",")[5:]),  # covariate 0
+            # the other rows of (rep 0, t 1) keep their n and set size
+            lambda row: ",".join(row.split(",")[:1] + ["55"] + row.split(",")[2:]),
+            lambda row: row.rsplit(",", 1)[0] + ",7\n",
+            lambda row: ",".join(row.split(",")[:1] + ["55"] + row.split(",")[2:6]) + ",7\n",
         ],
-        ids=["six_fields", "eight_fields", "non_numeric_prob", "non_numeric_rep", "covariate_zero"],
+        ids=[
+            "six_fields",
+            "eight_fields",
+            "non_numeric_prob",
+            "non_numeric_rep",
+            "covariate_zero",
+            "one_row_n",
+            "one_row_set_size",
+            "one_row_n_and_set_size",
+        ],
     )
     def test_malformed_row(self, run_dir, edit):
         path = self._replace_row(run_dir, 5, edit)
         with pytest.raises(DataError, match="trajectories.csv"):
+            read_trajectories_csv(path)
+
+    def test_n_off_the_count(self, run_dir):
+        # every row of (rep 0, t 2) agrees on an n that is not n(t = 1) + 1
+        path = run_dir / "trajectories.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        for i, row in enumerate(lines):
+            cells = row.split(",")
+            if cells[0] == "0" and cells[2] == "2":
+                lines[i] = ",".join(cells[:1] + ["55"] + cells[2:])
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=r"trajectories.csv has an n that is not n\(t = 1\) \+ t - 1"):
             read_trajectories_csv(path)
 
     @pytest.mark.parametrize("name", ["lasso", "zero_outs", "BVS"])
@@ -343,7 +368,7 @@ class TestConfigFile:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("## Config files", 1)[1].split("```\n", 2)[1]
         cfg = build_config(parse_config_text(block))
-        assert cfg.g_rule == "scaled:4" and cfg.pooling == "mixture"
+        assert cfg.g_rule == "unit-info" and cfg.pooling == "mixture"
         named = {line.lstrip("# ").split("=", 1)[0] for line in block.splitlines() if "=" in line}
         assert set(KNOWN_KEYS) <= named
 
@@ -434,6 +459,15 @@ class TestCli:
         rc = main(["analyze", "--in", str(tmp_path / "missing")])
         assert rc == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_refused_when_parsed(self, tmp_path, capsys, workers):
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(out_dir), "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "text, cov_text, message",
         [
@@ -453,8 +487,7 @@ class TestCli:
             (TINY_CONFIG_TEXT + "dgp.beta=2,nan,1\n", None, "beta must be finite"),
             (TINY_CONFIG_TEXT + "dgp.beta=2,0,inf\n", None, "beta must be finite"),
             (TINY_CONFIG_TEXT + "dgp.sigma2=inf\n", None, "sigma2 must be positive and finite"),
-            (TINY_CONFIG_TEXT + "run.g_rule=fixed:nan\n", None, "g rule parameter must be positive and finite"),
-            (TINY_CONFIG_TEXT + "run.g_rule=scaled:inf\n", None, "g rule parameter must be positive and finite"),
+            (TINY_CONFIG_TEXT + "run.g_rule=fixed:6\n", None, "g_rule must be one of ('unit-info',)"),
             (
                 TINY_CONFIG_TEXT + "dgp.p=21\ndgp.beta=" + ",".join(["1"] * 21)
                 + "\nimp.min_n=24\nrun.n_min=24\nrun.n_max=30\n",
@@ -479,8 +512,7 @@ class TestCli:
             "nan_beta",
             "inf_beta",
             "inf_sigma2",
-            "nan_fixed_g",
-            "inf_scaled_g",
+            "unknown_g_rule",
             "p_above_max_p",
         ],
     )

@@ -209,3 +209,26 @@ class TestStep:
         state = run_stream(losses, cfg)
         assert np.all(np.isfinite(state.log_sup[1:]))
         assert state.log_sup[2] > state.log_sup[1] > state.log_sup[0]
+
+    @pytest.mark.parametrize("m", [2, 1024])
+    @pytest.mark.parametrize(
+        "offset, spread, sd",
+        [(0.0, 1.0, 1.0), (1e4, 1.0, 1.0), (0.0, 1e4, 1.0), (0.0, 1.0, 1e4)],
+        ids=["unit", "common_level_1e4", "model_spread_1e4", "steps_1e4"],
+    )
+    def test_level_less_running_sum_telescopes(self, m, offset, spread, sd):
+        # the loss is linear in the log BFs, so stepping with L(v_t) less the
+        # running loss sum equals stepping with L(v_t - v_{t-1}) up to roundoff
+        rng = np.random.default_rng([m, 7])
+        drift = rng.standard_normal(m) * 0.5
+        levels = offset + spread * 0.1 * rng.standard_normal(m) + np.cumsum(drift + sd * rng.standard_normal((30, m)), axis=0)
+        cfg = SmcsConfig()
+        level = change = EProcessState.fresh(m)
+        prev = np.zeros(m)
+        for v in levels:
+            level = step(level, loss_from_log_marginals(v) - level.cum_losses, cfg)
+            change = step(change, loss_from_log_marginals(v - prev), cfg)
+            prev = v
+            np.testing.assert_array_equal(level.member, change.member)
+            np.testing.assert_allclose(level.log_sup, change.log_sup, rtol=1e-9, atol=0)
+
