@@ -60,7 +60,7 @@ def _cmd_simulate(args) -> int:
     kv = parse_config_text(args.config.read_text()) if args.config is not None else {}
     flags = {"run.reps": args.reps, "run.base_seed": args.seed}
     kv.update((key, str(value)) for key, value in flags.items() if value is not None)
-    config = build_config(kv, args.profile, args.config.parent if args.config is not None else None)
+    config = build_config(kv, args.profile)
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     started = time.time()

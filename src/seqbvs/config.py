@@ -10,6 +10,10 @@ Example::
     smcs.alpha=0.1
     smcs.varsigma=0.65
 
+Each setting has one key: smcs.varsigma sets the E-process scale (lambda is
+derived from it), dgp.rho the equicorrelated covariance, and
+missing.mechanism takes one of the names in data_gen.MECHANISMS as spelled.
+
 Precedence: profile defaults < config file < explicit CLI overrides.  The
 CLI passes its overrides as keys layered over the file's, so both go
 through `build_config`.
@@ -18,7 +22,6 @@ through `build_config`.
 from __future__ import annotations
 
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -63,9 +66,10 @@ _FIELDS = {
     "imp.min_n": ("imp", "min_n", _to_int),
     "imp.min_col_obs": ("imp", "min_col_obs", _to_int),
     "smcs.alpha": ("smcs", "alpha", _to_float),
+    "smcs.varsigma": ("smcs", "varsigma", _to_float),
 }
 # keys that tie several fields together, applied by hand in build_config
-_TIED = ("dgp.p", "dgp.beta", "dgp.rho", "dgp.cov_csv", "smcs.lambda", "smcs.varsigma")
+_TIED = ("dgp.p", "dgp.beta", "dgp.rho")
 
 KNOWN_KEYS = tuple(_FIELDS) + _TIED
 
@@ -84,7 +88,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _dgp_fields(kv: dict[str, str], base: ExperimentConfig, config_dir: Path | None) -> dict:
+def _dgp_fields(kv: dict[str, str], base: ExperimentConfig) -> dict:
     """p, beta and cov, which must agree in size, from the dgp.* keys."""
     p = _to_int("dgp.p", kv["dgp.p"]) if "dgp.p" in kv else base.dgp.p
     if "dgp.beta" in kv:
@@ -93,32 +97,18 @@ def _dgp_fields(kv: dict[str, str], base: ExperimentConfig, config_dir: Path | N
         beta = base.dgp.beta
     else:
         raise ConfigError("dgp.beta must be given when dgp.p differs from the default")
-    if "dgp.cov_csv" in kv:
-        if "dgp.rho" in kv:
-            raise ConfigError("dgp.rho and dgp.cov_csv exclude each other: give one covariance")
-        cov_path = Path(kv["dgp.cov_csv"])
-        if not cov_path.is_absolute() and config_dir is not None:
-            cov_path = config_dir / cov_path
-        try:
-            cov = np.loadtxt(cov_path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"dgp.cov_csv: cannot parse {cov_path}: {exc}") from exc
-    elif "dgp.rho" in kv:
+    if "dgp.rho" in kv:
         cov = equicorrelated_cov(p, _to_float("dgp.rho", kv["dgp.rho"]))
     else:
         cov = base.dgp.cov if p == base.dgp.p else equicorrelated_cov(p)
     return {"p": p, "beta": beta, "cov": cov}
 
 
-def build_config(
-    kv: dict[str, str],
-    profile: str = "desk",
-    config_dir: Path | None = None,
-) -> ExperimentConfig:
+def build_config(kv: dict[str, str], profile: str = "desk") -> ExperimentConfig:
     """ExperimentConfig from parsed keys on top of the profile defaults.
 
-    A relative dgp.cov_csv path is read from config_dir.  Every section is
-    rebuilt with dataclasses.replace, so each one validates its own fields.
+    Every section is rebuilt with dataclasses.replace, so each one validates
+    its own fields (and SmcsConfig derives lam from varsigma).
     """
     unknown = set(kv) - set(KNOWN_KEYS)
     if unknown:
@@ -131,10 +121,6 @@ def build_config(
         if key in _FIELDS:
             section, name, parse = _FIELDS[key]
             (top if section is None else sections[section])[name] = parse(key, value)
-    sections["dgp"].update(_dgp_fields(kv, base, config_dir))
-    if "smcs.lambda" in kv or "smcs.varsigma" in kv:
-        # the one given sets the other (lam = 1 / (8 varsigma^2)); both given must agree
-        for key, name in (("smcs.lambda", "lam"), ("smcs.varsigma", "varsigma")):
-            sections["smcs"][name] = _to_float(key, kv[key]) if key in kv else None
+    sections["dgp"].update(_dgp_fields(kv, base))
     rebuilt = {section: replace(getattr(base, section), **changes) for section, changes in sections.items()}
     return replace(base, **rebuilt, **top)

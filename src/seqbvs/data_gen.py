@@ -128,14 +128,12 @@ def _calibrate_mar_intercept(y: np.ndarray, slope: float, rate: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def validate_missingness(rate: float, mechanism: str) -> str:
-    """The mechanism's canonical name; ConfigError for a rate outside [0, 1) or an unknown mechanism."""
+def validate_missingness(rate: float, mechanism: str) -> None:
+    """ConfigError for a rate outside [0, 1) or a mechanism not named exactly as in MECHANISMS."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"missingness rate must be in [0, 1), got {rate}")
-    mech = mechanism.lower().replace("-", "_")
-    if mech not in MECHANISMS:
+    if mechanism not in MECHANISMS:
         raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
-    return mech
 
 
 def apply_missingness(
@@ -153,13 +151,13 @@ def apply_missingness(
     responses themselves are never masked.
     """
     x_mat = np.asarray(x_mat, dtype=float)
-    mech = validate_missingness(rate, mechanism)
+    validate_missingness(rate, mechanism)
     y = np.asarray(y, dtype=float)
 
     n, p = x_mat.shape
     if rate == 0.0:
         mask = np.ones((n, p), dtype=bool)
-    elif mech == "mcar":
+    elif mechanism == "mcar":
         mask = rng.random((n, p)) >= rate
     else:
         sd = float(np.std(y))

@@ -104,6 +104,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0 (a SeedSequence entropy), got {self.base_seed}")
         if not self.n_min < self.n_max:
             raise ConfigError(f"need n_min < n_max, got {self.n_min} >= {self.n_max}")
         if self.imp.min_n <= self.dgp.p + 2:

@@ -19,7 +19,7 @@ an empty index set is taken as -inf (E = 0 convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,38 +28,26 @@ from .errors import ConfigError, DataError, ShapeError
 
 @dataclass
 class SmcsConfig:
-    """Error level alpha and the sub-exponential tuning parameter lambda.
+    """Error level alpha and the scale varsigma of the pairwise loss differences.
 
-    Either pass `lam` directly or a scale `varsigma`, in which case
-    lam = 1 / (8 varsigma^2).  Defaults give alpha = 0.1 and, when neither is
-    passed, varsigma = 0.65, hence lam ~= 0.296.
+    The sub-exponential tuning parameter is derived, lam = 1 / (8 varsigma^2),
+    and cannot be set on its own.  Defaults give alpha = 0.1 and
+    varsigma = 0.65, hence lam ~= 0.296.
     """
 
     alpha: float = 0.1
-    lam: float | None = None
-    varsigma: float | None = None
+    varsigma: float = 0.65
+    lam: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.lam is None and self.varsigma is None:
-            self.varsigma = 0.65
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.lam is not None and not 0.0 <= self.lam < math.inf:
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.varsigma is not None:
-            if not 0.0 < self.varsigma < math.inf:
-                raise ConfigError(f"varsigma must be positive and finite, got {self.varsigma}")
-            try:
-                implied = 1.0 / (8.0 * self.varsigma**2)
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise ConfigError(f"varsigma={self.varsigma}: varsigma**2 is out of float range") from exc
-            if self.lam is None:
-                self.lam = implied
-            elif not math.isclose(self.lam, implied, rel_tol=1e-9):
-                raise ConfigError(
-                    f"lam={self.lam} inconsistent with varsigma={self.varsigma} "
-                    f"(implies lam={implied})"
-                )
+        if not 0.0 < self.varsigma < math.inf:
+            raise ConfigError(f"varsigma must be positive and finite, got {self.varsigma}")
+        try:
+            self.lam = 1.0 / (8.0 * self.varsigma**2)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"varsigma={self.varsigma}: varsigma**2 is out of float range") from exc
 
     @property
     def log_threshold(self) -> float:

@@ -40,6 +40,21 @@ def test_degenerate_cov_rejected():
         gen_covariates(10, np.zeros((3, 3)), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "cov, error",
+    [
+        (np.eye(2), ShapeError),
+        (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, np.nan], [0.0, np.nan, 1.0]]), ConfigError),
+        (np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), DataError),
+        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), ConfigError),
+    ],
+    ids=["wrong_shape", "nan", "asymmetric", "indefinite"],
+)
+def test_bad_cov_rejected(cov, error):
+    with pytest.raises(error):
+        DGPConfig(p=3, beta=np.array([1.0, 0.0, 2.0]), cov=cov)
+
+
 def test_zero_noise_unit_vector_gives_beta2():
     cfg = DGPConfig(sigma2=1e-300)
     x = np.zeros((1, 10))

@@ -60,8 +60,6 @@ imp.sweeps=2
 smcs.alpha=0.1
 smcs.varsigma=0.65
 """
-# without the equicorrelation, for cases that give a covariance file
-_NO_RHO = TINY_CONFIG_TEXT.replace("dgp.rho=0.4\n", "")
 
 
 @pytest.fixture(scope="module")
@@ -345,17 +343,6 @@ class TestConfigFile:
         assert cfg.reps == 100
         assert cfg.imp.M == 50
 
-    def test_lambda_key(self):
-        cfg = build_config({"smcs.lambda": "0.4"})
-        assert cfg.smcs.lam == 0.4
-
-    def test_cov_csv(self, tmp_path):
-        cov = equicorrelated_cov(3, 0.2)
-        path = tmp_path / "cov.csv"
-        np.savetxt(path, cov, delimiter=",")
-        cfg = build_config({"dgp.p": "3", "dgp.beta": "1,0,2", "dgp.cov_csv": str(path)})
-        np.testing.assert_allclose(cfg.dgp.cov, cov)
-
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(TINY_CONFIG_TEXT)
@@ -455,6 +442,24 @@ class TestCli:
         assert manifest["config"]["reps"] == 1
         assert manifest["config"]["base_seed"] == 11
 
+    def test_manifest_smcs_and_missing_blocks(self, tmp_path):
+        # defaults for every smcs and missing key; only the run is shrunk
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("run.n_max=20\nimp.M=2\nimp.sweeps=1\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--reps", "1", "--no-plots"]) == 0
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert config["smcs"] == {"alpha": 0.1, "lam": 1.0 / (8.0 * 0.65**2), "varsigma": 0.65}
+        assert config["missing"]["mechanism"] == "mcar"
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG_TEXT)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "-1", "--no-plots"]) == 2
+        assert "base_seed must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_error_reported_as_exit_2(self, tmp_path):
         rc = main(["analyze", "--in", str(tmp_path / "missing")])
         assert rc == 2
@@ -469,43 +474,37 @@ class TestCli:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "text, cov_text, message",
+        "text, message",
         [
-            (_NO_RHO + "dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,x\n0,0,1\n", "cov.csv"),
-            (_NO_RHO + "dgp.cov_csv=cov.csv\n", "1,2,0\n2,1,0\n0,0,1\n", "positive definite"),
-            (_NO_RHO + "dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,nan\n0,nan,1\n", "cov must be finite"),
-            (TINY_CONFIG_TEXT + "dgp.cov_csv=cov.csv\n", "1,0,0\n0,1,0\n0,0,1\n", "exclude each other"),
-            (TINY_CONFIG_TEXT + "run.model_prior=scott_berger\n", None, "model_prior"),
-            (TINY_CONFIG_TEXT + "missing.mechanism=foo\n", None, "mechanism must be one of"),
-            (TINY_CONFIG_TEXT + "missing.rate=1.5\n", None, "missingness rate"),
-            (TINY_CONFIG_TEXT + "imp.min_n=5\n", None, "imp.min_n must exceed p + 2"),
-            (TINY_CONFIG_TEXT + "imp.min_n=20\n", None, "below the imputation minimum"),
-            (TINY_CONFIG_TEXT + "smcs.lambda=nan\n", None, "lam must be finite"),
-            (TINY_CONFIG_TEXT + "smcs.varsigma=nan\n", None, "varsigma must be positive and finite"),
-            (TINY_CONFIG_TEXT + "smcs.varsigma=0\n", None, "varsigma must be positive and finite"),
-            (TINY_CONFIG_TEXT + "smcs.varsigma=-0.65\n", None, "varsigma must be positive and finite"),
-            (TINY_CONFIG_TEXT + "dgp.beta=2,nan,1\n", None, "beta must be finite"),
-            (TINY_CONFIG_TEXT + "dgp.beta=2,0,inf\n", None, "beta must be finite"),
-            (TINY_CONFIG_TEXT + "dgp.sigma2=inf\n", None, "sigma2 must be positive and finite"),
-            (TINY_CONFIG_TEXT + "run.g_rule=fixed:6\n", None, "g_rule must be one of ('unit-info',)"),
+            (TINY_CONFIG_TEXT + "run.model_prior=scott_berger\n", "model_prior"),
+            (TINY_CONFIG_TEXT + "missing.mechanism=foo\n", "mechanism must be one of"),
+            (TINY_CONFIG_TEXT + "missing.mechanism=MCAR\n", "mechanism must be one of ('mcar', 'mar_y')"),
+            (TINY_CONFIG_TEXT + "missing.mechanism=MAR-Y\n", "mechanism must be one of ('mcar', 'mar_y')"),
+            (TINY_CONFIG_TEXT + "missing.rate=1.5\n", "missingness rate"),
+            (TINY_CONFIG_TEXT + "imp.min_n=5\n", "imp.min_n must exceed p + 2"),
+            (TINY_CONFIG_TEXT + "imp.min_n=20\n", "below the imputation minimum"),
+            (TINY_CONFIG_TEXT + "smcs.varsigma=nan\n", "varsigma must be positive and finite"),
+            (TINY_CONFIG_TEXT + "smcs.varsigma=0\n", "varsigma must be positive and finite"),
+            (TINY_CONFIG_TEXT + "smcs.varsigma=-0.65\n", "varsigma must be positive and finite"),
+            (TINY_CONFIG_TEXT + "dgp.beta=2,nan,1\n", "beta must be finite"),
+            (TINY_CONFIG_TEXT + "dgp.beta=2,0,inf\n", "beta must be finite"),
+            (TINY_CONFIG_TEXT + "dgp.sigma2=inf\n", "sigma2 must be positive and finite"),
+            (TINY_CONFIG_TEXT + "run.g_rule=fixed:6\n", "g_rule must be one of ('unit-info',)"),
             (
                 TINY_CONFIG_TEXT + "dgp.p=21\ndgp.beta=" + ",".join(["1"] * 21)
                 + "\nimp.min_n=24\nrun.n_min=24\nrun.n_max=30\n",
-                None,
                 "p must be in 1..20",
             ),
+            (TINY_CONFIG_TEXT + "run.base_seed=-1\n", "base_seed must be >= 0"),
         ],
         ids=[
-            "non_numeric_cov_csv",
-            "indefinite_cov_csv",
-            "nan_cov_csv",
-            "rho_with_cov_csv",
             "unknown_model_prior",
             "unknown_mechanism",
+            "upper_case_mechanism",
+            "dashed_mechanism",
             "rate_above_one",
             "min_n_at_p_plus_2",
             "n_min_below_min_n",
-            "nan_lambda",
             "nan_varsigma",
             "zero_varsigma",
             "negative_varsigma",
@@ -514,9 +513,10 @@ class TestCli:
             "inf_sigma2",
             "unknown_g_rule",
             "p_above_max_p",
+            "negative_base_seed",
         ],
     )
-    def test_bad_config_reported_as_exit_2(self, tmp_path, capsys, monkeypatch, text, cov_text, message):
+    def test_bad_config_reported_as_exit_2(self, tmp_path, capsys, monkeypatch, text, message):
         # rejected while the config is built, before any replication runs
         def no_run(*args, **kwargs):
             raise AssertionError("run_experiment reached with an invalid config")
@@ -524,8 +524,6 @@ class TestCli:
         monkeypatch.setattr("seqbvs.cli.run_experiment", no_run)
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(text)
-        if cov_text is not None:
-            (tmp_path / "cov.csv").write_text(cov_text)
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 2
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbvs.errors import ConfigError, DataError, ShapeError
-from seqbvs.smcs import EProcessState, SmcsConfig, confidence_set, loss_from_log_marginals, step
+from seqbvs.smcs import EProcessState, SmcsConfig, _rt_log_terms, confidence_set, loss_from_log_marginals, step
 
 from oracles import literal_log_e, literal_log_e_pairwise, naive_mean_log_bf_loss
 
@@ -26,30 +27,24 @@ class TestConfig:
         assert abs(cfg.lam - 1.0 / (8.0 * 0.65**2)) < 1e-15
         assert abs(cfg.lam - 0.2958579881656805) < 1e-12
 
-    def test_explicit_lam(self):
-        cfg = SmcsConfig(alpha=0.05, lam=0.7, varsigma=None)
-        assert cfg.lam == 0.7
-        cfg = SmcsConfig(lam=0.3)  # lam alone: no default varsigma to contradict it
-        assert cfg.lam == 0.3
-        assert cfg.varsigma is None
+    def test_lam_derived_from_varsigma(self):
+        assert SmcsConfig().lam == 1.0 / (8.0 * 0.65**2)
+        assert replace(SmcsConfig(), varsigma=0.5).lam == 0.5
 
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ConfigError):
-            SmcsConfig(lam=0.5, varsigma=0.65)
+    def test_lam_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            SmcsConfig(lam=0.3)
 
     def test_alpha_range(self):
         with pytest.raises(ConfigError):
             SmcsConfig(alpha=1.0)
 
-    def test_negative_lam(self):
-        with pytest.raises(ConfigError):
-            SmcsConfig(lam=-0.1, varsigma=None)
-
+    # the first two ids name the lam that varsigma would give
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"lam": float("nan"), "varsigma": None},
-            {"lam": float("inf"), "varsigma": None},
+            {"varsigma": float("nan")},
+            {"varsigma": 0.0},
             {"varsigma": float("inf")},
             {"varsigma": 1e-200},  # varsigma**2 underflows to 0
             {"varsigma": 1e200},  # varsigma**2 overflows
@@ -99,13 +94,10 @@ class TestLoss:
 
 class TestStep:
     def test_lambda_zero_collapse(self):
-        cfg = SmcsConfig(alpha=0.1, lam=0.0, varsigma=None)
-        losses = np.random.default_rng(3).standard_normal((7, 5))
-        state = run_stream(losses, cfg)
-        assert state.t == 7
-        np.testing.assert_allclose(state.log_sup, -1.0 / 8.0, atol=1e-14)
-        assert state.member.all()
-        assert len(confidence_set(state)) == 5
+        # no varsigma gives lam = 0, so the r = t term is checked directly
+        cum = np.cumsum(np.random.default_rng(3).standard_normal((7, 5)), axis=0)
+        for t in range(1, 8):
+            np.testing.assert_allclose(_rt_log_terms(cum[t - 1], 0.0, t), -t / 8.0, atol=1e-14)
 
     def test_hand_m2_case_pairwise(self):
         d = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -116,7 +108,7 @@ class TestStep:
 
     def test_hand_m2_case_per_model_losses(self):
         # same numbers through step(): per-model losses with L1-L2 = -1 each round
-        cfg = SmcsConfig(alpha=0.1, lam=1.0, varsigma=None)
+        cfg = SmcsConfig(alpha=0.1, varsigma=8.0**-0.5)
         losses = np.array([[-0.5, 0.5], [-0.5, 0.5]])
         state = run_stream(losses, cfg)
         np.testing.assert_allclose(state.log_sup, [-9.0 / 8.0, 1.75], rtol=1e-12)
@@ -144,8 +136,12 @@ class TestStep:
     )
     def test_one_step_matches_literal_leave_one_out(self, losses, lam):
         losses = np.array(losses)
-        state = step(EProcessState.fresh(losses.size), losses, SmcsConfig(lam=lam))
-        np.testing.assert_allclose(state.log_sup, literal_log_e(losses[None], lam)[0], rtol=0, atol=1e-12)
+        if lam == 0.0:  # no varsigma gives lam = 0: the r = t term itself
+            got = _rt_log_terms(losses, 0.0, 1)
+        else:
+            cfg = SmcsConfig(varsigma=(8 * lam) ** -0.5)
+            got, lam = step(EProcessState.fresh(losses.size), losses, cfg).log_sup, cfg.lam
+        np.testing.assert_allclose(got, literal_log_e(losses[None], lam)[0], rtol=0, atol=1e-12)
 
     def test_step_and_pairwise_agree(self):
         rng = np.random.default_rng(5)
@@ -195,7 +191,7 @@ class TestStep:
 
     def test_exclusion_happens(self):
         # model 1 consistently loses: its E grows past 1/alpha and stays out
-        cfg = SmcsConfig(alpha=0.1, lam=1.0, varsigma=None)
+        cfg = SmcsConfig(alpha=0.1, varsigma=8.0**-0.5)
         losses = np.tile(np.array([[-2.0, 2.0]]), (30, 1))
         state = run_stream(losses, cfg)
         assert state.member[0]
