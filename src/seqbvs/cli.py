@@ -64,7 +64,8 @@ def _cmd_simulate(args) -> int:
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     started = time.time()
-    results = run_experiment(config, workers=args.workers)
+    workers = min(args.workers, config.reps)  # run_experiment caps its pool so; the manifest records it
+    results = run_experiment(config, workers=workers)
     stats = aggregate(results)
     written = emit_outputs(
         results,
@@ -72,7 +73,7 @@ def _cmd_simulate(args) -> int:
         args.out,
         config,
         plots=not args.no_plots,
-        extra_manifest={"elapsed_seconds": round(time.time() - started, 3), "workers": args.workers},
+        extra_manifest={"elapsed_seconds": round(time.time() - started, 3), "workers": workers},
     )
     print(f"wrote {written['trajectories']}")
     print(f"wrote {written['tables']}")

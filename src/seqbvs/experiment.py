@@ -21,9 +21,11 @@ independent of scheduling.
 Crossing counts use the tie rule "prob == 0.5 counts as active"; NaN spans
 (empty confidence sets, smcs method only) are bridged over, so a side change
 across a span counts once, at the first valid entry after it.  The crossing
-kernel works along axis 0 of a whole (T, p) trajectory at a time, and a
-time step's M completions make one stacked GramStats for one batched
-model_sweep.
+kernel works along axis 0 of a whole stack at a time: a replication counts
+its four methods in one call on a (T, methods, p) stack, and aggregate
+takes the cumulative curves of a whole run from one call on a
+(T, reps, methods, p) stack.  A time step's M completions make one stacked
+GramStats for one batched model_sweep.
 """
 
 from __future__ import annotations
@@ -170,16 +172,20 @@ class ReplicationResult:
         set_sizes: np.ndarray,
         zero_out_fallbacks: int = 0,
     ) -> ReplicationResult:
-        """The record of per-method (T, p) trajectories; crossings, final calls and NaN flags follow from them."""
+        """The record of per-method (T, p) trajectories; crossings, final calls and NaN flags follow from them.
+
+        The four methods' crossings come from one count on their (T, methods, p) stack.
+        """
+        stack = np.stack([probs[meth] for meth in METHODS], axis=1)
         return cls(
             rep=rep,
             n_min=n_min,
             n_max=n_max,
             trajectories={meth: InclusionTrajectory(meth, probs[meth]) for meth in METHODS},
             set_sizes=set_sizes,
-            crossings={meth: count_crossings(probs[meth]) for meth in METHODS},
-            final_included={meth: probs[meth][-1] >= 0.5 for meth in METHODS},
-            had_nan={meth: bool(np.isnan(probs[meth]).any()) for meth in METHODS},
+            crossings=dict(zip(METHODS, count_crossings(stack))),
+            final_included=dict(zip(METHODS, stack[-1] >= 0.5)),
+            had_nan=dict(zip(METHODS, np.isnan(stack).any(axis=(0, 2)).tolist())),
             zero_out_fallbacks=zero_out_fallbacks,
         )
 
@@ -200,30 +206,33 @@ class CrossingStats:
 
 
 def crossing_events(probs: np.ndarray) -> np.ndarray:
-    """Crossing indicators along axis 0 of a (T,) or (T, p) probability array.
+    """Crossing indicators along axis 0 of a (T, ...) probability array.
 
-    side(t) is active iff prob >= 0.5; entry t is 1 when the side differs
-    from the side at the previous non-NaN entry of the same column.  NaN
-    entries never host an event and are bridged over: a running maximum of
-    the valid indices (np.maximum.accumulate) carries each column's last
-    valid row forward, so an event needs a valid entry, an earlier valid
-    entry and a side change between the two.  Returns int64 of the input's
-    shape.
+    Each trailing position (a column) is its own series over t.  side(t) is
+    active iff prob >= 0.5; entry t is 1 when the side differs from the side
+    at the previous non-NaN entry of the same column.  NaN entries never
+    host an event and are bridged over: a running maximum of the valid flat
+    indices (np.maximum.accumulate) carries each column's last valid entry
+    forward, since a column's flat indices grow with t, and one flat take
+    reads the side there.  So an event needs a valid entry, an earlier
+    valid entry and a side change between the two.  Returns int64 of the
+    input's shape.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.size == 0:
         raise DataError("cannot count crossings of an empty series")
     valid = ~np.isnan(probs)
     side = probs >= 0.5
-    rows = np.arange(probs.shape[0]).reshape((-1,) + (1,) * (probs.ndim - 1))
-    last_valid = np.maximum.accumulate(np.where(valid, rows, -1), axis=0)
+    flat = np.arange(probs.size).reshape(probs.shape)
+    last_valid = np.maximum.accumulate(np.where(valid, flat, -1), axis=0)
     prev = np.concatenate([np.full_like(last_valid[:1], -1), last_valid[:-1]])
-    prev_side = np.take_along_axis(side, np.maximum(prev, 0), axis=0)
+    # prev == -1 takes the last entry; the prev >= 0 mask drops it
+    prev_side = side.ravel().take(prev)
     return (valid & (prev >= 0) & (side != prev_side)).astype(np.int64)
 
 
 def count_crossings(probs: np.ndarray) -> int | np.ndarray:
-    """0.5-threshold side changes: an int for a (T,) series, (p,) int64 for (T, p)."""
+    """0.5-threshold side changes: an int for a (T,) series, int64 of the trailing shape otherwise."""
     counts = crossing_events(probs).sum(axis=0)
     return int(counts) if counts.ndim == 0 else counts
 
@@ -315,12 +324,19 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
 
 
 def aggregate(results: list[ReplicationResult]) -> CrossingStats:
-    """Mean crossings, final inclusion frequencies, and crossing-total curves."""
+    """Mean crossings, final inclusion frequencies, and crossing-total curves.
+
+    The tables read each result's crossings and final calls; the curves
+    come from one crossing count on the run's (T, reps, methods, p) stack.
+    """
     if not results:
         raise DataError("aggregate needs at least one replication")
     p = results[0].trajectories["bvs"].probs.shape[1]
     t_max = results[0].trajectories["bvs"].probs.shape[0]
     reps = len(results)
+    stack = np.stack([r.trajectories[meth].probs for r in results for meth in METHODS], axis=1)
+    per_t = crossing_events(stack.reshape(t_max, reps, len(METHODS), p)).sum(axis=3)  # (T, reps, methods)
+    cum_all = np.cumsum(per_t, axis=0)
 
     mean_crossings = {}
     final_freq = {}
@@ -328,7 +344,7 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     total_var = {}
     cum_mean = {}
     cum_sd = {}
-    for meth in METHODS:
+    for i, meth in enumerate(METHODS):
         counts = np.stack([r.crossings[meth] for r in results])  # (reps, p)
         finals = np.stack([r.final_included[meth] for r in results])
         mean_crossings[meth] = counts.mean(axis=0)
@@ -336,9 +352,9 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
         totals = counts.sum(axis=1).astype(float)
         total_mean[meth] = float(totals.mean())
         total_var[meth] = float(totals.var(ddof=1)) if reps > 1 else 0.0
-        cum = np.stack(
-            [np.cumsum(crossing_events(r.trajectories[meth].probs).sum(axis=1)) for r in results]
-        ).astype(float)  # (reps, T)
+        # reduced as a C-contiguous (reps, T) array: reducing the strided
+        # view sums in another order and can change cum_sd in its last bits
+        cum = np.ascontiguousarray(cum_all[:, :, i].T, dtype=float)
         cum_mean[meth] = cum.mean(axis=0)
         cum_sd[meth] = cum.std(axis=0, ddof=1) if reps > 1 else np.zeros(t_max)
 
@@ -364,8 +380,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
 
     Progress is logged at INFO on this module's logger, one line per
     replication as its result arrives in rep order (with workers > 1 the
-    pool's ordered results are consumed lazily).
+    pool's ordered results are consumed lazily).  The pool has
+    min(workers, config.reps) processes, and one runs serially: a pool
+    may start all its workers up front, wanted or not.
     """
+    workers = min(workers, config.reps)
     jobs = [(config, r) for r in range(config.reps)]
     results = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

@@ -39,11 +39,14 @@ MANIFEST_JSON = "manifest.json"
 PLOTS_DIR = "plots"
 
 _TRAJECTORIES_HEADER = "rep,n,t,method,covariate,prob,set_size"
-# U9: the longest method name has 8 characters, so a longer field reads as
-# an unknown name instead of being cut to a known one
+# S9: the longest method name has 8 characters, so a longer field reads as
+# an unknown name instead of being cut to a known one.  loadtxt encodes the
+# field as latin-1: another latin-1 name reads as unknown too, and a name
+# outside latin-1 fails the parse as a malformed row
 _TRAJECTORY_DTYPE = np.dtype(
-    [("rep", "i8"), ("n", "i8"), ("t", "i8"), ("method", "U9"), ("covariate", "i8"), ("prob", "f8"), ("set_size", "i8")]
+    [("rep", "i8"), ("n", "i8"), ("t", "i8"), ("method", "S9"), ("covariate", "i8"), ("prob", "f8"), ("set_size", "i8")]
 )
+_METHOD_BYTES = tuple(meth.encode() for meth in METHODS)
 
 
 def _open_for_write(path: Path):
@@ -226,11 +229,13 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     Python object per row.  Every (rep, method, t, covariate) cell must
     appear exactly once, for t = 1..T and covariate = 1..p; the
     probabilities are scattered into a (reps, methods, T, p) cube, and each
-    (rep, method) slice gets its crossings from one 2-d crossing count.  A
-    malformed row (wrong field count, a non-numeric field, an unknown
-    method), an incomplete cube, rows of one (rep, t) that disagree on n or
-    set_size, or an n other than n(t = 1) + t - 1 raises DataError naming
-    the file.
+    replication gets its crossings from one count on its (T, methods, p)
+    stack.  A malformed row (wrong field count, a non-numeric field, an
+    unknown method), an incomplete cube, rows of one (rep, t) that disagree
+    on n or set_size, an n other than n(t = 1) + t - 1, NaN in bvs,
+    zero_out or mixed, or an smcs row whose NaN entries do not match
+    set_size == 0 (NaN throughout an emptied set, none in any other)
+    raises DataError naming the file.
     """
     path = Path(path)
     try:
@@ -251,10 +256,10 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
         return []
 
     meth_idx = np.full(rows.size, -1)
-    for i, meth in enumerate(METHODS):
+    for i, meth in enumerate(_METHOD_BYTES):
         meth_idx[rows["method"] == meth] = i
     if np.any(meth_idx < 0):
-        raise DataError(f"unknown method {str(rows['method'][np.argmax(meth_idx < 0)])!r} in {path}")
+        raise DataError(f"unknown method {rows['method'][np.argmax(meth_idx < 0)].decode('latin-1')!r} in {path}")
     rep_ids, rep_idx = np.unique(rows["rep"], return_inverse=True)
     t_idx = rows["t"] - 1
     cov_idx = rows["covariate"] - 1
@@ -268,15 +273,27 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
         raise DataError(f"{path} repeats a (rep, method, t, covariate) cell")
     cube = np.empty(shape)
     cube.flat[flat] = rows["prob"]
-    n_at = np.empty((shape[0], shape[2]), dtype=np.int64)  # (reps, T)
-    sizes = np.empty_like(n_at)
-    n_at[rep_idx, t_idx] = rows["n"]
-    sizes[rep_idx, t_idx] = rows["set_size"]
     # every row of a (rep, t) must carry the n and set size kept for it
-    if np.any(n_at[rep_idx, t_idx] != rows["n"]) or np.any(sizes[rep_idx, t_idx] != rows["set_size"]):
+    rep_t = rep_idx * shape[2] + t_idx
+    n_at = np.empty(shape[0] * shape[2], dtype=np.int64)
+    sizes = np.empty_like(n_at)
+    n_at[rep_t] = rows["n"]
+    sizes[rep_t] = rows["set_size"]
+    if np.any(n_at[rep_t] != rows["n"]) or np.any(sizes[rep_t] != rows["set_size"]):
         raise DataError(f"{path} gives one (rep, t) more than one n or set_size")
+    n_at = n_at.reshape(shape[0], shape[2])  # (reps, T)
+    sizes = sizes.reshape(shape[0], shape[2])
     if np.any(n_at != n_at[:, :1] + np.arange(shape[2])):
         raise DataError(f"{path} has an n that is not n(t = 1) + t - 1")
+    # NaN only where the smcs confidence set is empty, and there in every covariate
+    nan = np.isnan(cube)
+    empty = (sizes == 0)[:, :, None]
+    for i, meth in enumerate(METHODS):
+        bad = nan[:, i] != empty if meth == "smcs" else nan[:, i]
+        if bad.any():
+            r, t_at = np.argwhere(bad)[0][:2]
+            what = "an smcs NaN pattern that disagrees with set_size == 0" if meth == "smcs" else f"NaN in {meth}"
+            raise DataError(f"{path} has {what} at rep {rep_ids[r]}, t {t_at + 1}")
 
     return [
         ReplicationResult.from_probs(rep, int(n_at[r, 0]), int(n_at[r, -1]), dict(zip(METHODS, cube[r])), sizes[r])

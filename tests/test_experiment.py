@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqbvs import experiment
 from seqbvs.bayes_lm import POOLING_RULES
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
 from seqbvs.errors import ConfigError, DataError
@@ -376,6 +377,28 @@ class TestRunExperiment:
                 np.testing.assert_array_equal(
                     a.trajectories[meth].probs, b.trajectories[meth].probs
                 )
+
+    @pytest.mark.parametrize("reps, pools", [(2, [2]), (1, [])])
+    def test_pool_no_larger_than_reps(self, monkeypatch, reps, pools):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        results = run_experiment(tiny_config(reps=reps, n_max=21), workers=3)
+        assert started == pools  # one replication takes the serial path
+        assert [r.rep for r in results] == list(range(reps))
 
     def test_aggregate_type(self):
         cfg = tiny_config()

@@ -27,7 +27,7 @@ from seqbvs.outputs import (
 )
 from seqbvs.svg import _Canvas, crossing_totals_chart, trajectory_chart
 
-from oracles import per_point_crossing_totals_chart, per_point_trajectory_chart
+from oracles import crossing_events_reference, per_point_crossing_totals_chart, per_point_trajectory_chart
 
 
 def tiny_config(**overrides):
@@ -121,6 +121,8 @@ class TestOutputs:
         res = results[0]
         smcs = res.trajectories["smcs"].probs.copy()
         smcs[3:5] = np.nan  # an emptied confidence set
+        set_sizes = res.set_sizes.copy()
+        set_sizes[3:5] = 0
         bvs = res.trajectories["bvs"].probs.copy()
         bvs[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]  # a signed zero, the least subnormal, a 17-digit sum
         trajectories = {
@@ -129,7 +131,9 @@ class TestOutputs:
             "bvs": InclusionTrajectory("bvs", bvs),
         }
         path = tmp_path / "traj.csv"
-        write_trajectories_csv([ReplicationResult(**{**vars(res), "trajectories": trajectories})], path)
+        write_trajectories_csv(
+            [ReplicationResult(**{**vars(res), "trajectories": trajectories, "set_sizes": set_sizes})], path
+        )
         lines = path.read_text().splitlines()[1:]
         cells = [line.split(",")[5] for line in lines]
         written = np.stack([trajectories[meth].probs for meth in METHODS], axis=1).ravel()
@@ -140,6 +144,47 @@ class TestOutputs:
         cube = np.stack([back.trajectories[meth].probs for meth in METHODS], axis=1)  # (T, methods, p)
         assert np.isnan(text).sum() == 2 * cfg.dgp.p
         np.testing.assert_array_equal(cube.ravel().view(np.uint64), text.view(np.uint64))
+
+    def test_one_pass_counts_match_reference(self, tmp_path):
+        # rep ids 3, 6, ..., 72: the smcs set of the first rep starts empty,
+        # the second's is empty throughout, so each of its smcs columns is all
+        # NaN, and the others' empty for a random span, or never; exact 0.5
+        # ties are drawn as often as the rest.  More than 8 reps, so that a
+        # reduction over a strided (reps, T) view would sum in another order
+        t_count, p = 30, 3
+        rng = np.random.default_rng(11)
+        rep_ids = list(range(3, 75, 3))
+        results = []
+        for i, rep in enumerate(rep_ids):
+            probs = {meth: rng.choice([0.2, 0.4999, 0.5, 0.8], size=(t_count, p)) for meth in METHODS}
+            sizes = np.full(t_count, 5, dtype=np.int64)
+            if i < 2:
+                empty = slice(0, 5) if i == 0 else slice(None)
+            else:
+                start = int(rng.integers(0, t_count))
+                empty = slice(start, start + int(rng.integers(0, 6)))
+            probs["smcs"][empty] = np.nan
+            sizes[empty] = 0
+            results.append(ReplicationResult.from_probs(rep, 19, 19 + t_count - 1, probs, sizes))
+        path = tmp_path / "traj.csv"
+        write_trajectories_csv(results, path)
+        back = read_trajectories_csv(path)
+        assert [r.rep for r in back] == rep_ids
+        for res in results + back:
+            for meth in METHODS:
+                traj = res.trajectories[meth].probs
+                want = [crossing_events_reference(traj[:, k]).sum() for k in range(p)]
+                np.testing.assert_array_equal(res.crossings[meth], want)
+        stats = aggregate(back)
+        for meth in METHODS:
+            # the per-rep loop the whole-run count replaces, reduced over a (reps, T) array
+            cum = np.array(
+                [np.cumsum(sum(crossing_events_reference(r.trajectories[meth].probs[:, k]) for k in range(p)))
+                 for r in back],
+                dtype=float,
+            )
+            assert np.array_equal(stats.cum_mean[meth], cum.mean(axis=0))
+            assert np.array_equal(stats.cum_sd[meth], cum.std(axis=0, ddof=1))
 
     def test_analyze_recomputes_tables(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
@@ -216,6 +261,8 @@ class TestReaderErrors:
             lambda row: ",".join(row.split(",")[:1] + ["55"] + row.split(",")[2:]),
             lambda row: row.rsplit(",", 1)[0] + ",7\n",
             lambda row: ",".join(row.split(",")[:1] + ["55"] + row.split(",")[2:6]) + ",7\n",
+            # loadtxt encodes the method as latin-1, which has no lambda
+            lambda row: ",".join(row.split(",")[:3] + ["\u03bbasso"] + row.split(",")[4:]),
         ],
         ids=[
             "six_fields",
@@ -226,6 +273,7 @@ class TestReaderErrors:
             "one_row_n",
             "one_row_set_size",
             "one_row_n_and_set_size",
+            "non_latin1_method",
         ],
     )
     def test_malformed_row(self, run_dir, edit):
@@ -245,10 +293,38 @@ class TestReaderErrors:
         with pytest.raises(DataError, match=r"trajectories.csv has an n that is not n\(t = 1\) \+ t - 1"):
             read_trajectories_csv(path)
 
-    @pytest.mark.parametrize("name", ["lasso", "zero_outs", "BVS"])
+    @pytest.mark.parametrize("name", ["lasso", "zero_outs", "BVS", "z\u00e9ro", "zero_out_x"])
     def test_unknown_method(self, run_dir, name):
+        # a name longer than 9 characters is cut to 9, which no method name is
         path = self._replace_row(run_dir, 2, lambda row: row.replace(",bvs,", f",{name},"))
-        with pytest.raises(DataError, match=f"unknown method '{name}'.*trajectories.csv"):
+        with pytest.raises(DataError, match=f"unknown method '{name[:9]}'.*trajectories.csv"):
+            read_trajectories_csv(path)
+
+    @pytest.mark.parametrize(
+        "nan_in, emptied",
+        [("bvs", False), ("zero_out", False), ("mixed", False), ("smcs", False), (None, True), ("smcs", True)],
+        ids=[
+            "nan_in_bvs",
+            "nan_in_zero_out",
+            "nan_in_mixed",
+            "smcs_nan_in_nonempty_set",
+            "smcs_value_in_empty_set",
+            "smcs_partly_nan_in_empty_set",
+        ],
+    )
+    def test_nan_off_the_empty_smcs_sets(self, run_dir, nan_in, emptied):
+        # covariate 2 of one method reads NaN at (rep 0, t 1), and/or every row there reads set size 0
+        path = run_dir / "trajectories.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        for i, row in enumerate(lines[1:], 1):
+            cells = row.rstrip("\n").split(",")
+            if cells[0] == "0" and cells[2] == "1":
+                assert cells[5] != "nan" and cells[6] != "0"
+                prob = "nan" if cells[3:5] == [nan_in, "2"] else cells[5]
+                lines[i] = ",".join(cells[:5] + [prob, "0" if emptied else cells[6]]) + "\n"
+        path.write_text("".join(lines))
+        what = "an smcs NaN pattern that disagrees with set_size == 0" if nan_in in (None, "smcs") else f"NaN in {nan_in}"
+        with pytest.raises(DataError, match=f"trajectories.csv has {what} at rep 0, t 1$"):
             read_trajectories_csv(path)
 
     def test_missing_and_repeated_cells(self, run_dir):
@@ -435,12 +511,13 @@ class TestCli:
         out_dir = tmp_path / "o1"
         rc = main(
             ["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--reps", "1",
-             "--seed", "11", "--no-plots"]
+             "--seed", "11", "--no-plots", "--workers", "3"]
         )
         assert rc == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["reps"] == 1
         assert manifest["config"]["base_seed"] == 11
+        assert manifest["workers"] == 1  # one replication runs serially
 
     def test_manifest_smcs_and_missing_blocks(self, tmp_path):
         # defaults for every smcs and missing key; only the run is shrunk
