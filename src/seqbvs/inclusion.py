@@ -27,6 +27,8 @@ from .model_space import ModelSpace
 METHODS = ("bvs", "smcs", "zero_out", "mixed")
 
 _MIN_RESTRICTED_MASS = 1e-300
+# rounding slack allowed outside [0, 1] for a probability
+PROB_SLACK = 1e-12
 
 
 @dataclass
@@ -44,9 +46,9 @@ class InclusionTrajectory:
         if self.method not in METHODS:
             raise DataError(f"method must be one of {METHODS}, got {self.method!r}")
         self.probs = np.asarray(self.probs, dtype=float)
-        finite = self.probs[np.isfinite(self.probs)]
-        if finite.size and (finite.min() < -1e-12 or finite.max() > 1.0 + 1e-12):
-            raise DataError("inclusion probabilities must lie in [0, 1]")
+        held = self.probs[~np.isnan(self.probs)]  # ±inf is held, and out of range
+        if held.size and (held.min() < -PROB_SLACK or held.max() > 1.0 + PROB_SLACK):
+            raise DataError("inclusion probabilities must be NaN or lie in [0, 1]")
 
 
 def _marginals(w: np.ndarray) -> tuple[np.ndarray, float]:

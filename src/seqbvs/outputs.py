@@ -7,6 +7,13 @@ the config alone, so reruns write them byte-identical; the report tables
 fill one %-template per line (per method for the crossing totals), and the
 plots of one call go into one plots/ directory made once.
 
+The 4 x reps trajectory charts of a run share one x grid (n_min..n_max)
+and, coloured by dgp.beta, one set of actives and emphasized covariates,
+so their frame is formatted once per run in svg's bounded caches: the x
+half of every point, the points template, the axes, the 0.5 rule, the
+legend, the draw order and each line's colour and width.  Once per chart
+come its title and its own probabilities.
+
 The CSV and the arrays it holds are both whole-array: the writer joins the
 rows of one (rep, t) into one string, and the reader parses the file in one
 np.loadtxt pass and scatters it into a (reps, methods, T, p) probability
@@ -29,7 +36,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError, OutputError
 from .experiment import CrossingStats, ExperimentConfig, ReplicationResult, aggregate
-from .inclusion import METHODS
+from .inclusion import METHODS, PROB_SLACK
 from .svg import crossing_totals_chart, trajectory_chart
 
 TRAJECTORIES_CSV = "trajectories.csv"
@@ -162,13 +169,18 @@ def write_replication_plots(
     """plots/repNNN_<method>.svg: each replication's inclusion trajectories per method.
 
     With the data-generating `beta`, its nonzero entries are drawn as actives
-    and those of largest |beta| with a thicker stroke.  Without it (a run
-    directory with no manifest), each replication is coloured by its final
-    bvs call.  plots/ is created once per call.
+    and those of largest |beta| with a thicker stroke; a beta of another
+    length than the trajectories' covariate count raises DataError.  Without
+    it (a run directory with no manifest), each replication is coloured by
+    its final bvs call.  plots/ is created once per call.
     """
     active, strong = None, ()
     if beta is not None:
         beta = np.asarray(beta, dtype=float)
+        for res in results:
+            p = res.trajectories["bvs"].probs.shape[1]
+            if beta.shape != (p,):
+                raise DataError(f"dgp.beta has {beta.size} entries, but rep {res.rep} has {p} covariates")
         active = beta != 0.0
         strong = tuple(int(k) + 1 for k in np.flatnonzero(active & (np.abs(beta) == np.max(np.abs(beta)))))
     plots = _plots_dir(outdir)
@@ -232,10 +244,10 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     replication gets its crossings from one count on its (T, methods, p)
     stack.  A malformed row (wrong field count, a non-numeric field, an
     unknown method), an incomplete cube, rows of one (rep, t) that disagree
-    on n or set_size, an n other than n(t = 1) + t - 1, NaN in bvs,
-    zero_out or mixed, or an smcs row whose NaN entries do not match
-    set_size == 0 (NaN throughout an emptied set, none in any other)
-    raises DataError naming the file.
+    on n or set_size, an n other than n(t = 1) + t - 1, a probability
+    outside [0, 1] (±inf included), NaN in bvs, zero_out or mixed, or an
+    smcs row whose NaN entries do not match set_size == 0 (NaN throughout
+    an emptied set, none in any other) raises DataError naming the file.
     """
     path = Path(path)
     try:
@@ -285,6 +297,11 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     sizes = sizes.reshape(shape[0], shape[2])
     if np.any(n_at != n_at[:, :1] + np.arange(shape[2])):
         raise DataError(f"{path} has an n that is not n(t = 1) + t - 1")
+    # every probability is NaN or lies in [0, 1]; ±inf parses as a float but does not
+    outside = (cube < -PROB_SLACK) | (cube > 1.0 + PROB_SLACK)
+    if outside.any():
+        r, i, t_at = np.argwhere(outside)[0][:3]
+        raise DataError(f"{path} has a probability outside [0, 1] in {METHODS[i]} at rep {rep_ids[r]}, t {t_at + 1}")
     # NaN only where the smcs confidence set is empty, and there in every covariate
     nan = np.isnan(cube)
     empty = (sizes == 0)[:, :, None]

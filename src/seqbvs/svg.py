@@ -1,19 +1,24 @@
 """Minimal SVG 1.1 line-chart emitter, no external dependencies.
 
-A chart formats each distinct piece of text once.  Its x values are mapped
-and formatted into "px,%.2f" cells when the canvas is made; a series' y
-values are mapped in one array call (a trajectory chart maps its whole
-(T, p) matrix at once); and a polyline or band is one join of the x cells of
-its finite points, filled by one % over their y values.  The axes and ticks
-are a pure function of the ranges and labels, built once per distinct chart
-frame.  The text is byte for byte what formatting "%.2f,%.2f" point by point
-gives.
+What the charts of a run share is formatted once per run and kept in
+small bounded caches, keyed by what it depends on:
+- per x grid: each x's "px,%.2f" half of a point, and their join, the
+  points template of a series finite at every x;
+- per (ranges, labels): the axes, ticks and axis titles;
+- per (x grid, actives, emphasized covariates): a trajectory chart's 0.5
+  rule, legend, draw order, and each line's colour and width.
+What is formatted once per chart is its title and its own y values.  A
+chart maps its y values in one array call (a trajectory chart its whole
+(T, p) matrix); a series finite at every x fills the template with one %,
+and a gapped one joins the x cells of its finite points first.  The text
+is byte for byte what formatting "%.2f,%.2f" point by point gives.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +33,9 @@ ACTIVE_COLOR = "#2e8b57"  # green
 INACTIVE_COLOR = "#8b5a2b"  # brown
 SERIES_COLORS = {"bvs": "#d62728", "mixed": "#1f77b4", "smcs": "#2ca02c", "zero_out": "#9467bd"}
 
-# distinct (ranges, labels) frames whose axes text is kept: a run's charts use two
-_AXES_CACHE_SIZE = 8
+# distinct frames of each kind whose text is kept: a run's charts use two x
+# grids, two axes frames and, colouring by beta, one trajectory frame
+_FRAME_CACHE_SIZE = 8
 
 _HEAD = (
     f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -52,7 +58,63 @@ def _map_y(y, lo: float, hi: float):
     return HEIGHT - MARGIN_B - (y - lo) / (hi - lo) * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
-@functools.lru_cache(maxsize=_AXES_CACHE_SIZE)
+def _title(text: str) -> str:
+    return (
+        f'<text x="{WIDTH / 2:.0f}" y="28" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="17">{_escape(text)}</text>'
+    )
+
+
+def _label(text: str, x: float, y: float, color: str) -> str:
+    return (
+        f'<text x="{x:.0f}" y="{y:.0f}" font-family="sans-serif" font-size="12" '
+        f'fill="{color}">{_escape(text)}</text>'
+    )
+
+
+def _polyline_open(color: str, width: float) -> str:
+    """A polyline's text up to its points, which close with '"/>'."""
+    return f'<polyline fill="none" stroke="{color}" stroke-width="{width:g}" stroke-opacity="1" points="'
+
+
+def _points(cells, py: np.ndarray, template: str | None = None) -> str | None:
+    """The 'px,py px,py ...' text of the points with finite mapped y `py`.
+
+    `cells` holds each point's "px,%.2f" x half and `template` their join,
+    filled by one % when every py is finite; otherwise the finite points'
+    cells are joined first.  None when fewer than 2 points are finite, as
+    there is no line to draw.
+    """
+    finite = np.isfinite(py)
+    n_finite = np.count_nonzero(finite)
+    if n_finite < 2:
+        return None
+    if template is not None and n_finite == py.size:
+        return template % tuple(py.tolist())
+    return " ".join(compress(cells, finite.tolist())) % tuple(py[finite].tolist())
+
+
+class _XFrame(NamedTuple):
+    lo: float
+    hi: float
+    cells: tuple[str, ...]  # each x's half of a point; a series fills in the y half
+    template: str  # the cells joined: the points text of a series finite at every x
+
+
+def _x_key(xs) -> bytes:
+    return np.asarray(xs, dtype=float).tobytes()
+
+
+@functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
+def _x_frame(key: bytes) -> _XFrame:
+    """The x half of every point over the float64 x values whose bytes are `key`."""
+    xs = np.frombuffer(key)
+    lo, hi = float(xs[0]), float(xs[-1])
+    cells = tuple("%.2f,%%.2f" % px for px in _map_x(xs, lo, hi).tolist())
+    return _XFrame(lo, hi, cells, " ".join(cells))
+
+
+@functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
 def _axes(x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label: str, y_label: str) -> str:
     """Axis lines, ticks, tick labels and axis titles of one chart frame."""
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
@@ -94,72 +156,70 @@ class _Canvas:
     """One chart over the x values `xs`; series are drawn at those x."""
 
     def __init__(self, title: str, xs, y_lo: float, y_hi: float, x_label: str, y_label: str):
-        xs = np.asarray(xs, dtype=float)
-        self.x_lo, self.x_hi = float(xs[0]), float(xs[-1])
+        self.x = _x_frame(_x_key(xs))
         self.y_lo, self.y_hi = y_lo, y_hi
-        # each x's half of a point, formatted once; a series fills in the y half
-        self.x_cells = ["%.2f,%%.2f" % px for px in self._px(xs).tolist()]
-        self.parts: list[str] = [
-            _HEAD,
-            f'<text x="{WIDTH / 2:.0f}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="17">{_escape(title)}</text>',
-            _axes(self.x_lo, self.x_hi, y_lo, y_hi, x_label, y_label),
-        ]
+        self.parts: list[str] = [_HEAD, _title(title), _axes(self.x.lo, self.x.hi, y_lo, y_hi, x_label, y_label)]
 
     def _px(self, x: float | np.ndarray) -> float | np.ndarray:
-        return _map_x(x, self.x_lo, self.x_hi)
+        return _map_x(x, self.x.lo, self.x.hi)
 
     def _py(self, y: float | np.ndarray) -> float | np.ndarray:
         return _map_y(y, self.y_lo, self.y_hi)
 
-    @staticmethod
-    def _points(cells: list[str], py: np.ndarray) -> str | None:
-        """The 'px,py px,py ...' text of the points with finite mapped y `py`.
-
-        One join of those points' x cells and one % over their y values;
-        None when fewer than 2 points are finite, as there is no line to draw.
-        """
-        finite = np.isfinite(py)
-        if np.count_nonzero(finite) < 2:
-            return None
-        return " ".join(compress(cells, finite.tolist())) % tuple(py[finite].tolist())
-
-    def hline(self, y: float, color: str = "#555", dashed: bool = True) -> None:
-        py = self._py(y)
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
-        self.parts.append(
-            f'<line x1="{MARGIN_L}" y1="{py:.1f}" x2="{WIDTH - MARGIN_R}" y2="{py:.1f}" '
-            f'stroke="{color}" stroke-width="1"{dash}/>'
-        )
-
-    def polyline(self, py: np.ndarray, color: str, width: float = 1.3, opacity: float = 1.0) -> None:
+    def polyline(self, py: np.ndarray, color: str, width: float) -> None:
         """A line through (x, py) over the chart's x, skipping non-finite py."""
-        pts = self._points(self.x_cells, py)
-        if pts is None:
-            return
-        self.parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="{width:g}" '
-            f'stroke-opacity="{opacity:g}" points="{pts}"/>'
-        )
+        pts = _points(self.x.cells, py, self.x.template)
+        if pts is not None:
+            self.parts.append(_polyline_open(color, width) + pts + '"/>')
 
-    def band(self, py_lo: np.ndarray, py_hi: np.ndarray, color: str, opacity: float = 0.18) -> None:
+    def band(self, py_lo: np.ndarray, py_hi: np.ndarray, color: str) -> None:
         """The region between two mapped series: along py_hi, then back along py_lo."""
-        outline = self._points(self.x_cells + self.x_cells[::-1], np.concatenate([py_hi, py_lo[::-1]]))
-        if outline is None:
-            return
-        self.parts.append(
-            f'<polygon fill="{color}" fill-opacity="{opacity:g}" stroke="none" '
-            f'points="{outline}"/>'
-        )
+        outline = _points(self.x.cells + self.x.cells[::-1], np.concatenate([py_hi, py_lo[::-1]]))
+        if outline is not None:
+            self.parts.append(
+                f'<polygon fill="{color}" fill-opacity="0.18" stroke="none" points="{outline}"/>'
+            )
 
     def label(self, text: str, x: float, y: float, color: str) -> None:
-        self.parts.append(
-            f'<text x="{x:.0f}" y="{y:.0f}" font-family="sans-serif" font-size="12" '
-            f'fill="{color}">{_escape(text)}</text>'
-        )
+        self.parts.append(_label(text, x, y, color))
 
     def render(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
+
+
+class _TrajectoryFrame(NamedTuple):
+    x: _XFrame
+    top: str  # axes and the 0.5 rule
+    lines: tuple[tuple[int, str], ...]  # (covariate index, polyline opening) in draw order
+    tail: str  # legend and closing tag
+
+
+@functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
+def _trajectory_frame(x_key: bytes, active_key: bytes, emphasize: tuple[int, ...]) -> _TrajectoryFrame:
+    """Every part of a trajectory chart that its title and probabilities do not change."""
+    x = _x_frame(x_key)
+    active = np.frombuffer(active_key, dtype=bool)
+    order = np.argsort(active.astype(int)).tolist()  # draw inactives first, actives on top
+    lines = tuple(
+        (k, _polyline_open(ACTIVE_COLOR if active[k] else INACTIVE_COLOR, 2.6 if (k + 1) in emphasize else 1.2))
+        for k in order
+    )
+    rule = _map_y(0.5, 0.0, 1.0)
+    top = "\n".join(
+        [
+            _axes(x.lo, x.hi, 0.0, 1.0, "n", "inclusion probability"),
+            f'<line x1="{MARGIN_L}" y1="{rule:.1f}" x2="{WIDTH - MARGIN_R}" y2="{rule:.1f}" '
+            'stroke="#555" stroke-width="1" stroke-dasharray="6 4"/>',
+        ]
+    )
+    tail = "\n".join(
+        [
+            _label("active", WIDTH - 150, MARGIN_T + 16, ACTIVE_COLOR),
+            _label("inactive", WIDTH - 150, MARGIN_T + 32, INACTIVE_COLOR),
+            "</svg>\n",
+        ]
+    )
+    return _TrajectoryFrame(x, top, lines, tail)
 
 
 def trajectory_chart(
@@ -176,17 +236,15 @@ def trajectory_chart(
     NaN probabilities are gaps; a covariate with fewer than 2 finite
     probabilities draws no line.
     """
-    canvas = _Canvas(title, ns, 0.0, 1.0, "n", "inclusion probability")
-    canvas.hline(0.5)
-    py = canvas._py(np.asarray(probs, dtype=float))  # (T, p), every covariate in one map
-    order = np.argsort(active.astype(int))  # draw inactives first, actives on top
-    for k in order:
-        color = ACTIVE_COLOR if active[k] else INACTIVE_COLOR
-        width = 2.6 if (k + 1) in emphasize else 1.2
-        canvas.polyline(py[:, k], color, width=width)
-    canvas.label("active", WIDTH - 150, MARGIN_T + 16, ACTIVE_COLOR)
-    canvas.label("inactive", WIDTH - 150, MARGIN_T + 32, INACTIVE_COLOR)
-    return canvas.render()
+    frame = _trajectory_frame(_x_key(ns), np.asarray(active, dtype=bool).tobytes(), tuple(emphasize))
+    py = _map_y(np.asarray(probs, dtype=float), 0.0, 1.0)  # (T, p), every covariate in one map
+    parts = [_HEAD, _title(title), frame.top]
+    for k, opening in frame.lines:
+        pts = _points(frame.x.cells, py[:, k], frame.x.template)
+        if pts is not None:
+            parts.append(opening + pts + '"/>')
+    parts.append(frame.tail)
+    return "\n".join(parts)
 
 
 def crossing_totals_chart(

@@ -355,7 +355,11 @@ def per_point_trajectory_chart(ns, probs, active, emphasize, title) -> str:
     from seqbvs import svg
 
     canvas = svg._Canvas(title, ns, 0.0, 1.0, "n", "inclusion probability")
-    canvas.hline(0.5)
+    rule = canvas._py(0.5)
+    canvas.parts.append(
+        f'<line x1="{svg.MARGIN_L}" y1="{rule:.1f}" x2="{svg.WIDTH - svg.MARGIN_R}" y2="{rule:.1f}" '
+        'stroke="#555" stroke-width="1" stroke-dasharray="6 4"/>'
+    )
     for k in np.argsort(np.asarray(active).astype(int)):
         pts = per_point_text(canvas._px, canvas._py, ns, probs[:, k])
         if pts is not None:

@@ -215,3 +215,8 @@ def test_trajectory_validation():
         InclusionTrajectory("bogus", np.array([[0.5]]))
     with pytest.raises(DataError):
         InclusionTrajectory("bvs", np.array([[1.5]]))
+    InclusionTrajectory("smcs", np.array([[np.nan, np.nan], [0.0, 1.0]]))
+    for value in (np.inf, -np.inf):
+        for meth, first_row in (("bvs", [0.3, 0.5]), ("smcs", [np.nan, np.nan])):
+            with pytest.raises(DataError, match=r"NaN or lie in \[0, 1\]"):
+                InclusionTrajectory(meth, np.array([first_row, [value, 0.5]]))

@@ -62,6 +62,11 @@ smcs.varsigma=0.65
 """
 
 
+def _clear_frames():
+    for cache in (svg_module._x_frame, svg_module._axes, svg_module._trajectory_frame):
+        cache.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def tiny_run():
     cfg = tiny_config()
@@ -209,7 +214,7 @@ class TestOutputs:
 
     def test_plots_rewrite_byte_identical(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
-        svg_module._axes.cache_clear()  # the first call builds the axes text, the second reuses it
+        _clear_frames()  # the first call builds the frames' text, the second reuses it
         trees = []
         for name in ("a", "b"):
             emit_outputs(results, stats, tmp_path / name, cfg, plots=True)
@@ -327,6 +332,23 @@ class TestReaderErrors:
         with pytest.raises(DataError, match=f"trajectories.csv has {what} at rep 0, t 1$"):
             read_trajectories_csv(path)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1.5", "-0.25"])
+    @pytest.mark.parametrize("meth", ["bvs", "smcs"])
+    def test_probability_outside_unit_interval(self, run_dir, meth, value):
+        # covariate 2 of one method reads `value` at (rep 1, t 3)
+        path = run_dir / "trajectories.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        hits = 0
+        for i, row in enumerate(lines[1:], 1):
+            cells = row.split(",")
+            if cells[0] == "1" and cells[2] == "3" and cells[3:5] == [meth, "2"]:
+                lines[i] = ",".join(cells[:5] + [value] + cells[6:])
+                hits += 1
+        assert hits == 1
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=rf"trajectories.csv has a probability outside \[0, 1\] in {meth} at rep 1, t 3$"):
+            read_trajectories_csv(path)
+
     def test_missing_and_repeated_cells(self, run_dir):
         path = run_dir / "trajectories.csv"
         lines = path.read_text().splitlines(keepends=True)
@@ -357,7 +379,9 @@ class TestSvg:
         canvas = _Canvas("t", xs, 0.0, 1.7, "n", "y")
         ys = rng.random(xs.size) * 1.7
         want = [f"{canvas._px(float(x)):.2f},{canvas._py(float(y)):.2f}" for x, y in zip(xs, ys)]
-        assert canvas._points(canvas.x_cells, canvas._py(ys)) == " ".join(want)
+        # the all-finite template and the join of the finite points' cells give the same text
+        assert svg_module._points(canvas.x.cells, canvas._py(ys), canvas.x.template) == " ".join(want)
+        assert svg_module._points(canvas.x.cells, canvas._py(ys)) == " ".join(want)
 
     def test_trajectory_chart_handles_nan(self):
         ns = np.arange(19, 25)
@@ -383,6 +407,56 @@ class TestSvg:
         svg = trajectory_chart(*args)
         assert svg == per_point_trajectory_chart(*args)
         assert svg.count("<polyline") == 4
+
+    def test_shared_frames_match_per_point_oracle(self):
+        # two x grids in one call sequence; every chart as the oracle draws it, with the frames cold and warm
+        rng = np.random.default_rng(12)
+        charts = []
+        for ns in (np.arange(19, 101), np.arange(5, 31), np.arange(19, 101)):
+            finite = rng.random((ns.size, 5))
+            gapped = finite.copy()
+            gapped[3:9, 0] = np.nan  # a gap inside the series
+            gapped[:4, 1] = np.nan  # leading NaN, as an emptied smcs set gives
+            gapped[:, 2] = np.nan
+            gapped[[1, -2], 2] = [0.1, 0.8]  # exactly 2 finite points: drawn
+            gapped[:, 3] = np.nan
+            gapped[4, 3] = 0.5  # 1 finite point: skipped
+            for probs, active, emphasize in (
+                (finite, np.array([True, False, True, False, False]), (1,)),
+                (gapped, np.array([True, False, True, False, False]), (1,)),
+                (finite, np.array([False, True, False, False, True]), (2, 5)),
+                (gapped, np.zeros(5, dtype=bool), ()),
+                (finite, np.array([True, False, True, False, False]), ()),
+            ):
+                charts.append((trajectory_chart, per_point_trajectory_chart, (ns, probs, active, emphasize, "rep 0 & 1")))
+            ts = np.arange(1, ns.size + 1)
+            series = {
+                "bvs": (np.linspace(0.0, 5.0, ts.size), np.full(ts.size, 1.0)),
+                "mixed": (np.linspace(0.0, 2.0, ts.size), np.linspace(0.0, 0.4, ts.size)),
+            }
+            charts.append((crossing_totals_chart, per_point_crossing_totals_chart, (ts, series, "totals")))
+        for chart, oracle, args in charts:
+            _clear_frames()
+            assert chart(*args) == oracle(*args)
+        _clear_frames()
+        for _ in range(2):  # the first pass fills the frames, the second draws from them only
+            hits = svg_module._trajectory_frame.cache_info().hits
+            for chart, oracle, args in charts:
+                assert chart(*args) == oracle(*args)
+        assert svg_module._trajectory_frame.cache_info().hits - hits == 15
+        assert svg_module._x_frame.cache_info().currsize == 4  # two n grids, two t grids
+
+    def test_frame_caches_are_bounded(self):
+        _clear_frames()
+        size = svg_module._FRAME_CACHE_SIZE
+        for i in range(3 * size):
+            ns = np.arange(19, 30 + i)
+            probs = np.full((ns.size, 3), 0.25)
+            trajectory_chart(ns, probs, np.array([i % 2 == 0, True, False]), (i % 3 + 1,), "chart")
+            crossing_totals_chart(ns, {"bvs": (probs[:, 0] * i, probs[:, 1])}, "totals")
+        for cache in (svg_module._x_frame, svg_module._axes, svg_module._trajectory_frame):
+            info = cache.cache_info()
+            assert info.maxsize == size and info.currsize == size
 
     def test_crossing_totals_chart(self):
         # matches the per-point oracle
@@ -484,6 +558,19 @@ class TestCli:
         (out_dir / "manifest.json").write_text('{"config": {}}\n')
         assert main(["plot", "--in", str(out_dir), "--rep", "1"]) == 2
         assert "cannot read config.dgp.beta from" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", [[2.0, 0.0, 1.0, 0.0, 1.0], [2.0, 0.0]], ids=["longer", "shorter"])
+    def test_plot_refuses_beta_of_another_length(self, tmp_path, capsys, beta):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG_TEXT)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        manifest["config"]["dgp"]["beta"] = beta
+        (out_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["plot", "--in", str(out_dir), "--rep", "1"]) == 2
+        assert capsys.readouterr().err == f"error: dgp.beta has {len(beta)} entries, but rep 1 has 3 covariates\n"
+        assert not (out_dir / "plots").exists()
 
     def test_simulate_shows_progress(self, tmp_path):
         # run_experiment logs progress; the simulate command installs the handler
