@@ -7,6 +7,13 @@ the config alone, so reruns write them byte-identical; the report tables
 fill one %-template per line (per method for the crossing totals), and the
 plots of one call go into one plots/ directory made once.
 
+Every file goes through one writer, `_rewrite`, which writes over an
+existing file in place and then cuts it at the end of the new text, so a
+rerun into an existing directory leaves each file it writes with the same
+bytes a fresh directory gets, without paying to empty the file first.  A
+rerun leaves alone the files it does not write, such as the plots of
+replications past its count, or the plots of a run without plots.
+
 The 4 x reps trajectory charts of a run share one x grid (n_min..n_max)
 and, coloured by dgp.beta, one set of actives and emphasized covariates,
 so their frame is formatted once per run in svg's bounded caches: the x
@@ -26,8 +33,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -56,9 +65,30 @@ _TRAJECTORY_DTYPE = np.dtype(
 _METHOD_BYTES = tuple(meth.encode() for meth in METHODS)
 
 
-def _open_for_write(path: Path):
+def _in_place(path, flags: int) -> int:
+    """open()'s opener for mode "w" without O_TRUNC: an existing file is written over, not emptied first."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def _rewrite(path: Path):
+    """The one writer of every output file: a text stream over `path`, cut at its end on exit.
+
+    The file is opened without truncation, so rewriting it writes over its
+    blocks instead of freeing them and allocating new ones.  On exit, also
+    when the body raises, a file that held text when opened is truncated
+    where the writing stopped, so no byte of an older, longer text is left
+    past the new one; a new (empty) file has nothing to cut.  An OSError
+    while opening, writing or truncating raises OutputError naming the file.
+    """
     try:
-        return open(path, "w", newline="")
+        with open(path, "w", encoding="utf-8", newline="", opener=_in_place) as fh:
+            had_text = os.fstat(fh.fileno()).st_size > 0
+            try:
+                yield fh
+            finally:
+                if had_text:
+                    fh.truncate()
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
@@ -73,7 +103,7 @@ def write_trajectories_csv(results: list[ReplicationResult], path) -> None:
     '%.12g' % v is f"{v:.12g}", NaN included).
     """
     path = Path(path)
-    with _open_for_write(path) as fh:
+    with _rewrite(path) as fh:
         fh.write(_TRAJECTORIES_HEADER + "\n")
         for res in results:
             probs = np.stack([res.trajectories[meth].probs for meth in METHODS], axis=1)  # (T, methods, p)
@@ -94,7 +124,7 @@ def write_tables_csv(stats: CrossingStats, path) -> None:
     path = Path(path)
     cols = ",".join(f"x{k}" for k in range(1, stats.p + 1))
     cells = ",".join(["%.12g"] * stats.p) + "\n"
-    with _open_for_write(path) as fh:
+    with _rewrite(path) as fh:
         fh.write(f"table,method,{cols}\n")
         for table, per_method in (("mean_crossings", stats.mean_crossings), ("final_inclusion_freq", stats.final_freq)):
             for meth in METHODS:
@@ -108,7 +138,7 @@ def write_crossing_totals_csv(stats: CrossingStats, path) -> None:
     interleaved (mean, sd) values.
     """
     path = Path(path)
-    with _open_for_write(path) as fh:
+    with _rewrite(path) as fh:
         fh.write("method,t,mean_total,sd_total\n")
         for meth in METHODS:
             lines = "".join(f"{meth},{t_idx + 1},%.12g,%.12g\n" for t_idx in range(stats.t_max))
@@ -129,12 +159,8 @@ def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) ->
     }
     if extra:
         manifest.update(extra)
-    try:
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
-            fh.write("\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+    with _rewrite(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n")
 
 
 def read_dgp_beta(directory) -> np.ndarray | None:
@@ -155,12 +181,6 @@ def _plots_dir(outdir) -> Path:
     except OSError as exc:
         raise OutputError(f"cannot create {plots}: {exc}") from exc
     return plots
-
-
-def _write_text(path: Path, text: str) -> Path:
-    with _open_for_write(path) as fh:
-        fh.write(text)
-    return path
 
 
 def write_replication_plots(
@@ -190,7 +210,10 @@ def write_replication_plots(
         colours = res.final_included["bvs"] if active is None else active
         for meth in methods:
             svg = trajectory_chart(ns, res.trajectories[meth].probs, colours, strong, f"rep {res.rep}, method {meth}")
-            paths.append(_write_text(plots / f"rep{res.rep:03d}_{meth}.svg", svg))
+            path = plots / f"rep{res.rep:03d}_{meth}.svg"
+            with _rewrite(path) as fh:
+                fh.write(svg)
+            paths.append(path)
     return paths
 
 
@@ -201,7 +224,10 @@ def write_crossing_totals_plot(stats: CrossingStats, outdir) -> Path:
         {meth: (stats.cum_mean[meth], stats.cum_sd[meth]) for meth in ("bvs", "mixed")},
         "cumulative total crossings (mean, +-1 sd)",
     )
-    return _write_text(_plots_dir(outdir) / "crossing_totals.svg", svg)
+    path = _plots_dir(outdir) / "crossing_totals.svg"
+    with _rewrite(path) as fh:
+        fh.write(svg)
+    return path
 
 
 def emit_outputs(

@@ -107,9 +107,15 @@ def _x_key(xs) -> bytes:
 
 @functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
 def _x_frame(key: bytes) -> _XFrame:
-    """The x half of every point over the float64 x values whose bytes are `key`."""
+    """The x half of every point over the float64 x values whose bytes are `key`.
+
+    A grid of one x value is drawn over [x - 1, x + 1], so that it has a
+    range to map onto.
+    """
     xs = np.frombuffer(key)
     lo, hi = float(xs[0]), float(xs[-1])
+    if lo == hi:
+        lo, hi = lo - 1.0, hi + 1.0
     cells = tuple("%.2f,%%.2f" % px for px in _map_x(xs, lo, hi).tolist())
     return _XFrame(lo, hi, cells, " ".join(cells))
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,11 +14,15 @@ from seqbvs import svg as svg_module
 from seqbvs.cli import main
 from seqbvs.config import KNOWN_KEYS, build_config, parse_config_text
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
-from seqbvs.errors import ConfigError, DataError
+from seqbvs.errors import ConfigError, DataError, OutputError
 from seqbvs.experiment import ExperimentConfig, MissingnessConfig, ReplicationResult, aggregate, run_experiment
 from seqbvs.imputation import ImputationConfig
 from seqbvs.inclusion import METHODS, InclusionTrajectory
 from seqbvs.outputs import (
+    CROSSING_TOTALS_CSV,
+    MANIFEST_JSON,
+    TABLES_CSV,
+    TRAJECTORIES_CSV,
     analyze_directory,
     emit_outputs,
     read_trajectories_csv,
@@ -222,6 +227,39 @@ class TestOutputs:
             trees.append({path.name: path.read_bytes() for path in sorted(plots.iterdir())})
         assert len(trees[0]) == cfg.reps * 4 + 1
         assert trees[0] == trees[1]
+
+    def test_rerun_into_a_directory_writes_a_fresh_directory_bytes(self, tiny_run, tmp_path):
+        cfg, results, stats = tiny_run
+        big_cfg = tiny_config(reps=3, base_seed=5)
+        big = run_experiment(big_cfg)
+        emit_outputs(big, aggregate(big), tmp_path / "d", big_cfg)
+        before = {path: path.stat().st_size for path in (tmp_path / "d").rglob("*") if path.is_file()}
+        for name in ("d", "e"):
+            emit_outputs(results, stats, tmp_path / name, cfg)
+        fresh = [path for path in (tmp_path / "e").rglob("*") if path.is_file()]
+        assert len(fresh) == 4 + cfg.reps * 4 + 1
+        for path in fresh:
+            assert (tmp_path / "d" / path.relative_to(tmp_path / "e")).read_bytes() == path.read_bytes(), path.name
+        assert any(path.stat().st_size < size for path, size in before.items())
+        # the replication past the new count keeps its plots
+        stale = tmp_path / "d" / "plots" / "rep002_bvs.svg"
+        assert stale.stat().st_size == before[stale]
+
+    def test_write_that_raises_leaves_only_its_prefix(self, tiny_run, tmp_path):
+        _, results, _ = tiny_run
+        path = tmp_path / "traj.csv"
+        write_trajectories_csv(results, path)
+        with pytest.raises(AttributeError):
+            write_trajectories_csv([results[0], None], path)  # the second replication fails after the first is written
+        write_trajectories_csv(results[:1], tmp_path / "first.csv")
+        assert path.read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", [TRAJECTORIES_CSV, TABLES_CSV, CROSSING_TOTALS_CSV, MANIFEST_JSON])
+    def test_unwritable_output_raises_output_error(self, tiny_run, tmp_path, name):
+        cfg, results, stats = tiny_run
+        (tmp_path / name).mkdir()
+        with pytest.raises(OutputError, match=f"cannot write .*{name}"):
+            emit_outputs(results, stats, tmp_path, cfg, plots=False)
 
     def test_tables_match_per_value_format(self, tiny_run, tmp_path):
         _, _, stats = tiny_run
@@ -571,6 +609,17 @@ class TestCli:
         assert main(["plot", "--in", str(out_dir), "--rep", "1"]) == 2
         assert capsys.readouterr().err == f"error: dgp.beta has {len(beta)} entries, but rep 1 has 3 covariates\n"
         assert not (out_dir / "plots").exists()
+
+    def test_plot_of_a_single_t(self, tmp_path):
+        rows = [f"0,19,1,{meth},{k},{prob},3" for meth in METHODS for k, prob in ((1, 0.7), (2, 0.2))]
+        (tmp_path / "trajectories.csv").write_text("rep,n,t,method,covariate,prob,set_size\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plot", "--in", str(tmp_path), "--rep", "0"]) == 0
+        plots = sorted(path.name for path in (tmp_path / "plots").iterdir())
+        assert plots == ["crossing_totals.svg"] + [f"rep000_{meth}.svg" for meth in sorted(METHODS)]
+        for name in plots:
+            ET.fromstring((tmp_path / "plots" / name).read_text())
 
     def test_simulate_shows_progress(self, tmp_path):
         # run_experiment logs progress; the simulate command installs the handler
