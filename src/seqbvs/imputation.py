@@ -2,36 +2,34 @@
 
 Each of the M completions starts from column-wise mean draws with
 observed-residual noise, then runs a fixed number of chained-equation
-sweeps: every column with missing cells is regressed (eigenvalue-floored
-least squares) on all other covariate columns, coefficients are drawn from
-their asymptotic normal, and the missing cells are redrawn from the fitted
-normal predictive.  Observed cells are never touched.
+sweeps: every column with missing cells is regressed on all other covariate
+columns under a ridge prior on their standardised slopes, coefficients are
+drawn from the conjugate normal posterior, and the missing cells are
+redrawn from the fitted normal predictive.  Observed cells are never
+touched.
 
 One call imputes a stack of sample sizes: the completions of every size and
 chain sit in one (T, M, n_hi, p + 1) array [1, x] over the first n_hi rows,
+each column less the mean of its observed cells (added back at the end),
 and the rows beyond a size are zero in every column (the intercept too), so
 they add nothing to a product.  Each (sweep, column) step then fits all T*M
 chains at once: batched products give each chain's (p + 1) x (p + 1)
 cross-product matrix of [1, x] over the rows where the column is observed,
-which holds the Gram matrix G = D'D of the design D (the intercept and the
-other columns), D'z for the column z, z'z and sum z.  From these one
-function, _redraw, fits, draws and fills: every step draws each chain's
-coefficients, and the missing cells are then read off [1, x] beta, formed
-over every row of the stack.  The draw goes through a Cholesky factor, as
-in van Buuren (2018, Flexible Imputation of Missing Data, Algorithm 3.1):
-beta = G_f^-1 D'z + sigma_hat L_f^-T xi, where G_f is G when every
-eigenvalue clears the floor f and V diag(max(lambda, f)) V' otherwise, and
-L_f is its Cholesky factor.  sigma_hat needs no pass over the rows: the
-residual sum of squares is z'z - 2 beta_hat'D'z + beta_hat'G beta_hat with
-the unfloored G, and the centred one z'z - (sum z)^2 / n_obs.  The small
-linear algebra keeps the chain axis last from the cross-products to the
-coefficients, on (q, q, B), (q, r, B) and (q, B) arrays, so each numpy call
-runs one contiguous loop over the B chains: a vectorised elimination pass
-finds the chains whose G - f I has no Cholesky factor (only those go
-through `eigh`), and the forward and back substitutions run one row at a
-time.  The draw is a continuous function of the data, so sums that add in
-another order (a padded stack, another chunk of sizes) move the completions
-by roundoff only.
+which holds the Gram matrix G = D'D of the design D = [1, X] (the intercept
+and the other columns), D'z for the column z, z'z and sum z.  The fit needs
+no pass over the rows: the column sums sit in G's intercept row, so the
+X'X block is centred and scaled in place to n_obs times the correlations of
+X, and one Cholesky factor L of that plus _RIDGE * q on the diagonal gives
+the standardised slopes and their draw sigma_hat L^-T xi, as in mice's
+`norm` method (van Buuren 2018, Flexible Imputation of Missing Data,
+Algorithm 3.1).  They map back to raw slopes through the column sds, and
+the free intercept follows from the means.  The residual sum of squares
+for sigma_hat comes from the same factor.  The small linear algebra keeps
+the chain axis last, on (q, q, B), (q, r, B) and (q, B) arrays, so each
+numpy call runs one contiguous loop over the B chains, and the forward and
+back substitutions run one row at a time.  The draw is a continuous
+function of the data, so sums that add in another order (a padded stack,
+another chunk of sizes) move the completions by roundoff only.
 
 Memory is set by the stack, which holds at most CELL_BUDGET values (see
 model_space).  Next to it a step holds one sweep's normals for every chain
@@ -39,7 +37,7 @@ model_space).  Next to it a step holds one sweep's normals for every chain
 per chain; the observed rows are gathered a bounded chunk of chains at a
 time, and each step's temporaries die with it.  At desk size (M = 10,
 n = 100, p = 10) a call stacks 23 sample sizes, a stack of up to 2 MB, and a
-whole desk stream peaks at about 3.8 MB (tracemalloc).  The completions
+whole desk stream peaks at about 3.7 MB (tracemalloc).  The completions
 handed back are views into the stack: a caller that keeps a size copies it,
 as experiment._imputed_stream does, one size at a time.
 
@@ -93,22 +91,21 @@ class ImputationConfig:
             raise ConfigError(f"min_col_obs must be >= 2, got {self.min_col_obs}")
 
 
-# Weak inverse-gamma regularisation of the residual variance and an
-# eigenvalue floor on the observed Gram matrix keep the normal predictive
-# proper when the conditional fit is (near-)saturated, as happens around
-# n = 19 with ten covariates (8-16 observed rows for 10 predictors): there the
-# raw least-squares fit has residual variance ~ 0 and unbounded coefficients
-# along the observed design's null space.  The floor applies to the point fit
-# and the coefficient draw alike.  It is _EIG_FLOOR * trace(gram) / n_obs,
-# i.e. _EIG_FLOOR times the information that q rows carry about an average
-# design column.  It does not grow with n_obs while the Gram eigenvalues do, so
-# once every eigenvalue clears it the fit is exact least squares.  At
-# saturation (n_obs = q) it is _EIG_FLOOR times the mean Gram diagonal; 0.15
-# there keeps, for unit-scale covariates, the floor that 0.05 gave when the
-# response column (variance ~25 in the default DGP) was part of the design
-# and set most of the trace.
+# A column's conditional fit puts a normal prior worth _RIDGE * q pseudo-rows
+# (q the design width: 1.5 rows at p = 10) on the slopes of the design
+# columns standardised over the fit's rows; the intercept is free (Hastie,
+# Tibshirani & Friedman, ESL, section 3.4.1).  Around n = 19 with ten
+# covariates a column has 8-16 observed rows for 10 predictors, where least
+# squares is near-saturated and its coefficients unbounded along the
+# design's null space; the prior keeps the point fit and the draw finite,
+# fades as _RIDGE * q / n_obs, and does not depend on the columns' units.  A
+# weak inverse-gamma prior worth _SIGMA_PRIOR_WEIGHT rows at the column's
+# observed variance keeps the residual scale proper at saturation.
 _SIGMA_PRIOR_WEIGHT = 2.0
-_EIG_FLOOR = 0.15
+_RIDGE = 0.15
+# A centred square sum below this share of the n m^2 subtracted from the raw
+# one is roundoff of the subtraction (a few thousand ulps), not spread.
+_CONSTANT_TOL = 1e-10
 
 
 # The stack of one impute call holds at most CELL_BUDGET values,
@@ -122,27 +119,6 @@ _GATHER_CELLS = CELL_BUDGET // 8
 def stack_sizes(n_max: int, M: int, p: int) -> int:
     """How many consecutive sample sizes up to n_max one impute call should stack."""
     return max(1, CELL_BUDGET // (M * n_max * (p + 1)))
-
-
-def _floor_binds(gram_t: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """(B,) flags of the (q, q, B) Gram stack's matrices with an eigenvalue at or below their floor.
-
-    That is when gram - floor * I has no Cholesky factor: one symmetric
-    elimination step per column, vectorised over the stack, meets a pivot
-    that is not positive.  (np.linalg.cholesky fails the whole stack when
-    one matrix fails.)  Step j leaves pivot j in place, so the pivots are
-    read off the diagonal at the end; a chain that has met a failing pivot
-    carries on with meaningless values, which only its own flag reads.
-    """
-    q = len(gram_t)
-    diag = np.arange(q)
-    rest = gram_t.copy()
-    rest[diag, diag] -= floor
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(q - 1):
-            scaled = rest[j, None, j + 1 :] / rest[j, j]
-            rest[j + 1 :, j + 1 :] -= rest[j + 1 :, j, None] * scaled
-    return ~(rest[diag, diag] > 0.0).all(axis=0)
 
 
 def _forward(low_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
@@ -163,41 +139,55 @@ def _backward(low_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
     return x
 
 
-def _floored_fit(
-    gram_t: np.ndarray, cross_t: np.ndarray, n_obs: np.ndarray, coef_noise_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Floored least-squares fits of a stack of chains, and their draw directions.
+def _ridge_fit(
+    gram_t: np.ndarray, cross_t: np.ndarray, n_obs: np.ndarray, centred_zz: np.ndarray, coef_noise_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ridge fits of a stack of chains, their draw directions and residual sums of squares.
 
-    gram_t is the (q, q, B) stack of D'D, cross_t the (q, B) stack of D'z,
-    n_obs the (B,) row counts and coef_noise_t (q, B) standard normals xi;
-    the floor is _EIG_FLOOR * trace(gram) / n_obs.  Returns the point fits
-    G_f^-1 D'z and the draw directions L_f^-T xi, both (q, B).
+    gram_t is the (q, q, B) stack of D'D for D = [1, X], overwritten here;
+    cross_t the (q, B) stack of D'z, n_obs the (B,) row counts, centred_zz
+    the (B,) centred sums of squares of z and coef_noise_t (q, B) standard
+    normals xi.  Returns, in the raw coordinates of D and both (q, B), the
+    point fits (G + diag(0, f S_jj / n_obs))^-1 D'z with f = _RIDGE * q and
+    S the centred X'X, and the draw directions: slopes L^-T xi[1:] / d for
+    the column sds d, intercept xi[0] / sqrt(n_obs) less the column means
+    times those.  A column constant on the rows gets slope 0.
     """
-    floor = np.maximum(_EIG_FLOOR * np.trace(gram_t) / n_obs, 1e-12)
-    # the floored stack and the factor in numpy's layout are temporaries, so
-    # neither outlives its use
-    factor = np.linalg.cholesky(_lift(gram_t, floor).transpose(2, 0, 1))
+    q = len(gram_t)
+    ridge = _RIDGE * q
+    diag = np.arange(q - 1)
+    sums = gram_t[0, 1:]
+    mean = sums / n_obs
+    # S = X'X - s m' and then S / (d d'), in place: n_obs times the
+    # correlations of X, plus the ridge on the diagonal
+    xx = gram_t[1:, 1:]
+    for row, row_sum in zip(xx, sums):
+        row -= row_sum * mean
+    # a column whose centred square sum is within roundoff of the n m^2 it
+    # was taken from is constant on the rows: its standardised column is 0
+    varies = xx[diag, diag] > _CONSTANT_TOL * sums * mean
+    inv_scale = np.divide(n_obs, xx[diag, diag], out=np.zeros_like(mean), where=varies)
+    np.sqrt(inv_scale, out=inv_scale)
+    xx *= inv_scale[:, None]
+    xx *= inv_scale
+    xx[diag, diag] += ridge
+    cross = (cross_t[1:] - mean * cross_t[0]) * inv_scale
+    # the factor in numpy's layout is a temporary, so it does not outlive its use
+    factor = np.linalg.cholesky(xx.transpose(2, 0, 1))
     factor_t = np.ascontiguousarray(factor.transpose(1, 2, 0))
     del factor
-    rhs_t = np.concatenate([_forward(factor_t, cross_t[:, None, :]), coef_noise_t[:, None, :]], axis=1)
-    solved = _backward(factor_t, rhs_t)
-    return solved[:, 0], solved[:, 1]
-
-
-def _lift(gram_t: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """G_f of each chain, (q, q, B): G where every eigenvalue clears the floor, V diag(max(lambda, f)) V' elsewhere.
-
-    Only the chains where the floor binds pay for `eigh`, and only then is
-    the stack copied.
-    """
-    binds = _floor_binds(gram_t, floor)
-    if not binds.any():
-        return gram_t
-    eigval, eigvec = np.linalg.eigh(gram_t[:, :, binds].transpose(2, 0, 1))
-    lifted = eigvec * np.maximum(eigval, floor[binds, None])[:, None, :]
-    gram_f_t = gram_t.copy()
-    gram_f_t[:, :, binds] = np.matmul(lifted, eigvec.transpose(0, 2, 1)).transpose(1, 2, 0)
-    return gram_f_t
+    half = _forward(factor_t, cross[:, None, :])
+    solved = _backward(factor_t, np.concatenate([half, coef_noise_t[1:, None, :]], axis=1))
+    # rss = S_zz - 2 b'c + b'(S + ridge I) b - ridge b'b with (S + ridge I) b = c,
+    # and b'c = |L^-1 c|^2 (clamped at 0, which roundoff can cross)
+    fit_sq = np.einsum("ib,ib->b", half[:, 0], half[:, 0]) + ridge * np.einsum("ib,ib->b", solved[:, 0], solved[:, 0])
+    rss = np.maximum(centred_zz - fit_sq, 0.0)
+    raw = np.empty((2, q, len(n_obs)))
+    raw[:, 1:] = solved.transpose(1, 0, 2) * inv_scale
+    raw[0, 0] = cross_t[0] / n_obs
+    raw[1, 0] = coef_noise_t[0] / np.sqrt(n_obs)
+    raw[:, 0] -= np.einsum("ib,kib->kb", mean, raw[:, 1:])
+    return raw[0], raw[1], rss
 
 
 def _cross_products(flat: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,22 +220,18 @@ def _redraw(flat: np.ndarray, k: int, obs: np.ndarray, miss: np.ndarray, normals
     column k is observed and missing; a chain's rows beyond its sample size
     are zero.  normals holds each chain's p coefficient normals, then one
     per missing row.  The coefficients are one draw from N(beta_hat,
-    sigma_hat^2 G_f^-1).  Every temporary dies on return, so none outlives
-    the step.
+    sigma_hat^2 (G + P)^-1), P the ridge prior's precision in the raw
+    coordinates.  Every temporary dies on return, so none outlives the step.
     """
     width = flat.shape[2]
     design = np.delete(np.arange(width), k)  # the intercept and the other covariates
     q = len(design)
     gram_t, cross_t, (n_obs, zz, z_sum) = _cross_products(flat, obs, k)
-    # n_obs: the intercept column is 1 on a chain's rows and 0 beyond
-    beta_t, spread_t = _floored_fit(gram_t, cross_t, n_obs, normals[:, :q].T)
-    # residual and centred sums of squares of column k from the cross-products
-    # alone: rss = z'z - 2 beta_hat'D'z + beta_hat'G beta_hat with the
-    # unfloored G (clamped at 0, which roundoff can cross), and
-    # n s0^2 = z'z - (sum z)^2 / n_obs
-    fitted_sq = np.einsum("ib,ijb,jb->b", beta_t, gram_t, beta_t)
-    rss = np.maximum(zz - 2.0 * np.einsum("ib,ib->b", beta_t, cross_t) + fitted_sq, 0.0)
-    s0_sq = (zz - z_sum * z_sum / n_obs) / n_obs + 1e-12
+    # n_obs: the intercept column is 1 on a chain's rows and 0 beyond; the
+    # centred sum of squares of column k is n s0^2 = z'z - (sum z)^2 / n_obs
+    centred_zz = zz - z_sum * z_sum / n_obs
+    beta_t, spread_t, rss = _ridge_fit(gram_t, cross_t, n_obs, centred_zz, normals[:, :q].T)
+    s0_sq = centred_zz / n_obs + 1e-12
     dof = np.maximum(n_obs - q, 1.0)
     sigma_hat = np.sqrt((rss + _SIGMA_PRIOR_WEIGHT * s0_sq) / (dof + _SIGMA_PRIOR_WEIGHT))
     coef = np.zeros((len(flat), width))
@@ -312,14 +298,19 @@ def impute(
         )
 
     x, mask = data.X[:n_hi], data.mask[:n_hi]
+    cols = [k for k in range(p) if not mask[:, k].all()]
+    # the stack holds each column less the mean of its observed cells, and
+    # the completions get it back at the end: the fits centre from
+    # cross-products, which keep a column's digits only while its offset is
+    # small next to its spread
+    offset = x.mean(axis=0, where=mask) if cols else np.zeros(p)
+    x = x - offset
     t_count, chains = len(sizes), config.M
     in_size = np.arange(n_hi) < sizes[:, None]  # (T, n_hi)
     stack = np.zeros((t_count, chains, n_hi, p + 1))
     stack[..., 0] = in_size[:, None, :]
     stack[..., 1:] = np.where(mask & in_size[:, :, None], x, 0.0)[:, None]
     completions = [stack[t, :, :n, 1:] for t, n in enumerate(sizes)]
-
-    cols = [k for k in range(p) if not mask[:, k].all()]
     if not cols:
         return completions
     miss_rows = [np.flatnonzero(~mask[:, k]) for k in cols]
@@ -361,4 +352,6 @@ def impute(
         draw(sweep_len)
         for k, miss, obs, index in zip(cols, miss_rows, obs_rows, sweep_index):
             _redraw(flat, k + 1, obs, miss, normals(index).reshape(len(flat), -1))
+    stack[..., 1:] += offset
+    np.copyto(stack[..., 1:], data.X[:n_hi], where=mask)  # the observed cells, bit for bit
     return completions

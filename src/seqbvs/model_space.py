@@ -23,10 +23,10 @@ MAX_P = 20
 # imputer's stack of sample sizes (imputation.stack_sizes) and the widest
 # level of the all-subsets sweep over a chunk of completions
 # (bayes_lm._lattice_chunk).  A larger budget pays less numpy dispatch per
-# sample size.  2**18 gives 23 sample sizes per desk call, the most under
-# which a desk imputation stream stays within 4 MB (tracemalloc: 3.8 MB; 24
-# sizes read 4.0 MB), and desk, full and wide_sweep tables still come from
-# one lattice pass.
+# sample size.  2**18 gives 23 sample sizes per desk call, under which a
+# desk imputation stream stays within 4 MB (tracemalloc: 3.7 MB; 24 sizes
+# read 3.9 MB), and desk, full and wide_sweep tables still come from one
+# lattice pass.
 CELL_BUDGET = 1 << 18
 
 

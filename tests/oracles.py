@@ -195,7 +195,7 @@ def chained_imputation_per_chain(
     n_chains: int,
     sweeps: int,
     rng: np.random.Generator,
-    eig_floor: float,
+    ridge: float,
     sigma_prior_weight: float,
     coef_draw: bool = True,
 ) -> np.ndarray:
@@ -205,11 +205,14 @@ def chained_imputation_per_chain(
     fill of every column with missing cells (observed mean plus observed-sd
     noise), then, per (sweep, column), the coefficient draw (q normals) and
     the noise of the missing cells.  Each conditional fit regresses the
-    column on [1, other covariates] over its observed rows with the Gram
-    spectrum floored at eig_floor * trace(gram) / n_obs: eigh gives
-    G_f = V diag(max(lambda, floor)) V', its Cholesky factor L_f gives the
-    point fit G_f^-1 D'z and the coefficient draw sigma * L_f^-T xi.
-    Returns the (n_chains, n, p) completions.
+    column on [1, other covariates] over its observed rows: the other
+    columns are centred and scaled to unit sd row by row, their slopes get
+    ridge * q pseudo-rows of prior, and the Cholesky factor L of
+    X_std'X_std + ridge q I gives the point fit and the slope draw
+    sigma * L^-T xi[1:]; both map back to raw slopes through the sds, and
+    the intercept is the mean of z (plus sigma xi[0] / sqrt(n_obs)) less the
+    column means times the slopes.  Returns the (n_chains, n, p)
+    completions.
     """
     n, p = x.shape
     out = np.empty((n_chains, n, p))
@@ -227,23 +230,27 @@ def chained_imputation_per_chain(
         for _ in range(sweeps):
             for k in cols_with_missing:
                 others = [c for c in range(p) if c != k]
-                design = np.column_stack([np.ones(n), filled[:, others]])
                 obs = mask[:, k]
-                d_obs = design[obs]
-                z_obs = filled[:, k][obs]
-                n_obs, q = d_obs.shape
-                gram = d_obs.T @ d_obs
-                floor = max(eig_floor * float(np.trace(gram)) / n_obs, 1e-12)
-                eigval, eigvec = np.linalg.eigh(gram)
-                factor = np.linalg.cholesky((eigvec * np.maximum(eigval, floor)) @ eigvec.T)
-                beta = np.linalg.solve(factor.T, np.linalg.solve(factor, d_obs.T @ z_obs))
-                resid = z_obs - d_obs @ beta
+                x_obs = filled[obs][:, others]
+                z_obs = filled[obs, k]
+                n_obs, q = len(z_obs), len(others) + 1
+                mean = x_obs.mean(axis=0)
+                sd = x_obs.std(axis=0)
+                x_std = (x_obs - mean) / sd
+                factor = np.linalg.cholesky(x_std.T @ x_std + ridge * q * np.eye(q - 1))
+                b_std = np.linalg.solve(factor.T, np.linalg.solve(factor, x_std.T @ z_obs))
+                slopes = b_std / sd
+                beta = np.concatenate([[z_obs.mean() - mean @ slopes], slopes])
+                design = np.column_stack([np.ones(n), filled[:, others]])
+                resid = z_obs - design[obs] @ beta
                 dof = max(n_obs - q, 1)
                 s0_sq = float(np.var(z_obs)) + 1e-12
                 sigma_sq = (float(resid @ resid) + sigma_prior_weight * s0_sq) / (dof + sigma_prior_weight)
                 sigma = float(np.sqrt(sigma_sq))
                 if coef_draw:
-                    beta = beta + sigma * np.linalg.solve(factor.T, chain_rng.standard_normal(q))
+                    xi = chain_rng.standard_normal(q)
+                    step = np.linalg.solve(factor.T, xi[1:]) / sd
+                    beta = beta + sigma * np.concatenate([[xi[0] / np.sqrt(n_obs) - mean @ step], step])
                 miss = ~obs
                 pred = design[miss] @ beta
                 filled[miss, k] = pred + sigma * chain_rng.standard_normal(int(miss.sum()))

@@ -225,6 +225,49 @@ class TestRunReplication:
             run_replication(cfg, 0)
 
 
+def _run_on_covariates(monkeypatch, cfg, transform):
+    """run_replication(cfg, 0) on transform(x), with y drawn from the untransformed x of tiny_config."""
+    drawn = {}
+    gen_x, gen_y, base = experiment.gen_covariates, experiment.gen_responses, tiny_config().dgp
+
+    def covariates(n, cov, rng):
+        drawn["x"] = gen_x(n, cov, rng)
+        return transform(drawn["x"])
+
+    monkeypatch.setattr(experiment, "gen_covariates", covariates)
+    monkeypatch.setattr(experiment, "gen_responses", lambda x, dgp, rng: gen_y(drawn["x"], base, rng))
+    return run_replication(cfg, 0)
+
+
+def test_complete_data_answers_do_not_depend_on_units(monkeypatch):
+    # with no missing cell, the g-prior Bayes factors and so every method's
+    # trajectory are invariant to per-column affine maps of the covariates
+    cfg = tiny_config(missing=MissingnessConfig(rate=0.0))
+    base = _run_on_covariates(monkeypatch, cfg, lambda x: x)
+    mapped = _run_on_covariates(monkeypatch, cfg, lambda x: x * [100.0, -0.01, 3.0, 1.0] + [50.0, -7.0, 1e3, 0.0])
+    np.testing.assert_array_equal(mapped.set_sizes, base.set_sizes)
+    for meth in METHODS:
+        np.testing.assert_allclose(mapped.trajectories[meth].probs, base.trajectories[meth].probs, rtol=0, atol=1e-9)
+
+
+def test_permuted_covariates_permute_the_answers(monkeypatch):
+    # covariate i of the permuted run is covariate perm[i] of the base run,
+    # and beta follows it, so every method's trajectory is permuted the same way
+    perm = np.array([2, 0, 3, 1])
+    base_cfg = tiny_config(missing=MissingnessConfig(rate=0.0))
+    base = _run_on_covariates(monkeypatch, base_cfg, lambda x: x)
+    cfg = tiny_config(
+        missing=MissingnessConfig(rate=0.0),
+        dgp=DGPConfig(p=4, beta=base_cfg.dgp.beta[perm], sigma2=1.0, cov=equicorrelated_cov(4, 0.3)),
+    )
+    permuted = _run_on_covariates(monkeypatch, cfg, lambda x: x[:, perm])
+    np.testing.assert_array_equal(permuted.set_sizes, base.set_sizes)
+    for meth in METHODS:
+        np.testing.assert_allclose(
+            permuted.trajectories[meth].probs, base.trajectories[meth].probs[:, perm], rtol=0, atol=1e-9
+        )
+
+
 @pytest.fixture(scope="module")
 def tiny_tables():
     """The per-step (M, m) log-BF tables of tiny_config's replication 0."""

@@ -3,7 +3,7 @@ import pytest
 
 from seqbvs.data_gen import MissingDataset, apply_missingness
 from seqbvs.errors import ConfigError, InsufficientDataError, ShapeError
-from seqbvs.imputation import _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _floor_binds, _floored_fit, impute
+from seqbvs.imputation import _RIDGE, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _ridge_fit, impute
 
 from oracles import chained_imputation_per_chain
 
@@ -154,16 +154,16 @@ def test_lockstep_matches_per_chain_reference(case):
     assert not ds.mask.all()
     out = impute_all_rows(ds, config, np.random.default_rng(31))
     want = chained_imputation_per_chain(
-        ds.X, ds.mask, config.M, config.sweeps, np.random.default_rng(31), _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT
+        ds.X, ds.mask, config.M, config.sweeps, np.random.default_rng(31), _RIDGE, _SIGMA_PRIOR_WEIGHT
     )
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [19, 40, 100])
 def test_shifted_and_scaled_columns_match_per_chain_reference(n):
-    # sigma_hat comes from the raw cross-products, which carry a column's
-    # offset; it must still agree with the row-by-row residuals of the
-    # reference, to roundoff of each column's magnitude
+    # a column far from 0 and one of a large scale: the fit centres and
+    # scales from cross-products, and must still agree with the reference's
+    # row-by-row standardisation, to roundoff of each column's magnitude
     from seqbvs.data_gen import DGPConfig, gen_covariates, gen_responses
 
     rng = np.random.default_rng(30 + n)
@@ -176,41 +176,10 @@ def test_shifted_and_scaled_columns_match_per_chain_reference(n):
     config = ImputationConfig(M=10)
     out = impute_all_rows(ds, config, np.random.default_rng(n))
     want = chained_imputation_per_chain(
-        ds.X, ds.mask, config.M, config.sweeps, np.random.default_rng(n), _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT
+        ds.X, ds.mask, config.M, config.sweeps, np.random.default_rng(n), _RIDGE, _SIGMA_PRIOR_WEIGHT
     )
     scale = np.nanmax(np.abs(ds.X), axis=0)
     assert np.all(np.abs(out - want) <= 1e-9 * scale)
-
-
-def _gram_with_spectrum(rng, eigvals):
-    basis, _ = np.linalg.qr(rng.standard_normal((len(eigvals), len(eigvals))))
-    gram = (basis * eigvals) @ basis.T
-    return (gram + gram.T) / 2.0
-
-
-@pytest.mark.parametrize("q", [1, 4, 10])
-def test_floor_test_matches_eigenvalues(q):
-    # binding and clear chains mixed in one (q, q, B) stack: a smallest
-    # eigenvalue just below or just above the floor, and singular Gram
-    # matrices of fewer rows than columns
-    rng = np.random.default_rng(40 + q)
-    grams, floors = [], []
-    for b in range(24):
-        floor = rng.uniform(0.1, 5.0)
-        eigvals = floor * rng.uniform(1.5, 20.0, q)
-        eigvals[rng.integers(q)] = floor * (1.0 + 1e-6 if b % 2 else 1.0 - 1e-6)
-        grams.append(_gram_with_spectrum(rng, eigvals))
-        floors.append(floor)
-    for _ in range(4):
-        rows = rng.standard_normal((q - 1, q))
-        grams.append(rows.T @ rows)
-        floors.append(rng.uniform(1e-3, 1.0))
-    order = rng.permutation(len(grams))
-    gram, floor = np.stack(grams)[order], np.array(floors)[order]
-    want = np.linalg.eigvalsh(gram).min(axis=1) <= floor
-    assert 4 < want.sum() < len(want)
-    got = _floor_binds(np.ascontiguousarray(gram.transpose(1, 2, 0)), floor)
-    np.testing.assert_array_equal(got, want)
 
 
 def test_chains_do_not_depend_on_chain_count():
@@ -226,38 +195,100 @@ def test_chains_do_not_depend_on_chain_count():
 
 
 def test_imputed_values_have_sane_scale():
-    # the coefficient draw must not explode in the saturated small-n regime
-    out = impute_all_rows(_default_dgp(10), ImputationConfig(M=10), np.random.default_rng(11))
-    assert np.abs(out).max() < 15.0
-
-    # nor may the point fit under it: at n = 19 each column has 8-16 observed
+    # neither the coefficient draw nor the point fit under it may explode in
+    # the saturated small-n regime: at n = 19 each column has 8-16 observed
     # rows for 10 predictors, where unstabilised least squares explodes.  The
     # imputer always draws; the per-chain reference, tied to it by the draw
-    # cases above, keeps the point fit with the imputer's floor and prior
+    # cases above, keeps the point fit with the imputer's ridge and prior
     for seed in range(20):
         ds = _default_dgp(seed)
+        out = impute_all_rows(ds, ImputationConfig(M=10), np.random.default_rng(seed + 1))
+        worst = np.abs(out).max()
+        assert worst < 15.0, f"seed {seed}: completions reach {worst:.1f}"
         out = chained_imputation_per_chain(
             ds.X, ds.mask, 10, ImputationConfig().sweeps, np.random.default_rng(seed + 1),
-            _EIG_FLOOR, _SIGMA_PRIOR_WEIGHT, coef_draw=False,
+            _RIDGE, _SIGMA_PRIOR_WEIGHT, coef_draw=False,
         )
         worst = np.abs(out).max()
         assert worst < 15.0, f"seed {seed}: point-fit completions reach {worst:.1f}"
 
 
-def test_point_fit_is_least_squares_once_well_determined():
-    # the eigenvalue floor is for near-saturated fits: at large n it must not
-    # bind, not even on a low-variance column next to unit-variance ones
-    rng = np.random.default_rng(14)
-    n = 2000
-    x = rng.standard_normal((n, 3)) * np.sqrt([1.0, 1.0, 0.1])
-    design = np.column_stack([np.ones(n), x])
-    target = design @ np.array([0.3, 1.0, -0.5, 2.0]) + rng.standard_normal(n)
-    obs = rng.random(n) < 0.6
-    d_obs, z_obs = design[obs], target[obs]
-    gram_t, cross_t = (d_obs.T @ d_obs)[:, :, None], (d_obs.T @ z_obs)[:, None]
-    beta_t, _ = _floored_fit(gram_t, cross_t, np.array([obs.sum()]), np.zeros_like(cross_t))
-    ols, *_ = np.linalg.lstsq(d_obs, z_obs, rcond=None)
-    np.testing.assert_allclose(beta_t[:, 0], ols, rtol=1e-10, atol=1e-12)
+def _fit_one(design, z, noise):
+    """_ridge_fit of one design, stacked once per column of noise."""
+    chains = noise.shape[1]
+    gram_t = np.repeat((design.T @ design)[:, :, None], chains, axis=2)
+    cross_t = np.repeat((design.T @ z)[:, None], chains, axis=1)
+    centred_zz = np.full(chains, float(((z - z.mean()) ** 2).sum()))
+    return _ridge_fit(gram_t, cross_t, np.full(chains, float(len(z))), centred_zz, noise)
+
+
+@pytest.mark.parametrize("n_obs", [12, 40, 2000])
+def test_ridge_fit_matches_closed_form(n_obs):
+    # with a free intercept, f pseudo-rows on the standardised slopes are the
+    # penalty P = diag(0, f S_jj / n_obs) on the raw ones, S the centred
+    # X'X: the point fit solves (G + P) beta = D'z, the draw directions of
+    # the q unit normals are a square root of (G + P)^-1, and rss is the
+    # point fit's residual sum of squares
+    rng = np.random.default_rng(n_obs)
+    x = rng.standard_normal((n_obs, 3)) * [1.0, 30.0, 0.1] + [0.0, -5.0, 3.0]
+    design = np.column_stack([np.ones(n_obs), x])
+    z = design @ np.array([0.3, 1.0, -0.05, 2.0]) + rng.standard_normal(n_obs)
+    q = design.shape[1]
+    centred = x - x.mean(axis=0)
+    penalised = design.T @ design + np.diag(np.r_[0.0, _RIDGE * q * (centred**2).mean(axis=0)])
+    want = np.linalg.solve(penalised, design.T @ z)
+    beta_t, spread_t, rss = _fit_one(design, z, np.eye(q))
+    np.testing.assert_allclose(beta_t, np.repeat(want[:, None], q, axis=1), rtol=1e-10)
+    cov = np.linalg.inv(penalised)
+    np.testing.assert_allclose(spread_t @ spread_t.T, cov, rtol=1e-9, atol=1e-12 * np.abs(cov).max())
+    np.testing.assert_allclose(rss, ((z - design @ want) ** 2).sum(), rtol=1e-10)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.3, 1e5 + 0.3])
+def test_constant_design_column_gets_no_slope(value):
+    # a design column constant on the fit's rows has sd 0: its slope and its
+    # draw are 0, and the other coefficients are the fit without it (the
+    # ridge still counts it in q)
+    rng = np.random.default_rng(18)
+    n_obs, q = 15, 4
+    design = np.column_stack([np.ones(n_obs), rng.standard_normal(n_obs), np.full(n_obs, value), rng.standard_normal(n_obs)])
+    z = design @ np.array([0.2, 1.0, 2.0, -1.0]) + rng.standard_normal(n_obs)
+    beta_t, spread_t, rss = _fit_one(design, z, rng.standard_normal((q, 1)))
+    assert np.isfinite(beta_t).all() and np.isfinite(spread_t).all() and np.isfinite(rss).all()
+    assert beta_t[2, 0] == 0.0 and spread_t[2, 0] == 0.0
+    rest = design[:, [0, 1, 3]]
+    centred = rest[:, 1:] - rest[:, 1:].mean(axis=0)
+    penalised = rest.T @ rest + np.diag(np.r_[0.0, _RIDGE * q * (centred**2).mean(axis=0)])
+    np.testing.assert_allclose(beta_t[[0, 1, 3], 0], np.linalg.solve(penalised, rest.T @ z), rtol=1e-10)
+
+    # the same column in a dataset: constant where column 1 is observed,
+    # varying elsewhere
+    x, ds = make_masked(rng, n=30, p=3, rate=0.0)
+    mask = ds.mask.copy()
+    mask[::3, 0] = False
+    x[mask[:, 0], 1] = value
+    data = MissingDataset(y=ds.y, X=np.where(mask, x, np.nan), mask=mask)
+    out = impute_all_rows(data, ImputationConfig(M=4), np.random.default_rng(19))
+    assert np.isfinite(out).all()
+    assert np.abs(out[:, ~mask[:, 0], 0]).max() < 10.0
+
+
+@pytest.mark.parametrize("n", [19, 100])
+def test_completions_follow_an_affine_map_of_a_column(n):
+    # the ridge sits on standardised columns, so rescaling or shifting x4
+    # maps its completions the same way and leaves every other column's
+    # alone, to roundoff of each column's sd
+    ds = _default_dgp(34, n=n)
+    config = ImputationConfig(M=10)
+    base = impute_all_rows(ds, config, np.random.default_rng(35))
+    sd = np.nanstd(ds.X, axis=0)
+    for scale, shift in ((100.0, 50.0), (1.0, 50.0)):
+        x = ds.X.copy()
+        x[:, 3] = scale * x[:, 3] + shift
+        mapped = impute_all_rows(MissingDataset(y=ds.y, X=x, mask=ds.mask), config, np.random.default_rng(35))
+        mapped[..., 3] = (mapped[..., 3] - shift) / scale
+        worst = (np.abs(mapped - base) / sd).max()
+        assert worst <= 1e-9, f"x4 -> {scale} x4 + {shift}: completions move by {worst:.2g} sd"
 
 
 def test_completions_do_not_depend_on_response():
@@ -340,10 +371,10 @@ def test_pinned_completions_at_min_n():
     out = impute_all_rows(_default_dgp(27), ImputationConfig(M=2), np.random.default_rng(33))
     want = np.array(
         [
-            [8.514318605807, -5.189240692881, 1.375126190528, -1.94125654265, 4.503962451874,
-             1.306292039886, 11.0676509627, 6.233330028892, 3.657077762486, -1.967009495585],
-            [4.31321470969, -2.159607989814, 2.271086993441, -7.171139908464, -4.843907348453,
-             -3.404554731006, -1.897782963711, -0.119883795493, -4.60971436965, -4.462246781763],
+            [8.163299017787, -5.59745787503, 8.154989385921, -2.39069469428, 0.8933458120285,
+             1.300021996531, 9.778228129777, 4.902928845633, 0.01809229180281, -3.866632912873],
+            [3.352138187034, -2.995420820576, 1.778468397793, -3.304982466941, -4.872278798429,
+             -4.48815453662, -5.096805748318, -1.284695617873, -5.306735332418, -6.322607233369],
         ]
     )
     np.testing.assert_allclose(out.sum(axis=1), want, rtol=0, atol=1e-9)

@@ -741,3 +741,29 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+# The tables.csv text and the per-rep final confidence-set sizes of the shared
+# desk run (seed 0).  Mean crossings and final frequencies are counts over 20
+# reps, so the text moves only when a crossing or a final call flips, not with
+# roundoff; a change that moves either (the imputer's draw, the pooling, the
+# E-process) updates them on purpose.
+DESK_TABLES = """\
+table,method,x1,x2,x3,x4,x5,x6,x7,x8,x9,x10
+mean_crossings,bvs,18.55,11.25,11.5,11.95,12.5,14.65,9.35,11.35,8.5,8.2
+mean_crossings,smcs,2,2.8,1.6,1.65,1.85,1.9,1.8,3,1.65,1.15
+mean_crossings,zero_out,12.45,10.05,7.35,8.1,7.5,10.9,8.15,9.5,5.85,5.3
+mean_crossings,mixed,17.5,9.8,10.8,11.45,12.6,13.65,8,11.05,8.95,7.85
+final_inclusion_freq,bvs,0.9,1,0.1,0.05,0.2,0.75,1,0.05,0.25,0.05
+final_inclusion_freq,smcs,0.7,1,0.1,0.15,0.15,0.7,1,0.1,0.15,0.15
+final_inclusion_freq,zero_out,0.8,1,0.15,0.1,0.2,0.8,1,0,0.1,0.05
+final_inclusion_freq,mixed,0.9,1,0.1,0.05,0.2,0.75,1,0.05,0.25,0.05
+"""
+DESK_FINAL_SET_SIZES = [2, 8, 4, 3, 6, 3, 5, 4, 7, 7, 8, 7, 4, 4, 5, 4, 6, 1, 11, 8]
+
+
+def test_desk_outputs_are_pinned(desk_run, tmp_path):
+    _, results, stats = desk_run
+    write_tables_csv(stats, tmp_path / TABLES_CSV)
+    assert (tmp_path / TABLES_CSV).read_text() == DESK_TABLES
+    assert [int(res.set_sizes[-1]) for res in results] == DESK_FINAL_SET_SIZES
