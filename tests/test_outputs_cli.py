@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -65,6 +66,11 @@ imp.sweeps=2
 smcs.alpha=0.1
 smcs.varsigma=0.65
 """
+
+
+# sha256 of the charts drawn in test_chart_bytes_are_pinned
+PINNED_TRAJECTORY_SHA256 = "5ba41cf61eb2ab30d9403581be03acc695e68a66d564a2678c96353a2ee69ce1"
+PINNED_TOTALS_SHA256 = "a1d9d4176fac50413e985141a40ebac45c4eec5b322c8b8f349ec5d3d79b0806"
 
 
 def _clear_frames():
@@ -420,6 +426,31 @@ class TestSvg:
         # the all-finite template and the join of the finite points' cells give the same text
         assert svg_module._points(canvas.x.cells, canvas._py(ys), canvas.x.template) == " ".join(want)
         assert svg_module._points(canvas.x.cells, canvas._py(ys)) == " ".join(want)
+
+    def test_chart_bytes_are_pinned(self):
+        # inputs from arithmetic alone, so the digests hold across platforms
+        ns = np.arange(19, 101, dtype=float)
+        steps = np.arange(ns.size, dtype=float)
+        probs = np.column_stack([(steps * (k + 3) % 17) / 16 for k in range(5)])
+        probs[10:20, 1] = np.nan  # a gap inside the series
+        probs[:, 2] = np.nan
+        probs[[3, 70], 2] = [0.25, 0.75]  # exactly 2 finite points: drawn
+        probs[:, 3] = np.nan
+        probs[40, 3] = 0.5  # 1 finite point: skipped
+        active = np.array([True, False, True, False, True])
+        traj = trajectory_chart(ns, probs, active, (1, 5), "rep 0 & <bvs>")  # emphasized lines 1 and 5
+        ts = steps + 1
+        totals = crossing_totals_chart(
+            ts,
+            {
+                "bvs": (ts / 20, np.full(ts.size, 1.0)),  # band clipped at 0 early on
+                "mixed": (ts / 41, ts / 200),
+                "other": (ts / 82, np.zeros(ts.size)),
+            },
+            "totals",
+        )
+        digests = [hashlib.sha256(text.encode()).hexdigest() for text in (traj, totals)]
+        assert digests == [PINNED_TRAJECTORY_SHA256, PINNED_TOTALS_SHA256]
 
     def test_trajectory_chart_handles_nan(self):
         ns = np.arange(19, 25)
