@@ -1,17 +1,17 @@
 """Minimal SVG 1.1 line-chart emitter, no external dependencies.
 
-What the charts of a run share is formatted once per run and kept in
-small bounded caches, keyed by what it depends on:
-- per x grid: each x's "px,%.2f" half of a point, and their join, the
-  points template of a series finite at every x;
-- per (ranges, labels): the axes, ticks and axis titles;
-- per (x grid, actives, emphasized covariates): a trajectory chart's 0.5
-  rule, legend, draw order, and each line's colour and width.
-What is formatted once per chart is its title and its own y values.  A
-chart maps its y values in one array call (a trajectory chart its whole
-(T, p) matrix); a series finite at every x fills the template with one %,
-and a gapped one joins the x cells of its finite points first.  The text
-is byte for byte what formatting "%.2f,%.2f" point by point gives.
+The 4 x reps trajectory charts of a run share one frame, formatted once
+and kept in one small bounded cache keyed by (x grid, actives, emphasized
+covariates): each x's "px,%.2f" half of a point and their join, the
+points template of a series finite at every x; the axes, ticks, axis
+titles and 0.5 rule; the legend; the draw order and each line's colour
+and width.  What is formatted once per chart is its title and its own y
+values.  The crossing-totals chart, one per run, formats its frame from
+the same functions, uncached.  A chart maps its y values in one array call
+(a trajectory chart its whole (T, p) matrix); a series finite at every x
+fills the template with one %, and a gapped one joins the x cells of its
+finite points first.  The text is byte for byte what formatting
+"%.2f,%.2f" point by point gives.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ ACTIVE_COLOR = "#2e8b57"  # green
 INACTIVE_COLOR = "#8b5a2b"  # brown
 SERIES_COLORS = {"bvs": "#d62728", "mixed": "#1f77b4", "smcs": "#2ca02c", "zero_out": "#9467bd"}
 
-# distinct frames of each kind whose text is kept: a run's charts use two x
-# grids, two axes frames and, colouring by beta, one trajectory frame
+# distinct trajectory frames whose text is kept: a run's charts, coloured
+# by beta, use one
 _FRAME_CACHE_SIZE = 8
 
 _HEAD = (
@@ -101,18 +101,13 @@ class _XFrame(NamedTuple):
     template: str  # the cells joined: the points text of a series finite at every x
 
 
-def _x_key(xs) -> bytes:
-    return np.asarray(xs, dtype=float).tobytes()
-
-
-@functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
-def _x_frame(key: bytes) -> _XFrame:
-    """The x half of every point over the float64 x values whose bytes are `key`.
+def _x_frame(xs) -> _XFrame:
+    """The x half of every point over the x values `xs`.
 
     A grid of one x value is drawn over [x - 1, x + 1], so that it has a
     range to map onto.
     """
-    xs = np.frombuffer(key)
+    xs = np.asarray(xs, dtype=float)
     lo, hi = float(xs[0]), float(xs[-1])
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
@@ -120,7 +115,6 @@ def _x_frame(key: bytes) -> _XFrame:
     return _XFrame(lo, hi, cells, " ".join(cells))
 
 
-@functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
 def _axes(x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label: str, y_label: str) -> str:
     """Axis lines, ticks, tick labels and axis titles of one chart frame."""
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
@@ -158,41 +152,6 @@ def _axes(x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_label: str, y_la
     return "\n".join(parts)
 
 
-class _Canvas:
-    """One chart over the x values `xs`; series are drawn at those x."""
-
-    def __init__(self, title: str, xs, y_lo: float, y_hi: float, x_label: str, y_label: str):
-        self.x = _x_frame(_x_key(xs))
-        self.y_lo, self.y_hi = y_lo, y_hi
-        self.parts: list[str] = [_HEAD, _title(title), _axes(self.x.lo, self.x.hi, y_lo, y_hi, x_label, y_label)]
-
-    def _px(self, x: float | np.ndarray) -> float | np.ndarray:
-        return _map_x(x, self.x.lo, self.x.hi)
-
-    def _py(self, y: float | np.ndarray) -> float | np.ndarray:
-        return _map_y(y, self.y_lo, self.y_hi)
-
-    def polyline(self, py: np.ndarray, color: str, width: float) -> None:
-        """A line through (x, py) over the chart's x, skipping non-finite py."""
-        pts = _points(self.x.cells, py, self.x.template)
-        if pts is not None:
-            self.parts.append(_polyline_open(color, width) + pts + '"/>')
-
-    def band(self, py_lo: np.ndarray, py_hi: np.ndarray, color: str) -> None:
-        """The region between two mapped series: along py_hi, then back along py_lo."""
-        outline = _points(self.x.cells + self.x.cells[::-1], np.concatenate([py_hi, py_lo[::-1]]))
-        if outline is not None:
-            self.parts.append(
-                f'<polygon fill="{color}" fill-opacity="0.18" stroke="none" points="{outline}"/>'
-            )
-
-    def label(self, text: str, x: float, y: float, color: str) -> None:
-        self.parts.append(_label(text, x, y, color))
-
-    def render(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
-
-
 class _TrajectoryFrame(NamedTuple):
     x: _XFrame
     top: str  # axes and the 0.5 rule
@@ -203,7 +162,7 @@ class _TrajectoryFrame(NamedTuple):
 @functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
 def _trajectory_frame(x_key: bytes, active_key: bytes, emphasize: tuple[int, ...]) -> _TrajectoryFrame:
     """Every part of a trajectory chart that its title and probabilities do not change."""
-    x = _x_frame(x_key)
+    x = _x_frame(np.frombuffer(x_key))
     active = np.frombuffer(active_key, dtype=bool)
     order = np.argsort(active.astype(int)).tolist()  # draw inactives first, actives on top
     lines = tuple(
@@ -242,7 +201,7 @@ def trajectory_chart(
     NaN probabilities are gaps; a covariate with fewer than 2 finite
     probabilities draws no line.
     """
-    frame = _trajectory_frame(_x_key(ns), np.asarray(active, dtype=bool).tobytes(), tuple(emphasize))
+    frame = _trajectory_frame(np.asarray(ns, dtype=float).tobytes(), np.asarray(active, dtype=bool).tobytes(), tuple(emphasize))
     py = _map_y(np.asarray(probs, dtype=float), 0.0, 1.0)  # (T, p), every covariate in one map
     parts = [_HEAD, _title(title), frame.top]
     for k, opening in frame.lines:
@@ -259,15 +218,23 @@ def crossing_totals_chart(
     title: str,
 ) -> str:
     """Mean cumulative total crossings with +-1 sd bands (clipped at 0) per method."""
+    x = _x_frame(ts)
     y_hi = 1.0
     for mean, sd in series.values():
         y_hi = max(y_hi, float(np.max(mean + sd)) * 1.05)
-    canvas = _Canvas(title, ts, 0.0, y_hi, "t", "total crossings")
+    parts = [_HEAD, _title(title), _axes(x.lo, x.hi, 0.0, y_hi, "t", "total crossings")]
     y_text = MARGIN_T + 16
     for meth, (mean, sd) in series.items():
         color = SERIES_COLORS.get(meth, "#333333")
-        canvas.band(canvas._py(np.maximum(mean - sd, 0.0)), canvas._py(mean + sd), color)
-        canvas.polyline(canvas._py(mean), color, width=2.0)
-        canvas.label(meth, WIDTH - 150, y_text, color)
+        # the band runs along mean + sd, then back along mean - sd
+        band = np.concatenate([mean + sd, np.maximum(mean - sd, 0.0)[::-1]])
+        outline = _points(x.cells + x.cells[::-1], _map_y(band, 0.0, y_hi))
+        if outline is not None:
+            parts.append(f'<polygon fill="{color}" fill-opacity="0.18" stroke="none" points="{outline}"/>')
+        pts = _points(x.cells, _map_y(mean, 0.0, y_hi), x.template)
+        if pts is not None:
+            parts.append(_polyline_open(color, 2.0) + pts + '"/>')
+        parts.append(_label(meth, WIDTH - 150, y_text, color))
         y_text += 16
-    return canvas.render()
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -357,28 +357,39 @@ def per_point_text(px, py, xs, ys) -> str | None:
     return " ".join(pts) if len(pts) >= 2 else None
 
 
+def _per_point_frame(title, xs, y_hi, x_label, y_label):
+    """The opening parts of a chart over xs and [0, y_hi], and its scalar x and y maps."""
+    from seqbvs import svg
+
+    lo, hi = float(xs[0]), float(xs[-1])
+    if lo == hi:
+        lo, hi = lo - 1.0, hi + 1.0
+    parts = [svg._HEAD, svg._title(title), svg._axes(lo, hi, 0.0, y_hi, x_label, y_label)]
+    return parts, (lambda x: svg._map_x(x, lo, hi)), (lambda y: svg._map_y(y, 0.0, y_hi))
+
+
 def per_point_trajectory_chart(ns, probs, active, emphasize, title) -> str:
     """svg.trajectory_chart with every polyline drawn through per_point_text."""
     from seqbvs import svg
 
-    canvas = svg._Canvas(title, ns, 0.0, 1.0, "n", "inclusion probability")
-    rule = canvas._py(0.5)
-    canvas.parts.append(
+    parts, px, py = _per_point_frame(title, ns, 1.0, "n", "inclusion probability")
+    rule = py(0.5)
+    parts.append(
         f'<line x1="{svg.MARGIN_L}" y1="{rule:.1f}" x2="{svg.WIDTH - svg.MARGIN_R}" y2="{rule:.1f}" '
         'stroke="#555" stroke-width="1" stroke-dasharray="6 4"/>'
     )
     for k in np.argsort(np.asarray(active).astype(int)):
-        pts = per_point_text(canvas._px, canvas._py, ns, probs[:, k])
+        pts = per_point_text(px, py, ns, probs[:, k])
         if pts is not None:
             color = svg.ACTIVE_COLOR if active[k] else svg.INACTIVE_COLOR
             width = 2.6 if (k + 1) in emphasize else 1.2
-            canvas.parts.append(
+            parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="{width:g}" '
                 f'stroke-opacity="1" points="{pts}"/>'
             )
-    canvas.label("active", svg.WIDTH - 150, svg.MARGIN_T + 16, svg.ACTIVE_COLOR)
-    canvas.label("inactive", svg.WIDTH - 150, svg.MARGIN_T + 32, svg.INACTIVE_COLOR)
-    return canvas.render()
+    parts.append(svg._label("active", svg.WIDTH - 150, svg.MARGIN_T + 16, svg.ACTIVE_COLOR))
+    parts.append(svg._label("inactive", svg.WIDTH - 150, svg.MARGIN_T + 32, svg.INACTIVE_COLOR))
+    return "\n".join(parts + ["</svg>"]) + "\n"
 
 
 def per_point_crossing_totals_chart(ts, series, title) -> str:
@@ -386,20 +397,20 @@ def per_point_crossing_totals_chart(ts, series, title) -> str:
     from seqbvs import svg
 
     y_hi = max([1.0] + [float(np.max(mean + sd)) * 1.05 for mean, sd in series.values()])
-    canvas = svg._Canvas(title, ts, 0.0, y_hi, "t", "total crossings")
+    parts, px, py = _per_point_frame(title, ts, y_hi, "t", "total crossings")
     y_text = svg.MARGIN_T + 16
     for meth, (mean, sd) in series.items():
         color = svg.SERIES_COLORS.get(meth, "#333333")
         lo = [max(m - s, 0.0) for m, s in zip(mean.tolist(), sd.tolist())]
         hi = [m + s for m, s in zip(mean.tolist(), sd.tolist())]
-        outline = per_point_text(canvas._px, canvas._py, list(ts) + list(ts)[::-1], hi + lo[::-1])
+        outline = per_point_text(px, py, list(ts) + list(ts)[::-1], hi + lo[::-1])
         if outline is not None:
-            canvas.parts.append(f'<polygon fill="{color}" fill-opacity="0.18" stroke="none" points="{outline}"/>')
-        pts = per_point_text(canvas._px, canvas._py, ts, mean)
+            parts.append(f'<polygon fill="{color}" fill-opacity="0.18" stroke="none" points="{outline}"/>')
+        pts = per_point_text(px, py, ts, mean)
         if pts is not None:
-            canvas.parts.append(
+            parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="2" stroke-opacity="1" points="{pts}"/>'
             )
-        canvas.label(meth, svg.WIDTH - 150, y_text, color)
+        parts.append(svg._label(meth, svg.WIDTH - 150, y_text, color))
         y_text += 16
-    return canvas.render()
+    return "\n".join(parts + ["</svg>"]) + "\n"

@@ -31,7 +31,7 @@ from seqbvs.outputs import (
     write_tables_csv,
     write_trajectories_csv,
 )
-from seqbvs.svg import _Canvas, crossing_totals_chart, trajectory_chart
+from seqbvs.svg import crossing_totals_chart, trajectory_chart
 
 from oracles import crossing_events_reference, per_point_crossing_totals_chart, per_point_trajectory_chart
 
@@ -71,11 +71,6 @@ smcs.varsigma=0.65
 # sha256 of the charts drawn in test_chart_bytes_are_pinned
 PINNED_TRAJECTORY_SHA256 = "5ba41cf61eb2ab30d9403581be03acc695e68a66d564a2678c96353a2ee69ce1"
 PINNED_TOTALS_SHA256 = "a1d9d4176fac50413e985141a40ebac45c4eec5b322c8b8f349ec5d3d79b0806"
-
-
-def _clear_frames():
-    for cache in (svg_module._x_frame, svg_module._axes, svg_module._trajectory_frame):
-        cache.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +220,7 @@ class TestOutputs:
 
     def test_plots_rewrite_byte_identical(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
-        _clear_frames()  # the first call builds the frames' text, the second reuses it
+        svg_module._trajectory_frame.cache_clear()  # the first call builds the frame's text, the second reuses it
         trees = []
         for name in ("a", "b"):
             emit_outputs(results, stats, tmp_path / name, cfg, plots=True)
@@ -420,12 +415,16 @@ class TestSvg:
     def test_points_match_scalar_maps(self):
         rng = np.random.default_rng(4)
         xs = np.arange(19, 101, dtype=float)
-        canvas = _Canvas("t", xs, 0.0, 1.7, "n", "y")
+        frame = svg_module._x_frame(xs)
         ys = rng.random(xs.size) * 1.7
-        want = [f"{canvas._px(float(x)):.2f},{canvas._py(float(y)):.2f}" for x, y in zip(xs, ys)]
+        py = svg_module._map_y(ys, 0.0, 1.7)
+        want = [
+            f"{svg_module._map_x(float(x), frame.lo, frame.hi):.2f},{svg_module._map_y(float(y), 0.0, 1.7):.2f}"
+            for x, y in zip(xs, ys)
+        ]
         # the all-finite template and the join of the finite points' cells give the same text
-        assert svg_module._points(canvas.x.cells, canvas._py(ys), canvas.x.template) == " ".join(want)
-        assert svg_module._points(canvas.x.cells, canvas._py(ys)) == " ".join(want)
+        assert svg_module._points(frame.cells, py, frame.template) == " ".join(want)
+        assert svg_module._points(frame.cells, py) == " ".join(want)
 
     def test_chart_bytes_are_pinned(self):
         # inputs from arithmetic alone, so the digests hold across platforms
@@ -505,27 +504,24 @@ class TestSvg:
             }
             charts.append((crossing_totals_chart, per_point_crossing_totals_chart, (ts, series, "totals")))
         for chart, oracle, args in charts:
-            _clear_frames()
+            svg_module._trajectory_frame.cache_clear()
             assert chart(*args) == oracle(*args)
-        _clear_frames()
+        svg_module._trajectory_frame.cache_clear()
         for _ in range(2):  # the first pass fills the frames, the second draws from them only
             hits = svg_module._trajectory_frame.cache_info().hits
             for chart, oracle, args in charts:
                 assert chart(*args) == oracle(*args)
         assert svg_module._trajectory_frame.cache_info().hits - hits == 15
-        assert svg_module._x_frame.cache_info().currsize == 4  # two n grids, two t grids
 
     def test_frame_caches_are_bounded(self):
-        _clear_frames()
+        svg_module._trajectory_frame.cache_clear()
         size = svg_module._FRAME_CACHE_SIZE
         for i in range(3 * size):
             ns = np.arange(19, 30 + i)
             probs = np.full((ns.size, 3), 0.25)
             trajectory_chart(ns, probs, np.array([i % 2 == 0, True, False]), (i % 3 + 1,), "chart")
-            crossing_totals_chart(ns, {"bvs": (probs[:, 0] * i, probs[:, 1])}, "totals")
-        for cache in (svg_module._x_frame, svg_module._axes, svg_module._trajectory_frame):
-            info = cache.cache_info()
-            assert info.maxsize == size and info.currsize == size
+        info = svg_module._trajectory_frame.cache_info()
+        assert info.maxsize == size and info.currsize == size
 
     def test_crossing_totals_chart(self):
         # matches the per-point oracle
