@@ -238,7 +238,12 @@ def count_crossings(probs: np.ndarray) -> int | np.ndarray:
 
 
 def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: int):
-    """(n, completions) for n = n_min..n_max, imputed a stack of sizes per call; each size's completions are a copy."""
+    """(n, stats) for n = n_min..n_max: the GramStats of each size's M completions.
+
+    A stack of sizes is imputed per call, and each size's stats are formed
+    while the stack is alive.  Only the stats outlive it, and their list is
+    dropped before the next call builds its stack.
+    """
     sizes = range(config.n_min, config.n_max + 1)
     per_call = stack_sizes(config.n_max, config.imp.M, config.dgp.p)
     for first in range(0, len(sizes), per_call):
@@ -251,12 +256,10 @@ def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: i
             if first == 0:
                 raise ConfigError(f"imputation infeasible at n_min={config.n_min} ({exc}); increase n_min") from exc
             raise
-        # a copy at hand-off, so that only the stack, and no completion the
-        # caller still holds, is alive when the next call builds its stack;
-        # popping leaves no view behind in a loop variable
-        stacked.reverse()
-        for n in chunk:
-            yield n, stacked.pop().copy()
+        stats = [GramStats.from_data(completions, data.y[:n]) for n, completions in zip(chunk, stacked)]
+        del stacked
+        yield from zip(chunk, stats)
+        del stats
 
 
 class StepRecord(NamedTuple):
@@ -293,7 +296,11 @@ def advance_step(
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
-    """One full sequential pass; deterministic given (base_seed, rep_index)."""
+    """One full sequential pass; deterministic given (base_seed, rep_index).
+
+    Each size's GramStats from the imputed stream feeds one model_sweep and
+    one advance_step.
+    """
     dgp = config.dgp
     space = enumerate_models(dgp.p)
     x_full = gen_covariates(config.n_max, dgp.cov, stream_rng(config.base_seed, rep_index, _STREAM_COVARIATES))
@@ -310,9 +317,8 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     set_sizes = np.zeros(config.t_max, dtype=np.int64)
     eprocess = EProcessState.fresh(space.m)
     zero_out_fallbacks = 0
-    for n, completions in _imputed_stream(data, config, rep_index):
+    for n, stats in _imputed_stream(data, config, rep_index):
         # the (M, m) table is bound only inside the step, so it is freed before the next sweep
-        stats = GramStats.from_data(completions, data.y[:n])
         eprocess, record = advance_step(eprocess, model_sweep(stats, space, g_for_n(config.g_rule, n)), config, space)
         t = n - config.n_min
         for meth, row in record.probs.items():
@@ -326,8 +332,10 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
 def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     """Mean crossings, final inclusion frequencies, and crossing-total curves.
 
-    The tables read each result's crossings and final calls; the curves
-    come from one crossing count on the run's (T, reps, methods, p) stack.
+    Everything follows the trajectories alone, as analyze does from the CSV:
+    one crossing count on the run's (T, reps, methods, p) stack gives the
+    per-rep counts, their totals and the cumulative curves, and the stack's
+    last row the final calls.
     """
     if not results:
         raise DataError("aggregate needs at least one replication")
@@ -335,8 +343,11 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     t_max = results[0].trajectories["bvs"].probs.shape[0]
     reps = len(results)
     stack = np.stack([r.trajectories[meth].probs for r in results for meth in METHODS], axis=1)
-    per_t = crossing_events(stack.reshape(t_max, reps, len(METHODS), p)).sum(axis=3)  # (T, reps, methods)
-    cum_all = np.cumsum(per_t, axis=0)
+    stack = stack.reshape(t_max, reps, len(METHODS), p)  # (T, reps, methods, p)
+    events = crossing_events(stack)
+    counts_all = events.sum(axis=0)  # (reps, methods, p)
+    finals_all = stack[-1] >= 0.5
+    cum_all = np.cumsum(events.sum(axis=3), axis=0)  # (T, reps, methods)
 
     mean_crossings = {}
     final_freq = {}
@@ -345,10 +356,9 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     cum_mean = {}
     cum_sd = {}
     for i, meth in enumerate(METHODS):
-        counts = np.stack([r.crossings[meth] for r in results])  # (reps, p)
-        finals = np.stack([r.final_included[meth] for r in results])
+        counts = counts_all[:, i]  # (reps, p)
         mean_crossings[meth] = counts.mean(axis=0)
-        final_freq[meth] = finals.mean(axis=0)
+        final_freq[meth] = finals_all[:, i].mean(axis=0)
         totals = counts.sum(axis=1).astype(float)
         total_mean[meth] = float(totals.mean())
         total_var[meth] = float(totals.var(ddof=1)) if reps > 1 else 0.0

@@ -268,23 +268,56 @@ def test_permuted_covariates_permute_the_answers(monkeypatch):
         )
 
 
+def _tiny_data(cfg):
+    """The masked dataset of cfg's replication 0, drawn from its named streams."""
+    from seqbvs.data_gen import apply_missingness, gen_covariates, gen_responses
+    from seqbvs.experiment import _STREAM_COVARIATES, _STREAM_MASK, _STREAM_NOISE, stream_rng
+
+    x = gen_covariates(cfg.n_max, cfg.dgp.cov, stream_rng(cfg.base_seed, 0, _STREAM_COVARIATES))
+    y = gen_responses(x, cfg.dgp, stream_rng(cfg.base_seed, 0, _STREAM_NOISE))
+    return apply_missingness(x, cfg.missing.rate, cfg.missing.mechanism, stream_rng(cfg.base_seed, 0, _STREAM_MASK), y=y)
+
+
+@pytest.mark.parametrize("per_call", [None, 3])
+def test_imputed_stream_yields_each_sizes_gram_stats(monkeypatch, per_call):
+    # per_call 3 splits the stream into several impute calls
+    from seqbvs.bayes_lm import GramStats
+    from seqbvs.experiment import _STREAM_IMPUTE_BASE, _imputed_stream, stream_rng
+    from seqbvs.imputation import impute, stack_sizes
+
+    cfg = tiny_config()
+    data = _tiny_data(cfg)
+    if per_call is not None:
+        monkeypatch.setattr(experiment, "stack_sizes", lambda *args: per_call)
+    else:
+        per_call = stack_sizes(cfg.n_max, cfg.imp.M, cfg.dgp.p)
+    sizes = list(range(cfg.n_min, cfg.n_max + 1))
+    want = []
+    for first in range(0, len(sizes), per_call):
+        chunk = sizes[first : first + per_call]
+        streams = {n: stream_rng(cfg.base_seed, 0, _STREAM_IMPUTE_BASE + n) for n in chunk}
+        stacked = impute(data, cfg.imp, streams)
+        want += [GramStats.from_data(completions, data.y[:n]) for n, completions in zip(chunk, stacked)]
+    got = list(_imputed_stream(data, cfg, 0))
+    assert [n for n, _ in got] == sizes
+    for (n, stats), ref in zip(got, want):
+        assert stats.n == ref.n == n
+        assert stats.syy == ref.syy
+        assert stats.sxx.tobytes() == ref.sxx.tobytes()
+        assert stats.sxy.tobytes() == ref.sxy.tobytes()
+
+
 @pytest.fixture(scope="module")
 def tiny_tables():
     """The per-step (M, m) log-BF tables of tiny_config's replication 0."""
-    from seqbvs.bayes_lm import GramStats, model_sweep
-    from seqbvs.data_gen import apply_missingness, gen_covariates, gen_responses
-    from seqbvs.experiment import _STREAM_COVARIATES, _STREAM_MASK, _STREAM_NOISE, _imputed_stream, stream_rng
+    from seqbvs.bayes_lm import model_sweep
+    from seqbvs.experiment import _imputed_stream
     from seqbvs.model_space import enumerate_models
 
     cfg = tiny_config()
-    x = gen_covariates(cfg.n_max, cfg.dgp.cov, stream_rng(cfg.base_seed, 0, _STREAM_COVARIATES))
-    y = gen_responses(x, cfg.dgp, stream_rng(cfg.base_seed, 0, _STREAM_NOISE))
-    mask_rng = stream_rng(cfg.base_seed, 0, _STREAM_MASK)
-    data = apply_missingness(x, cfg.missing.rate, cfg.missing.mechanism, mask_rng, y=y)
     space = enumerate_models(cfg.dgp.p)
     return [
-        model_sweep(GramStats.from_data(completions, y[:n]), space, g_for_n(cfg.g_rule, n))
-        for n, completions in _imputed_stream(data, cfg, 0)
+        model_sweep(stats, space, g_for_n(cfg.g_rule, n)) for n, stats in _imputed_stream(_tiny_data(cfg), cfg, 0)
     ]
 
 
@@ -358,20 +391,16 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
 
 class TestAggregate:
     def _fake_result(self, rep, crossings_by_method, final, t_count=5, p=2):
-        trajs = {}
+        """A result whose covariate k crosses crossings_by_method[meth][k] times and ends on side final[k]."""
+        probs = {}
         for meth in METHODS:
-            mat = np.full((t_count, p), 0.4)
-            trajs[meth] = InclusionTrajectory(meth, mat)
-        return ReplicationResult(
-            rep=rep,
-            n_min=19,
-            n_max=19 + t_count - 1,
-            trajectories=trajs,
-            set_sizes=np.full(t_count, 4, dtype=np.int64),
-            crossings={m: np.array(crossings_by_method[m]) for m in METHODS},
-            final_included={m: np.array(final) for m in METHODS},
-            had_nan={m: False for m in METHODS},
-        )
+            mat = np.empty((t_count, p))
+            for k, (count, last) in enumerate(zip(crossings_by_method[meth], final)):
+                # steady, then a side change at each of the last `count` steps
+                sides = [last ^ (min(t_count - 1 - t, count) % 2 == 1) for t in range(t_count)]
+                mat[:, k] = np.where(sides, 0.6, 0.4)
+            probs[meth] = mat
+        return ReplicationResult.from_probs(rep, 19, 19 + t_count - 1, probs, np.full(t_count, 4, dtype=np.int64))
 
     def test_single_rep_means_equal_counts(self):
         counts = {m: [1, 3] for m in METHODS}
@@ -392,6 +421,33 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             aggregate([])
+
+    def test_tables_follow_the_trajectories(self):
+        # recorded crossings and final calls that disagree with the
+        # trajectories: the tables follow the trajectories, as analyze's do
+        # when it reads them back from the CSV
+        t_count, p = 6, 3
+        steps = np.arange(t_count * p, dtype=float).reshape(t_count, p)
+        results = []
+        for rep in range(3):
+            probs = {meth: (steps * (rep + i + 2) % 7) / 6 for i, meth in enumerate(METHODS)}
+            honest = ReplicationResult.from_probs(rep, 19, 19 + t_count - 1, probs, np.full(t_count, 4))
+            wrong = {
+                "crossings": {meth: honest.crossings[meth] + 5 for meth in METHODS},
+                "final_included": {meth: ~honest.final_included[meth] for meth in METHODS},
+            }
+            results.append(ReplicationResult(**{**vars(honest), **wrong}))
+        stats = aggregate(results)
+        for meth in METHODS:
+            counts = np.array(
+                [[crossing_events_reference(r.trajectories[meth].probs[:, k]).sum() for k in range(p)] for r in results]
+            )
+            finals = np.array([r.trajectories[meth].probs[-1] >= 0.5 for r in results])
+            assert counts.sum() > 0 and 0 < finals.mean() < 1
+            np.testing.assert_array_equal(stats.mean_crossings[meth], counts.mean(axis=0))
+            np.testing.assert_array_equal(stats.final_freq[meth], finals.mean(axis=0))
+            assert stats.total_mean[meth] == counts.sum(axis=1).mean()
+            assert stats.total_var[meth] == counts.sum(axis=1).astype(float).var(ddof=1)
 
     def test_cumulative_totals_from_real_run(self):
         cfg = tiny_config()
