@@ -23,8 +23,8 @@ Crossing counts use the tie rule "prob == 0.5 counts as active"; NaN spans
 across a span counts once, at the first valid entry after it.  The crossing
 kernel works along axis 0 of a whole stack at a time: a replication counts
 its four methods in one call on a (T, methods, p) stack, and aggregate
-takes the cumulative curves of a whole run from one call on a
-(T, reps, methods, p) stack.  A time step's M completions make one stacked
+takes a whole run's per-rep counts and cumulative curves from one call on
+a (T, reps, methods, p) stack.  A time step's M completions make one stacked
 GramStats for one batched model_sweep.
 """
 

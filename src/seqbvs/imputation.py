@@ -37,9 +37,10 @@ model_space).  Next to it a step holds one sweep's normals for every chain
 per chain; the observed rows are gathered a bounded chunk of chains at a
 time, and each step's temporaries die with it.  At desk size (M = 10,
 n = 100, p = 10) a call stacks 23 sample sizes, a stack of up to 2 MB, and a
-whole desk stream peaks at about 3.7 MB (tracemalloc).  The completions
-handed back are views into the stack: a caller that keeps a size copies it,
-as experiment._imputed_stream does, one size at a time.
+whole desk stream peaks at about 3.65 MB (tracemalloc).  The completions
+handed back are views into the stack and keep it alive:
+experiment._imputed_stream reduces each size to its GramStats and drops the
+views before its next call.
 
 Sample size n draws only from its own stream, and chain j from child j of
 that stream's spawn(M), in the order a lone chain would use: the initial

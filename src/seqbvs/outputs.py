@@ -16,10 +16,11 @@ replications past its count, or the plots of a run without plots.
 
 The 4 x reps trajectory charts of a run share one x grid (n_min..n_max)
 and, coloured by dgp.beta, one set of actives and emphasized covariates,
-so their frame is formatted once per run in svg's bounded caches: the x
-half of every point, the points template, the axes, the 0.5 rule, the
+so their frame is formatted once per run in svg's one bounded cache: the
+x half of every point, the points template, the axes, the 0.5 rule, the
 legend, the draw order and each line's colour and width.  Once per chart
-come its title and its own probabilities.
+come its title and its own probabilities.  The one crossing-totals chart
+formats its frame itself.
 
 The CSV and the arrays it holds are both whole-array: the writer joins the
 rows of one (rep, t) into one string, and the reader parses the file in one
