@@ -282,9 +282,8 @@ def posterior_model_probs(
     if not np.all(np.isfinite(log_bf)):
         raise DataError("log marginals must be finite")
     logits = log_bf + _log_model_prior(space, prior)
-    hi = np.max(logits, axis=-1, keepdims=True)
-    probs = np.exp(logits - (np.log(np.sum(np.exp(logits - hi), axis=-1, keepdims=True)) + hi))
-    return probs / probs.sum(axis=-1, keepdims=True)
+    weights = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def posterior_from_imputations(
