@@ -201,7 +201,9 @@ def trajectory_chart(
     NaN probabilities are gaps; a covariate with fewer than 2 finite
     probabilities draws no line.
     """
-    frame = _trajectory_frame(np.asarray(ns, dtype=float).tobytes(), np.asarray(active, dtype=bool).tobytes(), tuple(emphasize))
+    frame = _trajectory_frame(
+        np.asarray(ns, dtype=float).tobytes(), np.asarray(active, dtype=bool).tobytes(), tuple(emphasize)
+    )
     py = _map_y(np.asarray(probs, dtype=float), 0.0, 1.0)  # (T, p), every covariate in one map
     parts = [_HEAD, _title(title), frame.top]
     for k, opening in frame.lines:

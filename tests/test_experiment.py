@@ -24,7 +24,7 @@ from seqbvs.experiment import (
     run_replication,
 )
 from seqbvs.imputation import ImputationConfig
-from seqbvs.inclusion import METHODS, InclusionTrajectory
+from seqbvs.inclusion import METHODS
 
 from oracles import crossing_events_reference, sequential_reference
 
@@ -275,7 +275,8 @@ def _tiny_data(cfg):
 
     x = gen_covariates(cfg.n_max, cfg.dgp.cov, stream_rng(cfg.base_seed, 0, _STREAM_COVARIATES))
     y = gen_responses(x, cfg.dgp, stream_rng(cfg.base_seed, 0, _STREAM_NOISE))
-    return apply_missingness(x, cfg.missing.rate, cfg.missing.mechanism, stream_rng(cfg.base_seed, 0, _STREAM_MASK), y=y)
+    mask_rng = stream_rng(cfg.base_seed, 0, _STREAM_MASK)
+    return apply_missingness(x, cfg.missing.rate, cfg.missing.mechanism, mask_rng, y=y)
 
 
 @pytest.mark.parametrize("per_call", [None, 3])
