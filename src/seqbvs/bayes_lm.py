@@ -6,7 +6,8 @@ values are stored relative to the null (intercept-only) model, whose entry
 is exactly zero; absolute marginals under the improper intercept/scale
 prior are defined only up to a constant that cancels in every Bayes factor.
 
-Sufficient statistics live in GramStats, so any model's log Bayes factor
+Sufficient statistics live in GramStats, one augmented cross-product
+matrix z'z of z = (1, x, y) per data set, so any model's log Bayes factor
 is available from O(p^2) state.
 
 The all-subsets sweep (model_sweep) is one pass over the subset lattice
@@ -46,17 +47,14 @@ MODEL_PRIORS = ("uniform", "scott-berger")
 
 @dataclass
 class GramStats:
-    """Cross-product accumulators for the augmented regressors z = (1, x).
+    """The augmented cross-product matrix szz = z'z of z = (1, x, y).
 
-    One data set gives sxx (p+1, p+1) and sxy (p+1,).  A stack of M
-    completions of the same n rows, sharing y, gives sxx (M, p+1, p+1) and
-    sxy (M, p+1); n and syy are shared.
+    One data set gives szz (p+2, p+2); a stack of M completions of the same
+    n rows, sharing y, gives one matrix per completion, (M, p+2, p+2).
     """
 
     n: int
-    sxx: np.ndarray  # (p+1, p+1), or (M, p+1, p+1)
-    sxy: np.ndarray  # (p+1,), or (M, p+1)
-    syy: float
+    szz: np.ndarray  # (p+2, p+2), or (M, p+2, p+2)
 
     @classmethod
     def from_data(cls, x_mat: np.ndarray, y: np.ndarray) -> GramStats:
@@ -73,24 +71,19 @@ class GramStats:
             raise ShapeError("a stack of completions needs at least one completion")
         if not (np.all(np.isfinite(x_mat)) and np.all(np.isfinite(y))):
             raise DataError("observations must be finite")
-        z = np.concatenate([np.ones(x_mat.shape[:-1] + (1,)), x_mat], axis=-1)
-        z_t = np.swapaxes(z, -1, -2)
-        return cls(n=x_mat.shape[-2], sxx=z_t @ z, sxy=z_t @ y, syy=float(y @ y))
+        shape = x_mat.shape[:-1] + (1,)
+        z = np.concatenate([np.ones(shape), x_mat, np.broadcast_to(y[:, None], shape)], axis=-1)
+        return cls(n=x_mat.shape[-2], szz=np.swapaxes(z, -1, -2) @ z)
 
     @property
     def p(self) -> int:
-        return self.sxx.shape[-1] - 1
+        return self.szz.shape[-1] - 2
 
 
-def centered_moments(stats: GramStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centered cross-products (A, b, syy_c) derived from the raw sums, per completion of a stack."""
-    n = stats.n
-    xbar = stats.sxx[..., 0, 1:] / n
-    ybar = stats.sxy[..., 0] / n
-    a_mat = stats.sxx[..., 1:, 1:] - n * (xbar[..., :, None] * xbar[..., None, :])
-    bvec = stats.sxy[..., 1:] - n * xbar * ybar[..., None]
-    syy_c = stats.syy - n * ybar * ybar
-    return a_mat, bvec, syy_c
+def centered_moments(stats: GramStats) -> np.ndarray:
+    """The centred cross-products [[A, b], [b', syy_c]] of (x, y) from the raw sums, per completion of a stack."""
+    mean = stats.szz[..., 0, 1:] / stats.n
+    return stats.szz[..., 1:, 1:] - stats.n * (mean[..., :, None] * mean[..., None, :])
 
 
 def _subset_ssr(a_mat: np.ndarray, bvec: np.ndarray, cols: np.ndarray, raw_ss: np.ndarray) -> float:
@@ -120,11 +113,11 @@ def model_r_squared(stats: GramStats, gamma: ModelVector) -> float:
     """Coefficient of determination of one model from the Gram statistics."""
     if gamma.size == 0:
         return 0.0
-    a_mat, bvec, syy_c = centered_moments(stats)
-    if syy_c <= 0.0:
+    moments = centered_moments(stats)
+    if moments[-1, -1] <= 0.0:
         return 0.0
     cols = np.nonzero(np.array(gamma.bits))[0]
-    r2 = _subset_ssr(a_mat, bvec, cols, np.diag(stats.sxx)[1:]) / syy_c
+    r2 = _subset_ssr(moments[:-1, :-1], moments[:-1, -1], cols, np.diag(stats.szz)[1:-1]) / moments[-1, -1]
     return float(min(max(r2, 0.0), R2_CEIL))
 
 
@@ -134,6 +127,8 @@ def log_bf_null(stats: GramStats, gamma: ModelVector, g: float | None = None) ->
     log BF = ((n-1-k)/2) log(1+g) - ((n-1)/2) log(1 + g(1-R^2)), with k the
     number of included covariates and g defaulting to n (unit information).
     """
+    if stats.szz.ndim != 2:
+        raise ShapeError(f"log_bf_null needs one data set's statistics, not a stack of {len(stats.szz)}")
     k = gamma.size
     if k == 0:
         return 0.0
@@ -146,29 +141,26 @@ def log_bf_null(stats: GramStats, gamma: ModelVector, g: float | None = None) ->
     return 0.5 * (n - 1 - k) * math.log1p(g) - 0.5 * (n - 1) * math.log1p(g * (1.0 - r2))
 
 
-def _lattice_rss(a_mat: np.ndarray, bvec: np.ndarray, syy_c: np.ndarray, raw_ss: np.ndarray) -> np.ndarray:
+def _lattice_rss(moments: np.ndarray, raw_ss: np.ndarray) -> np.ndarray:
     """Residual sum of squares of every model of M completions, a C-ordered (M, m) table.
 
-    Inputs are stacked per completion: a_mat (M, p, p), bvec (M, p),
-    syy_c (M,), raw_ss (M, p).  Inside the pass the models are on the last
-    axis, with the completions interleaved: before level j,
-    `block[:, :, c + M * i]` is the centred cross-product matrix of the
+    Inputs are stacked per completion: moments (M, p+1, p+1), from
+    centered_moments, and raw_ss (M, p).  Inside the pass the models are on
+    the last axis, with the completions interleaved: level j,
+    `block[:, :, c + M * i]`, is the centred cross-product matrix of the
     columns (x_j, ..., x_{p-1}, y) of completion c after regression on model
-    i, a subset of the first j covariates, so a level is a (p+1-j, p+1-j,
-    M * 2**j) block.  Dropping column j keeps model i; sweeping on it gives
-    model i + 2**j, so appending [kept, swept] along the last axis is the
-    next level; it is written in place into the next level's two halves,
-    swept = rest - (inv * col_a) * col_b.  A pivot at or below
-    _PIVOT_EPS * raw_ss[c, j] leaves the swept block equal to the kept one.
-    The last level's (m * M,) residuals are transposed into (M, m) with one
-    copy.  The completions never mix, so a pass over a part of them gives
-    their rows bit for bit.
+    i, a subset of the first j covariates, a (p+1-j, p+1-j, M * 2**j) block;
+    level 0 is moments itself.  Dropping column j keeps model i; sweeping on
+    it gives model i + 2**j, so appending [kept, swept] along the last axis
+    is the next level, written in place into its two halves, swept = rest -
+    (inv * col_a) * col_b.  A pivot at or below _PIVOT_EPS * raw_ss[c, j]
+    leaves the swept block equal to the kept one.  The last level's (m * M,)
+    residuals are transposed into (M, m) with one copy.  The completions
+    never mix, so a pass over a part of them gives their rows bit for bit.
     """
-    n_comp = len(syy_c)
-    top = np.concatenate([a_mat, bvec[:, :, None]], axis=2)
-    bottom = np.concatenate([bvec, syy_c[:, None]], axis=1)[:, None, :]
-    block = np.concatenate([top, bottom], axis=1).transpose(1, 2, 0)
-    for j in range(bvec.shape[1]):
+    n_comp = len(moments)
+    block = moments.transpose(1, 2, 0)
+    for j in range(raw_ss.shape[1]):
         pivot = block[0, 0]
         col = block[1:, 0]
         keep = (pivot.reshape(-1, n_comp) > _PIVOT_EPS * raw_ss[:, j]).ravel()
@@ -211,11 +203,12 @@ def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> 
     n = stats.n
     if n < space.p + 2:
         raise InsufficientDataError(f"need n >= p+2 = {space.p + 2} observations, have {n}")
-    single = stats.sxx.ndim == 2
+    single = stats.szz.ndim == 2
     if single:
-        stats = GramStats(n, stats.sxx[None], stats.sxy[None], stats.syy)
-    a_mat, bvec, syy_c = centered_moments(stats)
-    raw_ss = np.diagonal(stats.sxx, axis1=1, axis2=2)[:, 1:]
+        stats = GramStats(n, stats.szz[None])
+    moments = centered_moments(stats)
+    syy_c = moments[:, -1, -1]
+    raw_ss = np.diagonal(stats.szz, axis1=1, axis2=2)[:, 1:-1]
     if g is None:
         g = n
     varies = syy_c > 0.0
@@ -223,7 +216,7 @@ def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> 
     penalty = 0.5 * (n - 1.0 - space.sizes) * np.log1p(g)
 
     def log_bf_rows(part: slice) -> np.ndarray:
-        rows = _lattice_rss(a_mat[part], bvec[part], syy_c[part], raw_ss[part])
+        rows = _lattice_rss(moments[part], raw_ss[part])
         # the closed form in place, R^2 first, then log BF: written as one
         # expression, its (M, m) temporaries made the sweeps of a p = 14,
         # M = 2 replication ~6% slower

@@ -13,23 +13,23 @@ chain sit in one (T, M, n_hi, p + 1) array [1, x] over the first n_hi rows,
 each column less the mean of its observed cells (added back at the end),
 and the rows beyond a size are zero in every column (the intercept too), so
 they add nothing to a product.  Each (sweep, column) step then fits all T*M
-chains at once: batched products give each chain's (p + 1) x (p + 1)
-cross-product matrix of [1, x] over the rows where the column is observed,
-which holds the Gram matrix G = D'D of the design D = [1, X] (the intercept
-and the other columns), D'z for the column z, z'z and sum z.  The fit needs
-no pass over the rows: the column sums sit in G's intercept row, so the
-X'X block is centred and scaled in place to n_obs times the correlations of
-X, and one Cholesky factor L of that plus _RIDGE * q on the diagonal gives
-the standardised slopes and their draw sigma_hat L^-T xi, as in mice's
-`norm` method (van Buuren 2018, Flexible Imputation of Missing Data,
-Algorithm 3.1).  They map back to raw slopes through the column sds, and
-the free intercept follows from the means.  The residual sum of squares
-for sigma_hat comes from the same factor.  The small linear algebra keeps
-the chain axis last, on (q, q, B), (q, r, B) and (q, B) arrays, so each
-numpy call runs one contiguous loop over the B chains, and the forward and
-back substitutions run one row at a time.  The draw is a continuous
-function of the data, so sums that add in another order (a padded stack,
-another chunk of sizes) move the completions by roundoff only.
+chains at once: batched products give each chain's augmented cross-product
+matrix [D, z]'[D, z] over the rows where the column is observed, for the
+design D = [1, X] (the intercept and the other columns) and the column z.
+The fit needs no pass over the rows: the row count and the column sums sit
+in the intercept's row, so one in-place loop centres the product, its X'X
+block is scaled to n_obs times the correlations of X, and one Cholesky
+factor L of that plus _RIDGE * q on the diagonal gives the standardised
+slopes and their draw sigma_hat L^-T xi, as in mice's `norm` method (van
+Buuren 2018, Flexible Imputation of Missing Data, Algorithm 3.1).  They map
+back to raw slopes through the column sds, and the free intercept follows
+from the means.  The residual sum of squares for sigma_hat comes from the
+same factor.  The small linear algebra keeps the chain axis last, on
+(q, q, B), (q, r, B) and (q, B) arrays, so each numpy call runs one
+contiguous loop over the B chains, and the forward and back substitutions
+run one row at a time.  The draw is a continuous function of the data, so
+sums that add in another order (a padded stack, another chunk of sizes)
+move the completions by roundoff only.
 
 Memory is set by the stack, which holds at most CELL_BUDGET values (see
 model_space).  Next to it a step holds one sweep's normals for every chain
@@ -37,7 +37,7 @@ model_space).  Next to it a step holds one sweep's normals for every chain
 per chain; the observed rows are gathered a bounded chunk of chains at a
 time, and each step's temporaries die with it.  At desk size (M = 10,
 n = 100, p = 10) a call stacks 23 sample sizes, a stack of up to 2 MB, and a
-whole desk stream peaks at about 3.65 MB (tracemalloc).  The completions
+whole desk stream peaks at about 3.67 MB (tracemalloc).  The completions
 handed back are views into the stack and keep it alive:
 experiment._imputed_stream reduces each size to its GramStats and drops the
 views before its next call.
@@ -140,39 +140,40 @@ def _backward(low_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
     return x
 
 
-def _ridge_fit(
-    gram_t: np.ndarray, cross_t: np.ndarray, n_obs: np.ndarray, centred_zz: np.ndarray, coef_noise_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ridge_fit(aug_t: np.ndarray, coef_noise_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ridge fits of a stack of chains, their draw directions and residual sums of squares.
 
-    gram_t is the (q, q, B) stack of D'D for D = [1, X], overwritten here;
-    cross_t the (q, B) stack of D'z, n_obs the (B,) row counts, centred_zz
-    the (B,) centred sums of squares of z and coef_noise_t (q, B) standard
-    normals xi.  Returns, in the raw coordinates of D and both (q, B), the
-    point fits (G + diag(0, f S_jj / n_obs))^-1 D'z with f = _RIDGE * q and
-    S the centred X'X, and the draw directions: slopes L^-T xi[1:] / d for
-    the column sds d, intercept xi[0] / sqrt(n_obs) less the column means
-    times those.  A column constant on the rows gets slope 0.
+    aug_t is the (q + 1, q + 1, B) stack of [D, z]'[D, z] for D = [1, X]
+    and the column z, overwritten here: its last q rows and columns are
+    centred, so its corner is left holding the centred sum of squares of z.
+    coef_noise_t is (q, B) standard normals xi.  Returns, in the raw
+    coordinates of D and both (q, B), the point fits
+    (G + diag(0, f S_jj / n_obs))^-1 D'z with G = D'D, f = _RIDGE * q and S
+    the centred X'X, and the draw directions: slopes L^-T xi[1:] / d for the
+    column sds d, intercept xi[0] / sqrt(n_obs) less the column means times
+    those.  A column constant on the rows gets slope 0.
     """
-    q = len(gram_t)
+    q = len(aug_t) - 1
     ridge = _RIDGE * q
     diag = np.arange(q - 1)
-    sums = gram_t[0, 1:]
+    n_obs = aug_t[0, 0]
+    sums = aug_t[0, 1:]
     mean = sums / n_obs
-    # S = X'X - s m' and then S / (d d'), in place: n_obs times the
-    # correlations of X, plus the ridge on the diagonal
-    xx = gram_t[1:, 1:]
-    for row, row_sum in zip(xx, sums):
+    # the cross-products of (X, z) less s m', in place; then S / (d d'):
+    # n_obs times the correlations of X, plus the ridge on the diagonal
+    centred = aug_t[1:, 1:]
+    for row, row_sum in zip(centred, sums):
         row -= row_sum * mean
+    xx = centred[:-1, :-1]
     # a column whose centred square sum is within roundoff of the n m^2 it
     # was taken from is constant on the rows: its standardised column is 0
-    varies = xx[diag, diag] > _CONSTANT_TOL * sums * mean
-    inv_scale = np.divide(n_obs, xx[diag, diag], out=np.zeros_like(mean), where=varies)
+    varies = xx[diag, diag] > _CONSTANT_TOL * sums[:-1] * mean[:-1]
+    inv_scale = np.divide(n_obs, xx[diag, diag], out=np.zeros_like(mean[:-1]), where=varies)
     np.sqrt(inv_scale, out=inv_scale)
     xx *= inv_scale[:, None]
     xx *= inv_scale
     xx[diag, diag] += ridge
-    cross = (cross_t[1:] - mean * cross_t[0]) * inv_scale
+    cross = centred[-1, :-1] * inv_scale
     # the factor in numpy's layout is a temporary, so it does not outlive its use
     factor = np.linalg.cholesky(xx.transpose(2, 0, 1))
     factor_t = np.ascontiguousarray(factor.transpose(1, 2, 0))
@@ -182,25 +183,23 @@ def _ridge_fit(
     # rss = S_zz - 2 b'c + b'(S + ridge I) b - ridge b'b with (S + ridge I) b = c,
     # and b'c = |L^-1 c|^2 (clamped at 0, which roundoff can cross)
     fit_sq = np.einsum("ib,ib->b", half[:, 0], half[:, 0]) + ridge * np.einsum("ib,ib->b", solved[:, 0], solved[:, 0])
-    rss = np.maximum(centred_zz - fit_sq, 0.0)
+    rss = np.maximum(centred[-1, -1] - fit_sq, 0.0)
     raw = np.empty((2, q, len(n_obs)))
     raw[:, 1:] = solved.transpose(1, 0, 2) * inv_scale
-    raw[0, 0] = cross_t[0] / n_obs
+    raw[0, 0] = mean[-1]
     raw[1, 0] = coef_noise_t[0] / np.sqrt(n_obs)
-    raw[:, 0] -= np.einsum("ib,kib->kb", mean, raw[:, 1:])
+    raw[:, 0] -= np.einsum("ib,kib->kb", mean[:-1], raw[:, 1:])
     return raw[0], raw[1], rss
 
 
-def _cross_products(flat: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cross-products of [1, x] over the given rows of each chain of the (B, n_hi, p + 1) stack, split for column k.
+def _cross_products(flat: np.ndarray, rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Cross-products of [1, x] over the given rows of each chain of the (B, n_hi, p + 1) stack, columns in order.
 
-    Returns, chain axis last, the Gram matrices G = D'D of the design D (the
-    intercept and every column but k), (q, q, B); the products D'z with
-    column k, (q, B); and the row counts, z'z and sum z, (3, B).  The rows
-    are gathered a chunk of chains at a time, at most _GATHER_CELLS values
-    per chunk; each chain's product is computed on its own, so the chunking
-    does not change a bit of the result.  The pieces are copies, so the full
-    products are freed on return.
+    Returns one copy of the products, chain axis last; order lists the
+    design columns and then column k, for [D, z]'[D, z].  The rows are
+    gathered a chunk of chains at a time, at most _GATHER_CELLS values per
+    chunk; each chain's product is computed on its own, so the chunking does
+    not change a bit of the result, and the full products die on return.
     """
     chains, width = len(flat), flat.shape[2]
     full = np.empty((chains, width, width))
@@ -209,9 +208,7 @@ def _cross_products(flat: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndar
         part = np.take(flat[lo : lo + step], rows, axis=1)
         np.matmul(part.transpose(0, 2, 1), part, out=full[lo : lo + step])
         del part  # freed before the next chunk is gathered
-    full_t = full.transpose(1, 2, 0)
-    design = np.delete(np.arange(width), k)
-    return full_t[design[:, None], design], full_t[design, k], full_t[[0, k, 0], [0, k, k]]
+    return full.transpose(1, 2, 0)[order[:, None], order]
 
 
 def _redraw(flat: np.ndarray, k: int, obs: np.ndarray, miss: np.ndarray, normals: np.ndarray) -> None:
@@ -227,12 +224,12 @@ def _redraw(flat: np.ndarray, k: int, obs: np.ndarray, miss: np.ndarray, normals
     width = flat.shape[2]
     design = np.delete(np.arange(width), k)  # the intercept and the other covariates
     q = len(design)
-    gram_t, cross_t, (n_obs, zz, z_sum) = _cross_products(flat, obs, k)
+    aug_t = _cross_products(flat, obs, np.append(design, k))
+    beta_t, spread_t, rss = _ridge_fit(aug_t, normals[:, :q].T)
     # n_obs: the intercept column is 1 on a chain's rows and 0 beyond; the
-    # centred sum of squares of column k is n s0^2 = z'z - (sum z)^2 / n_obs
-    centred_zz = zz - z_sum * z_sum / n_obs
-    beta_t, spread_t, rss = _ridge_fit(gram_t, cross_t, n_obs, centred_zz, normals[:, :q].T)
-    s0_sq = centred_zz / n_obs + 1e-12
+    # fit left the centred sum of squares of column k, n_obs s0^2, in the corner
+    n_obs = aug_t[0, 0]
+    s0_sq = aug_t[-1, -1] / n_obs + 1e-12
     dof = np.maximum(n_obs - q, 1.0)
     sigma_hat = np.sqrt((rss + _SIGMA_PRIOR_WEIGHT * s0_sq) / (dof + _SIGMA_PRIOR_WEIGHT))
     coef = np.zeros((len(flat), width))

@@ -238,16 +238,21 @@ def test_stacked_gram_equals_per_completion_gram():
     stack = rng.standard_normal((6, 30, 4)) * [1.0, 1e3, 1.0, 1.0] + [0.0, 0.0, 1e5, 0.0]
     y = rng.standard_normal(30)
     stacked = GramStats.from_data(stack, y)
-    assert stacked.n == 30 and stacked.p == 4 and stacked.sxx.shape == (6, 5, 5) and stacked.sxy.shape == (6, 5)
+    assert stacked.n == 30 and stacked.p == 4 and stacked.szz.shape == (6, 6, 6)
     for c, x_c in enumerate(stack):
         alone = GramStats.from_data(x_c, y)
-        assert stacked.syy == alone.syy
-        np.testing.assert_allclose(stacked.sxx[c], alone.sxx, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(stacked.sxy[c], alone.sxy, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stacked.szz[c], alone.szz, rtol=1e-12, atol=0)
     # one non-finite cell anywhere in the stack rejects it
     stack[4, 17, 1] = np.nan
     with pytest.raises(DataError):
         GramStats.from_data(stack, y)
+
+
+def test_log_bf_null_refuses_a_stack():
+    rng = np.random.default_rng(16)
+    stacked = GramStats.from_data(rng.standard_normal((3, 30, 4)), rng.standard_normal(30))
+    with pytest.raises(ShapeError, match="not a stack of 3"):
+        log_bf_null(stacked, enumerate_models(4).model(5))
 
 
 def test_batched_sweep_needs_a_completion():

@@ -214,12 +214,9 @@ def test_imputed_values_have_sane_scale():
 
 
 def _fit_one(design, z, noise):
-    """_ridge_fit of one design, stacked once per column of noise."""
-    chains = noise.shape[1]
-    gram_t = np.repeat((design.T @ design)[:, :, None], chains, axis=2)
-    cross_t = np.repeat((design.T @ z)[:, None], chains, axis=1)
-    centred_zz = np.full(chains, float(((z - z.mean()) ** 2).sum()))
-    return _ridge_fit(gram_t, cross_t, np.full(chains, float(len(z))), centred_zz, noise)
+    """_ridge_fit of one design and column z, their augmented product stacked once per column of noise."""
+    aug = np.column_stack([design, z])
+    return _ridge_fit(np.repeat((aug.T @ aug)[:, :, None], noise.shape[1], axis=2), noise)
 
 
 @pytest.mark.parametrize("n_obs", [12, 40, 2000])
