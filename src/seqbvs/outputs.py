@@ -272,9 +272,11 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     stack.  A malformed row (wrong field count, a non-numeric field, an
     unknown method), an incomplete cube, rows of one (rep, t) that disagree
     on n or set_size, an n other than n(t = 1) + t - 1, a probability
-    outside [0, 1] (±inf included), NaN in bvs, zero_out or mixed, or an
+    outside [0, 1] (±inf included), NaN in bvs, zero_out or mixed, an
     smcs row whose NaN entries do not match set_size == 0 (NaN throughout
-    an emptied set, none in any other) raises DataError naming the file.
+    an emptied set, none in any other), or a set size outside 0..2**p or
+    one that grows with t within a rep (the SMCS sets are nested) raises
+    DataError naming the file.
     """
     path = Path(path)
     try:
@@ -338,6 +340,13 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
             r, t_at = np.argwhere(bad)[0][:2]
             what = "an smcs NaN pattern that disagrees with set_size == 0" if meth == "smcs" else f"NaN in {meth}"
             raise DataError(f"{path} has {what} at rep {rep_ids[r]}, t {t_at + 1}")
+    # the confidence sets are nested subsets of the 2**p models
+    m = 2 ** shape[3]
+    grows = np.diff(sizes, axis=1, prepend=sizes[:, :1]) > 0
+    for bad, what in (((sizes < 0) | (sizes > m), f"outside 0..{m}"), (grows, "that grows with t")):
+        if bad.any():
+            r, t_at = np.argwhere(bad)[0]
+            raise DataError(f"{path} has a set size {what} at rep {rep_ids[r]}, t {t_at + 1}")
 
     return [
         ReplicationResult.from_probs(rep, int(n_at[r, 0]), int(n_at[r, -1]), dict(zip(METHODS, cube[r])), sizes[r])

@@ -131,9 +131,9 @@ class TestOutputs:
         cfg, results, _ = tiny_run
         res = results[0]
         smcs = res.trajectories["smcs"].probs.copy()
-        smcs[3:5] = np.nan  # an emptied confidence set
+        smcs[-2:] = np.nan  # a confidence set emptied for the last two steps
         set_sizes = res.set_sizes.copy()
-        set_sizes[3:5] = 0
+        set_sizes[-2:] = 0
         bvs = res.trajectories["bvs"].probs.copy()
         bvs[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]  # a signed zero, the least subnormal, a 17-digit sum
         trajectories = {
@@ -157,11 +157,12 @@ class TestOutputs:
         np.testing.assert_array_equal(cube.ravel().view(np.uint64), text.view(np.uint64))
 
     def test_one_pass_counts_match_reference(self, tmp_path):
-        # rep ids 3, 6, ..., 72: the smcs set of the first rep starts empty,
+        # rep ids 3, 6, ..., 72: the smcs set of the first rep ends empty,
         # the second's is empty throughout, so each of its smcs columns is all
-        # NaN, and the others' empty for a random span, or never; exact 0.5
-        # ties are drawn as often as the rest.  More than 8 reps, so that a
-        # reduction over a strided (reps, T) view would sum in another order
+        # NaN, and the others' empty from a random t on, or never (the sets
+        # are nested, so once empty a set stays empty); exact 0.5 ties are
+        # drawn as often as the rest.  More than 8 reps, so that a reduction
+        # over a strided (reps, T) view would sum in another order
         t_count, p = 30, 3
         rng = np.random.default_rng(11)
         rep_ids = list(range(3, 75, 3))
@@ -170,10 +171,9 @@ class TestOutputs:
             probs = {meth: rng.choice([0.2, 0.4999, 0.5, 0.8], size=(t_count, p)) for meth in METHODS}
             sizes = np.full(t_count, 5, dtype=np.int64)
             if i < 2:
-                empty = slice(0, 5) if i == 0 else slice(None)
+                empty = slice(t_count - 5, None) if i == 0 else slice(None)
             else:
-                start = int(rng.integers(0, t_count))
-                empty = slice(start, start + int(rng.integers(0, 6)))
+                empty = slice(int(rng.integers(0, t_count + 1)), None)
             probs["smcs"][empty] = np.nan
             sizes[empty] = 0
             results.append(ReplicationResult.from_probs(rep, 19, 19 + t_count - 1, probs, sizes))
@@ -199,13 +199,15 @@ class TestOutputs:
 
     def test_analyze_recomputes_tables(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
+        # analyze rewrites, from the CSV alone, the bytes the run wrote
         emit_outputs(results, stats, tmp_path, cfg, plots=False)
-        re_stats = analyze_directory(tmp_path)
-        for meth in METHODS:
-            np.testing.assert_allclose(
-                re_stats.mean_crossings[meth], stats.mean_crossings[meth], atol=1e-9
-            )
-            np.testing.assert_allclose(re_stats.final_freq[meth], stats.final_freq[meth], atol=1e-9)
+        names = ("tables.csv", "crossing_totals.csv")
+        written = {name: (tmp_path / name).read_bytes() for name in names}
+        for name in names:
+            (tmp_path / name).unlink()
+        analyze_directory(tmp_path)
+        for name in names:
+            assert (tmp_path / name).read_bytes() == written[name], name
 
     def test_svg_well_formed(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
@@ -386,6 +388,24 @@ class TestReaderErrors:
         assert hits == 1
         path.write_text("".join(lines))
         with pytest.raises(DataError, match=rf"trajectories.csv has a probability outside \[0, 1\] in {meth} at rep 1, t 3$"):
+            read_trajectories_csv(path)
+
+    @pytest.mark.parametrize(
+        "rep, t, size, what",
+        [("0", "3", "5000", "outside 0..8"), ("1", "2", "-4", "outside 0..8"), ("1", "3", "8", "that grows with t")],
+        ids=["above_the_model_count", "negative", "grows_with_t"],
+    )
+    def test_impossible_set_size(self, run_dir, rep, t, size, what):
+        # every row of one (rep, t) of the p = 3 run agrees on the set size
+        path = run_dir / "trajectories.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        for i, row in enumerate(lines[1:], 1):
+            cells = row.rstrip("\n").split(",")
+            if cells[0] == rep and cells[2] == t:
+                assert 0 < int(cells[6]) < 8
+                lines[i] = ",".join(cells[:6] + [size]) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=f"trajectories.csv has a set size {what} at rep {rep}, t {t}$"):
             read_trajectories_csv(path)
 
     def test_missing_and_repeated_cells(self, run_dir):
