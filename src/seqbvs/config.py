@@ -10,9 +10,12 @@ Example::
     smcs.alpha=0.1
     smcs.varsigma=0.65
 
-Each setting has one key: smcs.varsigma sets the E-process scale (lambda is
-derived from it), dgp.rho the equicorrelated covariance, and
-missing.mechanism takes one of the names in data_gen.MECHANISMS as spelled.
+The keys are the init fields of ExperimentConfig (run.<field>) and of its
+sections dgp, imp, smcs and missing (<section>.<field>); derived fields
+(dgp.cov, dgp.true_model, smcs.lam) have no key.  Each value is parsed by
+its field's type: int, float, text, or comma-separated floats for
+dgp.beta.  dgp.beta must be given when dgp.p differs from the default,
+since the two must agree in length.  A key given twice takes its last value.
 
 Precedence: profile defaults < config file < explicit CLI overrides.  The
 CLI passes its overrides as keys layered over the file's, so both go
@@ -21,61 +24,32 @@ through `build_config`.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
-from .data_gen import equicorrelated_cov
 from .errors import ConfigError
 from .experiment import ExperimentConfig, default_config
 
 
-def _to_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
+def _init_types(cls) -> dict[str, type]:
+    """Init field name -> its annotated type, for a config dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
 
-def _to_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from exc
-
-
-def _to_str(key: str, value: str) -> str:
-    return value
-
-
-# key -> (ExperimentConfig section, or None for a top-level field; field; parser)
-_FIELDS = {
-    "run.reps": (None, "reps", _to_int),
-    "run.n_min": (None, "n_min", _to_int),
-    "run.n_max": (None, "n_max", _to_int),
-    "run.base_seed": (None, "base_seed", _to_int),
-    "run.g_rule": (None, "g_rule", _to_str),
-    "run.model_prior": (None, "model_prior", _to_str),
-    "run.loss_mode": (None, "loss_mode", _to_str),
-    "run.pooling": (None, "pooling", _to_str),
-    "dgp.sigma2": ("dgp", "sigma2", _to_float),
-    "missing.rate": ("missing", "rate", _to_float),
-    "missing.mechanism": ("missing", "mechanism", _to_str),
-    "imp.M": ("imp", "M", _to_int),
-    "imp.sweeps": ("imp", "sweeps", _to_int),
-    "imp.min_n": ("imp", "min_n", _to_int),
-    "imp.min_col_obs": ("imp", "min_col_obs", _to_int),
-    "smcs.alpha": ("smcs", "alpha", _to_float),
-    "smcs.varsigma": ("smcs", "varsigma", _to_float),
+_RUN = _init_types(ExperimentConfig)
+_SECTIONS = tuple(name for name, kind in _RUN.items() if is_dataclass(kind))
+_KEY_TYPES = {f"run.{name}": kind for name, kind in _RUN.items() if name not in _SECTIONS} | {
+    f"{section}.{name}": kind for section in _SECTIONS for name, kind in _init_types(_RUN[section]).items()
 }
-# keys that tie several fields together, applied by hand in build_config
-_TIED = ("dgp.p", "dgp.beta", "dgp.rho")
 
-KNOWN_KEYS = tuple(_FIELDS) + _TIED
+KNOWN_KEYS = tuple(_KEY_TYPES)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """key=value lines; blank lines and '#' comments ignored."""
+    """key=value lines; blank lines and '#' comments ignored; a repeated key keeps its last value."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -88,39 +62,35 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _dgp_fields(kv: dict[str, str], base: ExperimentConfig) -> dict:
-    """p, beta and cov, which must agree in size, from the dgp.* keys."""
-    p = _to_int("dgp.p", kv["dgp.p"]) if "dgp.p" in kv else base.dgp.p
-    if "dgp.beta" in kv:
-        beta = np.array([_to_float("dgp.beta", v) for v in kv["dgp.beta"].split(",")])
-    elif p == base.dgp.p:
-        beta = base.dgp.beta
-    else:
-        raise ConfigError("dgp.beta must be given when dgp.p differs from the default")
-    if "dgp.rho" in kv:
-        cov = equicorrelated_cov(p, _to_float("dgp.rho", kv["dgp.rho"]))
-    else:
-        cov = base.dgp.cov if p == base.dgp.p else equicorrelated_cov(p)
-    return {"p": p, "beta": beta, "cov": cov}
+def _parse(key: str, value: str):
+    """The value of a key as its field's type (np.ndarray: comma-separated floats)."""
+    kind = _KEY_TYPES[key]
+    try:
+        if kind is np.ndarray:
+            return np.array([float(v) for v in value.split(",")])
+        return kind(value)
+    except ValueError as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}") from exc
 
 
 def build_config(kv: dict[str, str], profile: str = "desk") -> ExperimentConfig:
     """ExperimentConfig from parsed keys on top of the profile defaults.
 
     Every section is rebuilt with dataclasses.replace, so each one validates
-    its own fields (and SmcsConfig derives lam from varsigma).
+    its own fields and derives the rest (dgp.cov from dgp.p and dgp.rho,
+    smcs.lam from smcs.varsigma).
     """
     unknown = set(kv) - set(KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}; known: {list(KNOWN_KEYS)}")
 
     base = default_config(profile)
-    top: dict = {}
-    sections: dict[str, dict] = {"dgp": {}, "imp": {}, "smcs": {}, "missing": {}}
+    changes: dict[str, dict] = {"run": {}, **{section: {} for section in _SECTIONS}}
     for key, value in kv.items():
-        if key in _FIELDS:
-            section, name, parse = _FIELDS[key]
-            (top if section is None else sections[section])[name] = parse(key, value)
-    sections["dgp"].update(_dgp_fields(kv, base))
-    rebuilt = {section: replace(getattr(base, section), **changes) for section, changes in sections.items()}
-    return replace(base, **rebuilt, **top)
+        section, name = key.split(".", 1)
+        changes[section][name] = _parse(key, value)
+    if "beta" not in changes["dgp"] and changes["dgp"].get("p", base.dgp.p) != base.dgp.p:
+        raise ConfigError("dgp.beta must be given when dgp.p differs from the default")
+    rebuilt = {section: replace(getattr(base, section), **changes[section]) for section in _SECTIONS}
+    return replace(base, **rebuilt, **changes["run"])

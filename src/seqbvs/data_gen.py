@@ -23,24 +23,39 @@ DEFAULT_RHO = 0.5
 MECHANISMS = ("mcar", "mar_y")
 
 
-def equicorrelated_cov(p: int, rho: float = DEFAULT_RHO) -> np.ndarray:
-    """Equicorrelated covariance: unit variances, constant correlation rho."""
+def equicorrelated_cov(p: int, rho: float) -> np.ndarray:
+    """Equicorrelated covariance: unit variances, constant correlation rho.
+
+    ConfigError unless -1/(p-1) < rho < 1 and the matrix factors: near the
+    ends of that range (rho = nextafter(1, 0) at p = 10) the Cholesky that
+    gen_covariates takes fails in floating point.
+    """
     lo = -1.0 / (p - 1) if p > 1 else -1.0
+    message = f"rho={rho} does not give a positive definite matrix for p={p}"
     if not lo < rho < 1.0:
-        raise ConfigError(f"rho={rho} does not give a positive definite matrix for p={p}")
+        raise ConfigError(message)
     cov = np.full((p, p), rho, dtype=float)
     np.fill_diagonal(cov, 1.0)
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(message) from exc
     return cov
 
 
 @dataclass
 class DGPConfig:
-    """True data-generating process for one experiment."""
+    """True data-generating process for one experiment.
+
+    p, beta, sigma2 and rho are set; cov (equicorrelated at rho) and
+    true_model (the covariates with nonzero beta) follow from them.
+    """
 
     p: int = 10
     beta: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_BETA))
     sigma2: float = DEFAULT_SIGMA2
-    cov: np.ndarray | None = None
+    rho: float = DEFAULT_RHO
+    cov: np.ndarray = field(init=False)
     true_model: ModelVector = field(init=False)
 
     def __post_init__(self) -> None:
@@ -53,19 +68,7 @@ class DGPConfig:
             raise ConfigError(f"beta must be finite, got {self.beta}")
         if not 0.0 < self.sigma2 < np.inf:
             raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if self.cov is None:
-            self.cov = equicorrelated_cov(self.p)
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.cov.shape != (self.p, self.p):
-            raise ShapeError(f"cov must be {self.p}x{self.p}, got {self.cov.shape}")
-        if not np.all(np.isfinite(self.cov)):
-            raise ConfigError("cov must be finite")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-12):
-            raise DataError("cov must be symmetric")
-        try:
-            np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigError("cov must be positive definite") from exc
+        self.cov = equicorrelated_cov(self.p, self.rho)
         self.true_model = ModelVector(tuple(int(b != 0.0) for b in self.beta))
 
 

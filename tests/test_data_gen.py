@@ -41,18 +41,14 @@ def test_degenerate_cov_rejected():
 
 
 @pytest.mark.parametrize(
-    "cov, error",
-    [
-        (np.eye(2), ShapeError),
-        (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, np.nan], [0.0, np.nan, 1.0]]), ConfigError),
-        (np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), DataError),
-        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), ConfigError),
-    ],
-    ids=["wrong_shape", "nan", "asymmetric", "indefinite"],
+    "p, rho",
+    [(3, 1.0), (3, -0.5), (3, np.nan), (3, np.inf), (10, np.nextafter(1.0, 0.0))],
+    ids=["one", "lower_bound", "nan", "inf", "below_one_at_p10"],
 )
-def test_bad_cov_rejected(cov, error):
-    with pytest.raises(error):
-        DGPConfig(p=3, beta=np.array([1.0, 0.0, 2.0]), cov=cov)
+def test_bad_rho_rejected(p, rho):
+    # below_one_at_p10 passes the range check; only the Cholesky refuses it
+    with pytest.raises(ConfigError, match=rf"rho={rho} .* p={p}$"):
+        DGPConfig(p=p, beta=np.ones(p), rho=rho)
 
 
 def test_zero_noise_unit_vector_gives_beta2():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seqbvs import experiment
 from seqbvs.bayes_lm import POOLING_RULES
-from seqbvs.data_gen import DGPConfig, equicorrelated_cov
+from seqbvs.data_gen import DGPConfig
 from seqbvs.errors import ConfigError, DataError
 from seqbvs.experiment import (
     CrossingStats,
@@ -35,7 +35,7 @@ def tiny_config(**overrides):
         reps=2,
         n_min=19,
         n_max=30,
-        dgp=DGPConfig(p=4, beta=np.array([1.5, 0.0, 0.0, 2.0]), sigma2=1.0, cov=equicorrelated_cov(4, 0.3)),
+        dgp=DGPConfig(p=4, beta=np.array([1.5, 0.0, 0.0, 2.0]), sigma2=1.0, rho=0.3),
         imp=ImputationConfig(M=3, sweeps=2),
         missing=MissingnessConfig(rate=0.3),
         base_seed=7,
@@ -190,8 +190,7 @@ class TestRunReplication:
         from seqbvs.model_space import enumerate_models
 
         cfg = tiny_config(
-            dgp=DGPConfig(p=4, beta=np.array([1.5, 0.0, 0.0, 2.0]), sigma2=1e-300,
-                          cov=equicorrelated_cov(4, 0.3)),
+            dgp=DGPConfig(p=4, beta=np.array([1.5, 0.0, 0.0, 2.0]), sigma2=1e-300, rho=0.3),
             missing=MissingnessConfig(rate=0.0),
             imp=ImputationConfig(M=1, sweeps=1),
             n_max=40,
@@ -258,7 +257,7 @@ def test_permuted_covariates_permute_the_answers(monkeypatch):
     base = _run_on_covariates(monkeypatch, base_cfg, lambda x: x)
     cfg = tiny_config(
         missing=MissingnessConfig(rate=0.0),
-        dgp=DGPConfig(p=4, beta=base_cfg.dgp.beta[perm], sigma2=1.0, cov=equicorrelated_cov(4, 0.3)),
+        dgp=DGPConfig(p=4, beta=base_cfg.dgp.beta[perm], sigma2=1.0, rho=0.3),
     )
     permuted = _run_on_covariates(monkeypatch, cfg, lambda x: x[:, perm])
     np.testing.assert_array_equal(permuted.set_sizes, base.set_sizes)

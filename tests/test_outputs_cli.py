@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,14 @@ from seqbvs.cli import main
 from seqbvs.config import KNOWN_KEYS, build_config, parse_config_text
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
 from seqbvs.errors import ConfigError, DataError, OutputError
-from seqbvs.experiment import ExperimentConfig, MissingnessConfig, ReplicationResult, aggregate, run_experiment
+from seqbvs.experiment import (
+    ExperimentConfig,
+    MissingnessConfig,
+    ReplicationResult,
+    aggregate,
+    default_config,
+    run_experiment,
+)
 from seqbvs.imputation import ImputationConfig
 from seqbvs.inclusion import METHODS, InclusionTrajectory
 from seqbvs.outputs import (
@@ -41,7 +49,7 @@ def tiny_config(**overrides):
         reps=2,
         n_min=19,
         n_max=26,
-        dgp=DGPConfig(p=3, beta=np.array([2.0, 0.0, 1.0]), sigma2=1.0, cov=equicorrelated_cov(3, 0.4)),
+        dgp=DGPConfig(p=3, beta=np.array([2.0, 0.0, 1.0]), sigma2=1.0, rho=0.4),
         imp=ImputationConfig(M=2, sweeps=2),
         missing=MissingnessConfig(rate=0.25),
         base_seed=3,
@@ -573,6 +581,37 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_text("reps 20")
 
+    def test_key_given_twice_takes_its_last_value(self):
+        kv = parse_config_text("run.reps=3\nimp.M=4\nrun.reps=5\n")
+        assert kv == {"run.reps": "5", "imp.M": "4"}
+        assert build_config(kv).reps == 5
+
+    @pytest.mark.parametrize("key", KNOWN_KEYS)
+    def test_default_text_builds_the_default(self, key):
+        # each key's parser reads the text of its field's default back as that default
+        section, name = key.split(".", 1)
+
+        def field_of(cfg):
+            return getattr(cfg if section == "run" else getattr(cfg, section), name)
+
+        default = field_of(default_config())
+        text = ",".join(map(str, default)) if isinstance(default, np.ndarray) else str(default)
+        value = field_of(build_config({key: text}))
+        assert type(value) is type(default)
+        np.testing.assert_array_equal(value, default)
+
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("run.reps", "1.5", "run.reps: expected an integer"),
+            ("smcs.alpha", "x", "smcs.alpha: expected a number"),
+            ("dgp.beta", "1,,2", "dgp.beta"),
+        ],
+    )
+    def test_unparsable_value_names_its_key(self, key, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_config({key: text})
+
     def test_profile_defaults_pass_through(self):
         cfg = build_config({}, profile="full")
         assert cfg.reps == 100
@@ -585,6 +624,8 @@ class TestConfigFile:
         assert main(["simulate", "--config", str(path), "--out", str(out_dir), "--reps", "1", "--no-plots"]) == 0
         config = json.loads((out_dir / "manifest.json").read_text())["config"]
         assert config["n_max"] == 26 and config["reps"] == 1
+        assert config["dgp"]["rho"] == 0.4
+        np.testing.assert_array_equal(config["dgp"]["cov"], equicorrelated_cov(3, 0.4))
 
     def test_readme_block_builds_and_names_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -756,6 +797,13 @@ class TestCli:
                 "p must be in 1..20",
             ),
             (TINY_CONFIG_TEXT + "run.base_seed=-1\n", "base_seed must be >= 0"),
+            (TINY_CONFIG_TEXT + "dgp.rho=1\n", "rho=1.0 does not give a positive definite matrix for p=3"),
+            (TINY_CONFIG_TEXT + "dgp.rho=nan\n", "rho=nan does not give a positive definite matrix for p=3"),
+            (TINY_CONFIG_TEXT + "dgp.rho=-0.6\n", "rho=-0.6 does not give a positive definite matrix for p=3"),
+            (
+                TINY_CONFIG_TEXT + "dgp.p=10\ndgp.beta=" + ",".join(["1"] * 10) + f"\ndgp.rho={np.nextafter(1.0, 0.0)}\n",
+                "does not give a positive definite matrix for p=10",
+            ),
         ],
         ids=[
             "unknown_model_prior",
@@ -774,6 +822,10 @@ class TestCli:
             "unknown_g_rule",
             "p_above_max_p",
             "negative_base_seed",
+            "rho_one",
+            "nan_rho",
+            "rho_below_lower_bound",
+            "rho_below_one_at_p10",
         ],
     )
     def test_bad_config_reported_as_exit_2(self, tmp_path, capsys, monkeypatch, text, message):
