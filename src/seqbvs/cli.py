@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import build_config, parse_config_text
-from .errors import SeqbvsError
+from .errors import ConfigError, SeqbvsError
 from .experiment import PROFILES, aggregate, run_experiment
 from .inclusion import METHODS
 from .outputs import (
@@ -57,7 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     # profile defaults < config file < flags: the flags are keys layered over the file's
-    kv = parse_config_text(args.config.read_text()) if args.config is not None else {}
+    kv = {}
+    if args.config is not None:
+        try:
+            kv = parse_config_text(args.config.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from exc
     flags = {"run.reps": args.reps, "run.base_seed": args.seed}
     kv.update((key, str(value)) for key, value in flags.items() if value is not None)
     config = build_config(kv, args.profile)

@@ -335,7 +335,8 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     Everything follows the trajectories alone, as analyze does from the CSV:
     one crossing count on the run's (T, reps, methods, p) stack gives the
     per-rep counts, their totals and the cumulative curves, and the stack's
-    last row the final calls.
+    last row the final calls.  Each table is one reduction over the reps
+    axis for every method at once.
     """
     if not results:
         raise DataError("aggregate needs at least one replication")
@@ -345,39 +346,26 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     stack = np.stack([r.trajectories[meth].probs for r in results for meth in METHODS], axis=1)
     stack = stack.reshape(t_max, reps, len(METHODS), p)  # (T, reps, methods, p)
     events = crossing_events(stack)
-    counts_all = events.sum(axis=0)  # (reps, methods, p)
-    finals_all = stack[-1] >= 0.5
-    cum_all = np.cumsum(events.sum(axis=3), axis=0)  # (T, reps, methods)
-
-    mean_crossings = {}
-    final_freq = {}
-    total_mean = {}
-    total_var = {}
-    cum_mean = {}
-    cum_sd = {}
-    for i, meth in enumerate(METHODS):
-        counts = counts_all[:, i]  # (reps, p)
-        mean_crossings[meth] = counts.mean(axis=0)
-        final_freq[meth] = finals_all[:, i].mean(axis=0)
-        totals = counts.sum(axis=1).astype(float)
-        total_mean[meth] = float(totals.mean())
-        total_var[meth] = float(totals.var(ddof=1)) if reps > 1 else 0.0
-        # reduced as a C-contiguous (reps, T) array: reducing the strided
-        # view sums in another order and can change cum_sd in its last bits
-        cum = np.ascontiguousarray(cum_all[:, :, i].T, dtype=float)
-        cum_mean[meth] = cum.mean(axis=0)
-        cum_sd[meth] = cum.std(axis=0, ddof=1) if reps > 1 else np.zeros(t_max)
+    counts = events.sum(axis=0)  # (reps, methods, p)
+    # reduced as C-contiguous (methods, reps) and (methods, reps, T) arrays, so
+    # each method adds its reps in the order of a lone (reps,) or (reps, T)
+    # array; another layout can sum in another order and change the sds in
+    # their last bits
+    totals = np.ascontiguousarray(counts.sum(axis=2).T, dtype=float)
+    cum = np.ascontiguousarray(np.cumsum(events.sum(axis=3), axis=0).transpose(2, 1, 0), dtype=float)
+    total_var = totals.var(axis=1, ddof=1) if reps > 1 else np.zeros(len(METHODS))
+    cum_sd = cum.std(axis=1, ddof=1) if reps > 1 else np.zeros((len(METHODS), t_max))
 
     return CrossingStats(
         reps=reps,
         p=p,
         t_max=t_max,
-        mean_crossings=mean_crossings,
-        final_freq=final_freq,
-        total_mean=total_mean,
-        total_var=total_var,
-        cum_mean=cum_mean,
-        cum_sd=cum_sd,
+        mean_crossings=dict(zip(METHODS, counts.mean(axis=0))),
+        final_freq=dict(zip(METHODS, (stack[-1] >= 0.5).mean(axis=0))),
+        total_mean=dict(zip(METHODS, totals.mean(axis=1).tolist())),
+        total_var=dict(zip(METHODS, total_var.tolist())),
+        cum_mean=dict(zip(METHODS, cum.mean(axis=1))),
+        cum_sd=dict(zip(METHODS, cum_sd)),
     )
 
 

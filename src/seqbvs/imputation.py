@@ -81,15 +81,17 @@ class ImputationConfig:
     M: int = 50
     sweeps: int = 5
     min_n: int = 19
-    min_col_obs: int = 2
 
     def __post_init__(self) -> None:
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if self.sweeps < 1:
             raise ConfigError(f"sweeps must be >= 1, got {self.sweeps}")
-        if self.min_col_obs < 2:
-            raise ConfigError(f"min_col_obs must be >= 2, got {self.min_col_obs}")
+
+
+# A column's initial fill draws around the mean and spread of its observed
+# cells at the smallest size imputed, and a spread takes two of them.
+MIN_COL_OBS = 2
 
 
 # A column's conditional fit puts a normal prior worth _RIDGE * q pseudo-rows
@@ -274,7 +276,7 @@ def impute(
 
     Raises InsufficientDataError when a size is below config.min_n (the
     imputer needs a minimum number of rows) or when some covariate column
-    has fewer than config.min_col_obs observed entries at the smallest size.
+    has fewer than MIN_COL_OBS observed entries at the smallest size.
     """
     if not streams:
         raise ShapeError("impute needs at least one sample size")
@@ -288,11 +290,11 @@ def impute(
     if n_lo < config.min_n:
         raise InsufficientDataError(f"n={n_lo} below the imputation minimum min_n={config.min_n}")
     col_obs = data.mask[:n_lo].sum(axis=0)
-    if np.any(col_obs < config.min_col_obs):
+    if np.any(col_obs < MIN_COL_OBS):
         worst = int(np.argmin(col_obs))
         raise InsufficientDataError(
             f"column {worst + 1} has only {int(col_obs[worst])} observed values at n={n_lo} "
-            f"(need >= {config.min_col_obs})"
+            f"(need >= {MIN_COL_OBS})"
         )
 
     x, mask = data.X[:n_hi], data.mask[:n_hi]

@@ -16,9 +16,11 @@ replications past its count, or the plots of a run without plots.
 
 The 4 x reps trajectory charts of a run share one x grid (n_min..n_max)
 and, coloured by dgp.beta, one set of actives and emphasized covariates,
-so their frame is formatted once per run in svg's one bounded cache: the
-x half of every point, the points template, the axes, the 0.5 rule, the
-legend, the draw order and each line's colour and width.  Once per chart
+so one plotting call formats their frame once and draws every chart on
+it: the x half of every point, the points template, the axes, the 0.5
+rule, the legend, the draw order and each line's colour and width.  A new
+frame is formatted only when a replication's grid or colouring differs
+from the one before it, and none is kept past the call.  Once per chart
 come its title and its own probabilities.  The one crossing-totals chart
 formats its frame itself.
 
@@ -47,7 +49,7 @@ from . import __version__
 from .errors import DataError, OutputError
 from .experiment import CrossingStats, ExperimentConfig, ReplicationResult, aggregate
 from .inclusion import METHODS, PROB_SLACK
-from .svg import crossing_totals_chart, trajectory_chart
+from .svg import crossing_totals_chart, trajectory_chart, trajectory_frame
 
 TRAJECTORIES_CSV = "trajectories.csv"
 TABLES_CSV = "tables.csv"
@@ -193,7 +195,9 @@ def write_replication_plots(
     and those of largest |beta| with a thicker stroke; a beta of another
     length than the trajectories' covariate count raises DataError.  Without
     it (a run directory with no manifest), each replication is coloured by
-    its final bvs call.  plots/ is created once per call.
+    its final bvs call.  plots/ is created once per call.  Consecutive
+    replications with the same (n_min, n_max, colouring) are drawn on one
+    frame.
     """
     active, strong = None, ()
     if beta is not None:
@@ -206,11 +210,14 @@ def write_replication_plots(
         strong = tuple(int(k) + 1 for k in np.flatnonzero(active & (np.abs(beta) == np.max(np.abs(beta)))))
     plots = _plots_dir(outdir)
     paths = []
+    frame_key = None
     for res in results:
-        ns = np.arange(res.n_min, res.n_max + 1)
         colours = res.final_included["bvs"] if active is None else active
+        key = (res.n_min, res.n_max, tuple(colours.tolist()))
+        if key != frame_key:
+            frame_key, frame = key, trajectory_frame(np.arange(res.n_min, res.n_max + 1), colours, strong)
         for meth in methods:
-            svg = trajectory_chart(ns, res.trajectories[meth].probs, colours, strong, f"rep {res.rep}, method {meth}")
+            svg = trajectory_chart(frame, res.trajectories[meth].probs, f"rep {res.rep}, method {meth}")
             path = plots / f"rep{res.rep:03d}_{meth}.svg"
             with _rewrite(path) as fh:
                 fh.write(svg)
@@ -276,15 +283,19 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     smcs row whose NaN entries do not match set_size == 0 (NaN throughout
     an emptied set, none in any other), or a set size outside 0..2**p or
     one that grows with t within a rep (the SMCS sets are nested) raises
-    DataError naming the file.
+    DataError naming the file, as do bytes that are not UTF-8, the
+    writer's encoding.
     """
     path = Path(path)
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise OutputError(f"cannot read {path}: {exc}") from exc
     with fh:
-        header = fh.readline().strip()
+        try:
+            header = fh.readline().strip()
+        except UnicodeDecodeError as exc:  # the first readline decodes a whole buffer, not just the header
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
         if header != _TRAJECTORIES_HEADER:
             raise DataError(f"unexpected trajectories header in {path}: {header!r}")
         try:

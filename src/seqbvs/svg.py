@@ -1,14 +1,15 @@
 """Minimal SVG 1.1 line-chart emitter, no external dependencies.
 
-The 4 x reps trajectory charts of a run share one frame, formatted once
-and kept in one small bounded cache keyed by (x grid, actives, emphasized
-covariates): each x's "px,%.2f" half of a point and their join, the
-points template of a series finite at every x; the axes, ticks, axis
-titles and 0.5 rule; the legend; the draw order and each line's colour
-and width.  What is formatted once per chart is its title and its own y
+A trajectory chart is drawn on a frame that trajectory_frame formats once
+from (x grid, actives, emphasized covariates): each x's "px,%.2f" half of
+a point and their join, the points template of a series finite at every
+x; the axes, ticks, axis titles and 0.5 rule; the legend; the draw order
+and each line's colour and width.  The caller keeps the frame and draws
+every chart that shares it (the 4 x reps charts of a run coloured by
+beta) on it; what is formatted once per chart is its title and its own y
 values.  The crossing-totals chart, one per run, formats its frame from
-the same functions, uncached.  A chart maps its y values in one array call
-(a trajectory chart its whole (T, p) matrix); a series finite at every x
+the same functions.  A chart maps its y values in one array call (a
+trajectory chart its whole (T, p) matrix); a series finite at every x
 fills the template with one %, and a gapped one joins the x cells of its
 finite points first.  The text is byte for byte what formatting
 "%.2f,%.2f" point by point gives.
@@ -16,7 +17,6 @@ finite points first.  The text is byte for byte what formatting
 
 from __future__ import annotations
 
-import functools
 from itertools import compress
 from typing import NamedTuple
 
@@ -32,10 +32,6 @@ MARGIN_B = 56
 ACTIVE_COLOR = "#2e8b57"  # green
 INACTIVE_COLOR = "#8b5a2b"  # brown
 SERIES_COLORS = {"bvs": "#d62728", "mixed": "#1f77b4", "smcs": "#2ca02c", "zero_out": "#9467bd"}
-
-# distinct trajectory frames whose text is kept: a run's charts, coloured
-# by beta, use one
-_FRAME_CACHE_SIZE = 8
 
 _HEAD = (
     f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -159,11 +155,14 @@ class _TrajectoryFrame(NamedTuple):
     tail: str  # legend and closing tag
 
 
-@functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
-def _trajectory_frame(x_key: bytes, active_key: bytes, emphasize: tuple[int, ...]) -> _TrajectoryFrame:
-    """Every part of a trajectory chart that its title and probabilities do not change."""
-    x = _x_frame(np.frombuffer(x_key))
-    active = np.frombuffer(active_key, dtype=bool)
+def trajectory_frame(ns: np.ndarray, active: np.ndarray, emphasize: tuple[int, ...]) -> _TrajectoryFrame:
+    """Every part of a trajectory chart over sample sizes `ns` that its title and probabilities leave alone.
+
+    `active` marks the truly active covariates (drawn green, others brown);
+    `emphasize` lists 1-based covariate ids drawn with a thicker stroke.
+    """
+    x = _x_frame(ns)
+    active = np.asarray(active, dtype=bool)
     order = np.argsort(active.astype(int)).tolist()  # draw inactives first, actives on top
     lines = tuple(
         (k, _polyline_open(ACTIVE_COLOR if active[k] else INACTIVE_COLOR, 2.6 if (k + 1) in emphasize else 1.2))
@@ -187,23 +186,13 @@ def _trajectory_frame(x_key: bytes, active_key: bytes, emphasize: tuple[int, ...
     return _TrajectoryFrame(x, top, lines, tail)
 
 
-def trajectory_chart(
-    ns: np.ndarray,
-    probs: np.ndarray,
-    active: np.ndarray,
-    emphasize: tuple[int, ...],
-    title: str,
-) -> str:
-    """Inclusion-probability trajectories of all covariates for one method.
+def trajectory_chart(frame: _TrajectoryFrame, probs: np.ndarray, title: str) -> str:
+    """Inclusion-probability trajectories of all covariates for one method, drawn on `frame`.
 
-    `active` marks the truly active covariates (drawn green, others brown);
-    `emphasize` lists 1-based covariate ids drawn with a thicker stroke.
+    `probs` is (T, p) over the frame's T sample sizes and p covariates.
     NaN probabilities are gaps; a covariate with fewer than 2 finite
     probabilities draws no line.
     """
-    frame = _trajectory_frame(
-        np.asarray(ns, dtype=float).tobytes(), np.asarray(active, dtype=bool).tobytes(), tuple(emphasize)
-    )
     py = _map_y(np.asarray(probs, dtype=float), 0.0, 1.0)  # (T, p), every covariate in one map
     parts = [_HEAD, _title(title), frame.top]
     for k, opening in frame.lines:

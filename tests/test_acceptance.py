@@ -15,7 +15,7 @@ from seqbvs.bayes_lm import GramStats, log_bf_null, posterior_model_probs
 from seqbvs.cli import main
 from seqbvs.data_gen import MissingDataset, apply_missingness
 from seqbvs.errors import InsufficientDataError
-from seqbvs.imputation import ImputationConfig, impute
+from seqbvs.imputation import MIN_COL_OBS, ImputationConfig, impute
 from seqbvs.inclusion import METHODS, bvs_inclusion, mixed_inclusion, smcs_inclusion, zero_out
 from seqbvs.model_space import enumerate_models
 from seqbvs.smcs import EProcessState, SmcsConfig, loss_from_log_marginals, step
@@ -151,7 +151,7 @@ def test_criterion_08_imputer_contracts():
         y = x[:, 0] + rng.standard_normal(n)
         rate = float(rng.uniform(0.0, 0.5))
         ds = apply_missingness(x, rate, "mcar", rng, y=y)
-        if ds.mask.sum(axis=0).min() < cfg.min_col_obs:
+        if ds.mask.sum(axis=0).min() < MIN_COL_OBS:
             continue
         out = impute(ds, cfg, {n: rng})[0]
         for j in range(cfg.M):

@@ -219,7 +219,7 @@ class TestRunReplication:
         with pytest.raises(ConfigError, match="imputation minimum"):
             tiny_config(imp=ImputationConfig(M=2, min_n=25), n_min=19)
         # too few observed cells in a column at n_min shows only once the data exist
-        cfg = tiny_config(imp=ImputationConfig(M=2, min_col_obs=19))
+        cfg = tiny_config(missing=MissingnessConfig(rate=0.95))
         with pytest.raises(ConfigError, match="infeasible at n_min=19"):
             run_replication(cfg, 0)
 

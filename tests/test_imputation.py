@@ -305,8 +305,6 @@ def test_config_validation():
         ImputationConfig(M=0)
     with pytest.raises(ConfigError):
         ImputationConfig(sweeps=0)
-    with pytest.raises(ConfigError):
-        ImputationConfig(min_col_obs=1)
 
 
 @pytest.mark.parametrize("n", [19, 25, 35, 60])

@@ -36,10 +36,11 @@ from seqbvs.outputs import (
     emit_outputs,
     read_trajectories_csv,
     write_crossing_totals_csv,
+    write_replication_plots,
     write_tables_csv,
     write_trajectories_csv,
 )
-from seqbvs.svg import crossing_totals_chart, trajectory_chart
+from seqbvs.svg import crossing_totals_chart, trajectory_chart, trajectory_frame
 
 from oracles import crossing_events_reference, per_point_crossing_totals_chart, per_point_trajectory_chart
 
@@ -204,6 +205,10 @@ class TestOutputs:
             )
             assert np.array_equal(stats.cum_mean[meth], cum.mean(axis=0))
             assert np.array_equal(stats.cum_sd[meth], cum.std(axis=0, ddof=1))
+            # and the totals as a lone (reps,) array
+            totals = cum[:, -1].copy()
+            assert stats.total_mean[meth] == float(totals.mean())
+            assert stats.total_var[meth] == float(totals.var(ddof=1))
 
     def test_analyze_recomputes_tables(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
@@ -230,7 +235,6 @@ class TestOutputs:
 
     def test_plots_rewrite_byte_identical(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
-        svg_module._trajectory_frame.cache_clear()  # the first call builds the frame's text, the second reuses it
         trees = []
         for name in ("a", "b"):
             emit_outputs(results, stats, tmp_path / name, cfg, plots=True)
@@ -438,6 +442,19 @@ class TestReaderErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed row in ") and "trajectories.csv" in err
 
+    @pytest.mark.parametrize("index", [0, 3], ids=["header", "row_3"])
+    def test_bytes_not_utf8(self, run_dir, capsys, index):
+        # the first readline decodes a whole buffer, so an early row fails there as the header does
+        path = run_dir / "trajectories.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[index] = lines[index].replace(b",", b"\xe9,", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DataError, match="trajectories.csv"):
+            read_trajectories_csv(path)
+        assert main(["analyze", "--in", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trajectories.csv" in err
+
 
 class TestSvg:
     def test_points_match_scalar_maps(self):
@@ -465,7 +482,7 @@ class TestSvg:
         probs[:, 3] = np.nan
         probs[40, 3] = 0.5  # 1 finite point: skipped
         active = np.array([True, False, True, False, True])
-        traj = trajectory_chart(ns, probs, active, (1, 5), "rep 0 & <bvs>")  # emphasized lines 1 and 5
+        traj = trajectory_chart(trajectory_frame(ns, active, (1, 5)), probs, "rep 0 & <bvs>")  # emphasized lines 1 and 5
         ts = steps + 1
         totals = crossing_totals_chart(
             ts,
@@ -483,7 +500,7 @@ class TestSvg:
         ns = np.arange(19, 25)
         probs = np.full((6, 3), 0.4)
         probs[2, 1] = np.nan
-        svg = trajectory_chart(ns, probs, np.array([True, False, False]), (1,), "demo & test")
+        svg = trajectory_chart(trajectory_frame(ns, np.array([True, False, False]), (1,)), probs, "demo & test")
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert "&amp;" in svg
@@ -499,16 +516,15 @@ class TestSvg:
         probs[:, 3] = np.nan  # all NaN: skipped
         probs[[0, -1], 4] = [0.0, 1.0]
         active = np.array([True, False, True, False, True, False])
-        args = (ns, probs, active, (1, 5), "rep 3, method smcs")
-        svg = trajectory_chart(*args)
-        assert svg == per_point_trajectory_chart(*args)
+        svg = trajectory_chart(trajectory_frame(ns, active, (1, 5)), probs, "rep 3, method smcs")
+        assert svg == per_point_trajectory_chart(ns, probs, active, (1, 5), "rep 3, method smcs")
         assert svg.count("<polyline") == 4
 
     def test_shared_frames_match_per_point_oracle(self):
-        # two x grids in one call sequence; every chart as the oracle draws it, with the frames cold and warm
+        # two x grids; every chart as the oracle draws it, on a frame built for
+        # it and on one frame shared by all the probability sets of its colouring
         rng = np.random.default_rng(12)
-        charts = []
-        for ns in (np.arange(19, 101), np.arange(5, 31), np.arange(19, 101)):
+        for ns in (np.arange(19, 101), np.arange(5, 31)):
             finite = rng.random((ns.size, 5))
             gapped = finite.copy()
             gapped[3:9, 0] = np.nan  # a gap inside the series
@@ -517,39 +533,58 @@ class TestSvg:
             gapped[[1, -2], 2] = [0.1, 0.8]  # exactly 2 finite points: drawn
             gapped[:, 3] = np.nan
             gapped[4, 3] = 0.5  # 1 finite point: skipped
-            for probs, active, emphasize in (
-                (finite, np.array([True, False, True, False, False]), (1,)),
-                (gapped, np.array([True, False, True, False, False]), (1,)),
-                (finite, np.array([False, True, False, False, True]), (2, 5)),
-                (gapped, np.zeros(5, dtype=bool), ()),
-                (finite, np.array([True, False, True, False, False]), ()),
+            for active, emphasize in (
+                (np.array([True, False, True, False, False]), (1,)),
+                (np.array([False, True, False, False, True]), (2, 5)),
+                (np.zeros(5, dtype=bool), ()),
             ):
-                charts.append((trajectory_chart, per_point_trajectory_chart, (ns, probs, active, emphasize, "rep 0 & 1")))
+                shared = trajectory_frame(ns, active, emphasize)
+                for probs in (finite, gapped, 1.0 - finite):
+                    want = per_point_trajectory_chart(ns, probs, active, emphasize, "rep 0 & 1")
+                    assert trajectory_chart(trajectory_frame(ns, active, emphasize), probs, "rep 0 & 1") == want
+                    assert trajectory_chart(shared, probs, "rep 0 & 1") == want
             ts = np.arange(1, ns.size + 1)
             series = {
                 "bvs": (np.linspace(0.0, 5.0, ts.size), np.full(ts.size, 1.0)),
                 "mixed": (np.linspace(0.0, 2.0, ts.size), np.linspace(0.0, 0.4, ts.size)),
             }
-            charts.append((crossing_totals_chart, per_point_crossing_totals_chart, (ts, series, "totals")))
-        for chart, oracle, args in charts:
-            svg_module._trajectory_frame.cache_clear()
-            assert chart(*args) == oracle(*args)
-        svg_module._trajectory_frame.cache_clear()
-        for _ in range(2):  # the first pass fills the frames, the second draws from them only
-            hits = svg_module._trajectory_frame.cache_info().hits
-            for chart, oracle, args in charts:
-                assert chart(*args) == oracle(*args)
-        assert svg_module._trajectory_frame.cache_info().hits - hits == 15
+            assert crossing_totals_chart(ts, series, "totals") == per_point_crossing_totals_chart(ts, series, "totals")
 
-    def test_frame_caches_are_bounded(self):
-        svg_module._trajectory_frame.cache_clear()
-        size = svg_module._FRAME_CACHE_SIZE
-        for i in range(3 * size):
-            ns = np.arange(19, 30 + i)
-            probs = np.full((ns.size, 3), 0.25)
-            trajectory_chart(ns, probs, np.array([i % 2 == 0, True, False]), (i % 3 + 1,), "chart")
-        info = svg_module._trajectory_frame.cache_info()
-        assert info.maxsize == size and info.currsize == size
+    def test_replication_plots_reuse_and_rebuild_frames(self, tmp_path, monkeypatch):
+        # a frame is reused by consecutive replications of one grid and
+        # colouring and rebuilt where either changes; every chart is the oracle's
+        rng = np.random.default_rng(21)
+
+        def result(rep, n_min, n_max, final_bvs):
+            probs = {meth: rng.random((n_max - n_min + 1, 3)) for meth in METHODS}
+            probs["bvs"][-1] = final_bvs
+            return ReplicationResult.from_probs(rep, n_min, n_max, probs, np.full(n_max - n_min + 1, 4, dtype=np.int64))
+
+        built = []
+
+        def counted_frame(*args):
+            built.append(args)
+            return svg_module.trajectory_frame(*args)
+
+        monkeypatch.setattr("seqbvs.outputs.trajectory_frame", counted_frame)
+        a, b = [0.9, 0.2, 0.6], [0.1, 0.8, 0.6]  # final bvs calls: actives 1, 3 and 2, 3
+        for beta, results, frames in (
+            # coloured by the final bvs call: A, A, B, A builds A, B and A again
+            (None, [result(0, 19, 40, a), result(1, 19, 40, a), result(2, 19, 40, b), result(3, 19, 40, a)], 3),
+            # coloured by beta, whatever the final calls: one frame per grid
+            (np.array([2.0, 0.0, 1.0]), [result(4, 19, 40, a), result(5, 19, 40, b), result(6, 5, 30, a)], 2),
+        ):
+            built.clear()
+            paths = write_replication_plots(results, tmp_path, beta)
+            assert len(paths) == 4 * len(results)
+            assert len(built) == frames
+            for res in results:
+                ns = np.arange(res.n_min, res.n_max + 1)
+                active, strong = (res.final_included["bvs"], ()) if beta is None else (beta != 0.0, (1,))
+                for meth in METHODS:
+                    title = f"rep {res.rep}, method {meth}"
+                    want = per_point_trajectory_chart(ns, res.trajectories[meth].probs, active, strong, title)
+                    assert (tmp_path / "plots" / f"rep{res.rep:03d}_{meth}.svg").read_text() == want
 
     def test_crossing_totals_chart(self):
         # matches the per-point oracle
@@ -671,7 +706,8 @@ class TestCli:
         assert main(["plot", "--in", str(out_dir), "--rep", "1", "--method", "smcs"]) == 0
         res = [r for r in read_trajectories_csv(out_dir / "trajectories.csv") if r.rep == 1][0]
         want = trajectory_chart(
-            np.arange(res.n_min, res.n_max + 1), res.trajectories["smcs"].probs, res.final_included["bvs"], (),
+            trajectory_frame(np.arange(res.n_min, res.n_max + 1), res.final_included["bvs"], ()),
+            res.trajectories["smcs"].probs,
             "rep 1, method smcs",
         )
         assert (out_dir / "plots" / "rep001_smcs.svg").read_text() == want
@@ -840,6 +876,13 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_config_not_utf8_reported_as_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"# caf\xe9\n" + TINY_CONFIG_TEXT.encode())
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--no-plots"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run.cfg is not UTF-8 text" in err
 
 
 # The tables.csv text and the per-rep final confidence-set sizes of the shared
