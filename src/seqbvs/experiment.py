@@ -16,7 +16,8 @@ Replications are deterministic given (base_seed, rep_index): every random
 stream is derived from numpy's SeedSequence([base_seed, rep_index, tag]),
 with tags 1 (covariates), 2 (noise), 3 (mask) and 1000 + n (imputation at
 sample size n), so reps and time steps are reproducible individually and
-independent of scheduling.
+independent of scheduling.  SEED_RULE states the rule from those tags for
+the manifest.
 
 Crossing counts use the tie rule "prob == 0.5 counts as active"; NaN spans
 (empty confidence sets, smcs method only) are bridged over, so a side change
@@ -54,7 +55,7 @@ from .data_gen import (
     validate_missingness,
 )
 from .errors import ConfigError, DataError, InsufficientDataError
-from .imputation import ImputationConfig, impute, stack_sizes
+from .imputation import ImputationConfig, impute, min_size, stack_sizes
 from .inclusion import (
     METHODS,
     InclusionTrajectory,
@@ -72,6 +73,10 @@ _STREAM_COVARIATES = 1
 _STREAM_NOISE = 2
 _STREAM_MASK = 3
 _STREAM_IMPUTE_BASE = 1000
+SEED_RULE = (
+    f"SeedSequence([base_seed, rep_index, tag]); tags: {_STREAM_COVARIATES} covariates, "
+    f"{_STREAM_NOISE} noise, {_STREAM_MASK} mask, {_STREAM_IMPUTE_BASE}+n imputation at sample size n"
+)
 
 LOSS_MODES = ("cumulative", "increment")
 G_RULES = ("unit-info",)
@@ -110,10 +115,9 @@ class ExperimentConfig:
             raise ConfigError(f"base_seed must be >= 0 (a SeedSequence entropy), got {self.base_seed}")
         if not self.n_min < self.n_max:
             raise ConfigError(f"need n_min < n_max, got {self.n_min} >= {self.n_max}")
-        if self.imp.min_n <= self.dgp.p + 2:
-            raise ConfigError(f"imp.min_n must exceed p + 2 = {self.dgp.p + 2}, got {self.imp.min_n}")
-        if self.n_min < self.imp.min_n:
-            raise ConfigError(f"n_min={self.n_min} is below the imputation minimum imp.min_n={self.imp.min_n}")
+        floor = min_size(self.dgp.p)
+        if self.n_min < floor:
+            raise ConfigError(f"n_min={self.n_min} is below the imputation minimum {floor} at p={self.dgp.p}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
         if self.pooling not in POOLING_RULES:

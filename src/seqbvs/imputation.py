@@ -6,7 +6,9 @@ sweeps: every column with missing cells is regressed on all other covariate
 columns under a ridge prior on their standardised slopes, coefficients are
 drawn from the conjugate normal posterior, and the missing cells are
 redrawn from the fitted normal predictive.  Observed cells are never
-touched.
+touched.  A call imputes no size below min_size(p) = max(MIN_N, p + 3)
+rows, and every column needs MIN_COL_OBS observed cells at its smallest
+size; both floors are fixed, with no config key.
 
 One call imputes a stack of sample sizes: the completions of every size and
 chain sit in one (T, M, n_hi, p + 1) array [1, x] over the first n_hi rows,
@@ -78,9 +80,10 @@ from .model_space import CELL_BUDGET
 
 @dataclass
 class ImputationConfig:
+    """M completions per sample size, each after `sweeps` chained-equation sweeps."""
+
     M: int = 50
     sweeps: int = 5
-    min_n: int = 19
 
     def __post_init__(self) -> None:
         if self.M < 1:
@@ -92,6 +95,14 @@ class ImputationConfig:
 # A column's initial fill draws around the mean and spread of its observed
 # cells at the smallest size imputed, and a spread takes two of them.
 MIN_COL_OBS = 2
+# The fewest rows imputed: the comment starts its sequence at n = 19 because
+# its imputation method could not run on fewer rows at p = 10.
+MIN_N = 19
+
+
+def min_size(p: int) -> int:
+    """The smallest sample size impute takes at p covariates: MIN_N, and above p + 2 at any p."""
+    return max(MIN_N, p + 3)
 
 
 # A column's conditional fit puts a normal prior worth _RIDGE * q pseudo-rows
@@ -274,7 +285,7 @@ def impute(
     The completions are views into one stack that holds them all: copy a
     size's completions to keep them without the stack.
 
-    Raises InsufficientDataError when a size is below config.min_n (the
+    Raises InsufficientDataError when a size is below min_size(p) (the
     imputer needs a minimum number of rows) or when some covariate column
     has fewer than MIN_COL_OBS observed entries at the smallest size.
     """
@@ -282,13 +293,11 @@ def impute(
         raise ShapeError("impute needs at least one sample size")
     sizes = np.fromiter(streams, dtype=np.int64, count=len(streams))
     n_rows, p = data.X.shape
-    if config.min_n <= p + 2:
-        raise ConfigError(f"min_n must exceed p + 2 = {p + 2}, got {config.min_n}")
     n_lo, n_hi = int(sizes.min()), int(sizes.max())
     if n_hi > n_rows:
         raise ShapeError(f"sample size {n_hi} exceeds the {n_rows} rows of the data")
-    if n_lo < config.min_n:
-        raise InsufficientDataError(f"n={n_lo} below the imputation minimum min_n={config.min_n}")
+    if n_lo < min_size(p):
+        raise InsufficientDataError(f"n={n_lo} below the imputation minimum {min_size(p)} at p={p}")
     col_obs = data.mask[:n_lo].sum(axis=0)
     if np.any(col_obs < MIN_COL_OBS):
         worst = int(np.argmin(col_obs))

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, OutputError
-from .experiment import CrossingStats, ExperimentConfig, ReplicationResult, aggregate
+from .experiment import SEED_RULE, CrossingStats, ExperimentConfig, ReplicationResult, aggregate
 from .inclusion import METHODS, PROB_SLACK
 from .svg import crossing_totals_chart, trajectory_chart, trajectory_frame
 
@@ -154,8 +154,7 @@ def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) ->
         "package": "seqbvs",
         "version": __version__,
         "config": asdict(config),
-        "seed_rule": "SeedSequence([base_seed, rep_index, tag]); tags: 1 covariates, "
-        "2 noise, 3 mask, 1000+n imputation at sample size n",
+        "seed_rule": SEED_RULE,
         "crossing_tie_rule": "prob == 0.5 counts as active",
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
@@ -212,7 +211,7 @@ def write_replication_plots(
     paths = []
     frame_key = None
     for res in results:
-        colours = res.final_included["bvs"] if active is None else active
+        colours = res.trajectories["bvs"].probs[-1] >= 0.5 if active is None else active
         key = (res.n_min, res.n_max, tuple(colours.tolist()))
         if key != frame_key:
             frame_key, frame = key, trajectory_frame(np.arange(res.n_min, res.n_max + 1), colours, strong)

@@ -157,12 +157,12 @@ def test_criterion_08_imputer_contracts():
         for j in range(cfg.M):
             assert np.array_equal(out[j][ds.mask], ds.X[ds.mask])
 
-    # n = 18 with min_n = 19 raises insufficient-data
+    # n = 18, below the floor of 19 at p = 3, raises insufficient-data
     x = rng.standard_normal((18, 3))
     y = x[:, 0] + rng.standard_normal(18)
     ds = apply_missingness(x, 0.2, "mcar", rng, y=y)
     with pytest.raises(InsufficientDataError):
-        impute(ds, ImputationConfig(M=2, min_n=19), {18: rng})
+        impute(ds, ImputationConfig(M=2), {18: rng})
 
     # no missingness: M identical completions
     x = rng.standard_normal((30, 3))

@@ -126,8 +126,6 @@ class TestConfig:
             tiny_config(missing=MissingnessConfig(rate=1.5))
         with pytest.raises(ConfigError):
             tiny_config(missing=MissingnessConfig(mechanism="foo"))
-        with pytest.raises(ConfigError):
-            tiny_config(imp=ImputationConfig(min_n=6))  # p + 2 = 6
 
     def test_default_config_has_desk_sizes(self):
         cfg = ExperimentConfig()
@@ -217,7 +215,7 @@ class TestRunReplication:
     def test_infeasible_n_min_raises_config_error(self):
         # an n_min below the imputation minimum is refused while the config is built
         with pytest.raises(ConfigError, match="imputation minimum"):
-            tiny_config(imp=ImputationConfig(M=2, min_n=25), n_min=19)
+            tiny_config(n_min=18)
         # too few observed cells in a column at n_min shows only once the data exist
         cfg = tiny_config(missing=MissingnessConfig(rate=0.95))
         with pytest.raises(ConfigError, match="infeasible at n_min=19"):
@@ -354,7 +352,7 @@ def test_replication_at_max_p_in_bounded_memory(pooling):
         n_max=25,
         pooling=pooling,
         dgp=DGPConfig(p=MAX_P, beta=beta),
-        imp=ImputationConfig(M=10, min_n=23),
+        imp=ImputationConfig(M=10),
     )
     tracemalloc.start()
     try:

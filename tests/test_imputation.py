@@ -3,7 +3,7 @@ import pytest
 
 from seqbvs.data_gen import MissingDataset, apply_missingness
 from seqbvs.errors import ConfigError, InsufficientDataError, ShapeError
-from seqbvs.imputation import _RIDGE, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _ridge_fit, impute
+from seqbvs.imputation import _RIDGE, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _ridge_fit, impute, min_size
 
 from oracles import chained_imputation_per_chain
 
@@ -45,9 +45,9 @@ def test_min_n_guard():
     rng = np.random.default_rng(4)
     _, ds = make_masked(rng, n=18, p=4)
     with pytest.raises(InsufficientDataError):
-        impute_all_rows(ds, ImputationConfig(M=2, min_n=19), np.random.default_rng(0))
+        impute_all_rows(ds, ImputationConfig(M=2), np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        impute(ds, ImputationConfig(M=2, min_n=17), {19: np.random.default_rng(0)})
+        impute(ds, ImputationConfig(M=2), {19: np.random.default_rng(0)})
 
 
 def test_no_sample_size_is_a_shape_error():
@@ -56,11 +56,14 @@ def test_no_sample_size_is_a_shape_error():
         impute(ds, ImputationConfig(M=2), {})
 
 
-def test_min_n_must_exceed_p_plus_two():
-    rng = np.random.default_rng(5)
-    _, ds = make_masked(rng, n=30, p=10, rate=0.2)
-    with pytest.raises(ConfigError):
-        impute_all_rows(ds, ImputationConfig(M=1, min_n=12), np.random.default_rng(0))
+def test_floor_at_p_17():
+    # min_size(p) = max(MIN_N, p + 3): 19 up to p = 16, then p + 3
+    assert [min_size(p) for p in (1, 10, 16, 17, 20)] == [19, 19, 19, 20, 23]
+    _, ds = make_masked(np.random.default_rng(5), n=20, p=17, rate=0.1)
+    with pytest.raises(InsufficientDataError, match="minimum 20 at p=17"):
+        impute(ds, ImputationConfig(M=1, sweeps=1), {19: np.random.default_rng(0)})
+    out = impute(ds, ImputationConfig(M=1, sweeps=1), {20: np.random.default_rng(0)})[0]
+    assert out.shape == (1, 20, 17) and np.all(np.isfinite(out))
 
 
 def test_column_with_too_few_observations():

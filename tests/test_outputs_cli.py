@@ -18,6 +18,10 @@ from seqbvs.config import KNOWN_KEYS, build_config, parse_config_text
 from seqbvs.data_gen import DGPConfig, equicorrelated_cov
 from seqbvs.errors import ConfigError, DataError, OutputError
 from seqbvs.experiment import (
+    _STREAM_COVARIATES,
+    _STREAM_IMPUTE_BASE,
+    _STREAM_MASK,
+    _STREAM_NOISE,
     ExperimentConfig,
     MissingnessConfig,
     ReplicationResult,
@@ -119,6 +123,8 @@ class TestOutputs:
         assert manifest["config"]["reps"] == 2
         assert manifest["crossing_tie_rule"].startswith("prob == 0.5")
         assert "seed_rule" in manifest and "numpy_version" in manifest
+        for tag in (_STREAM_COVARIATES, _STREAM_NOISE, _STREAM_MASK, _STREAM_IMPUTE_BASE):
+            assert re.search(rf"\b{tag}\b", manifest["seed_rule"]), tag
 
     def test_csv_roundtrip_preserves_results(self, tiny_run, tmp_path):
         cfg, results, stats = tiny_run
@@ -567,7 +573,8 @@ class TestSvg:
             return svg_module.trajectory_frame(*args)
 
         monkeypatch.setattr("seqbvs.outputs.trajectory_frame", counted_frame)
-        a, b = [0.9, 0.2, 0.6], [0.1, 0.8, 0.6]  # final bvs calls: actives 1, 3 and 2, 3
+        # final bvs calls: actives 1, 3 (a tie at 0.5 counts as active) and 2, 3
+        a, b = [0.9, 0.2, 0.5], [0.1, 0.8, 0.6]
         for beta, results, frames in (
             # coloured by the final bvs call: A, A, B, A builds A, B and A again
             (None, [result(0, 19, 40, a), result(1, 19, 40, a), result(2, 19, 40, b), result(3, 19, 40, a)], 3),
@@ -818,8 +825,15 @@ class TestCli:
             (TINY_CONFIG_TEXT + "missing.mechanism=MCAR\n", "mechanism must be one of ('mcar', 'mar_y')"),
             (TINY_CONFIG_TEXT + "missing.mechanism=MAR-Y\n", "mechanism must be one of ('mcar', 'mar_y')"),
             (TINY_CONFIG_TEXT + "missing.rate=1.5\n", "missingness rate"),
-            (TINY_CONFIG_TEXT + "imp.min_n=5\n", "imp.min_n must exceed p + 2"),
-            (TINY_CONFIG_TEXT + "imp.min_n=20\n", "below the imputation minimum"),
+            (
+                TINY_CONFIG_TEXT + "dgp.p=10\ndgp.beta=" + ",".join(["1"] * 10) + "\nrun.n_min=18\n",
+                "n_min=18 is below the imputation minimum 19 at p=10",
+            ),
+            (
+                TINY_CONFIG_TEXT + "dgp.p=20\ndgp.beta=" + ",".join(["1"] * 20) + "\nrun.n_min=22\n",
+                "n_min=22 is below the imputation minimum 23 at p=20",
+            ),
+            (TINY_CONFIG_TEXT + "imp.min_n=19\n", "unknown config keys: ['imp.min_n']"),
             (TINY_CONFIG_TEXT + "smcs.varsigma=nan\n", "varsigma must be positive and finite"),
             (TINY_CONFIG_TEXT + "smcs.varsigma=0\n", "varsigma must be positive and finite"),
             (TINY_CONFIG_TEXT + "smcs.varsigma=-0.65\n", "varsigma must be positive and finite"),
@@ -829,7 +843,7 @@ class TestCli:
             (TINY_CONFIG_TEXT + "run.g_rule=fixed:6\n", "g_rule must be one of ('unit-info',)"),
             (
                 TINY_CONFIG_TEXT + "dgp.p=21\ndgp.beta=" + ",".join(["1"] * 21)
-                + "\nimp.min_n=24\nrun.n_min=24\nrun.n_max=30\n",
+                + "\nrun.n_min=24\nrun.n_max=30\n",
                 "p must be in 1..20",
             ),
             (TINY_CONFIG_TEXT + "run.base_seed=-1\n", "base_seed must be >= 0"),
@@ -847,8 +861,9 @@ class TestCli:
             "upper_case_mechanism",
             "dashed_mechanism",
             "rate_above_one",
-            "min_n_at_p_plus_2",
-            "n_min_below_min_n",
+            "n_min_below_floor",
+            "n_min_below_floor_at_max_p",
+            "retired_min_n",
             "nan_varsigma",
             "zero_varsigma",
             "negative_varsigma",
@@ -876,6 +891,14 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_max_p_simulates_from_its_floor(self, tmp_path):
+        # run.n_min alone reaches the floor max(19, p + 3) = 23; n_min_below_floor_at_max_p refuses 22
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("dgp.p=20\ndgp.beta=" + ",".join(["1"] * 20) + "\nrun.n_min=23\nrun.n_max=24\nimp.M=1\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--reps", "1", "--no-plots"]) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["config"]["imp"] == {"M": 1, "sweeps": 5}
 
     def test_config_not_utf8_reported_as_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
