@@ -19,19 +19,21 @@ chains at once: batched products give each chain's augmented cross-product
 matrix [D, z]'[D, z] over the rows where the column is observed, for the
 design D = [1, X] (the intercept and the other columns) and the column z.
 The fit needs no pass over the rows: the row count and the column sums sit
-in the intercept's row, so one in-place loop centres the product, its X'X
-block is scaled to n_obs times the correlations of X, and one Cholesky
-factor L of that plus _RIDGE * q on the diagonal gives the standardised
-slopes and their draw sigma_hat L^-T xi, as in mice's `norm` method (van
-Buuren 2018, Flexible Imputation of Missing Data, Algorithm 3.1).  They map
-back to raw slopes through the column sds, and the free intercept follows
-from the means.  The residual sum of squares for sigma_hat comes from the
-same factor.  The small linear algebra keeps the chain axis last, on
-(q, q, B), (q, r, B) and (q, B) arrays, so each numpy call runs one
-contiguous loop over the B chains, and the forward and back substitutions
-run one row at a time.  The draw is a continuous function of the data, so
-sums that add in another order (a padded stack, another chunk of sizes)
-move the completions by roundoff only.
+in the intercept's row.  With X's rows and columns scaled by their inverse
+sds and _RIDGE * q on X's diagonal, one Cholesky factor of the whole
+product pivots on the intercept first, which centres the rest (Goodnight
+1979), and leaves the factor L of n_obs times the correlations of X plus
+the ridge, and in its last row L^-1 c for the scaled X'z.  One back
+substitution gives the standardised slopes and their draw sigma_hat L^-T xi,
+as in mice's `norm` method (van Buuren 2018, Flexible Imputation of Missing
+Data, Algorithm 3.1).  They map back to raw slopes through the column sds,
+the free intercept follows from the means, and the residual sum of squares
+for sigma_hat comes from the same factor.  The small linear algebra keeps
+the chain axis last, on (q, q, B), (q, r, B) and (q, B) arrays, so each
+numpy call runs one contiguous loop over the B chains, and the back
+substitution runs one row at a time.  The draw is a continuous function of
+the data, so sums that add in another order (a padded stack, another chunk
+of sizes) move the completions by roundoff only.
 
 Memory is set by the stack, which holds at most CELL_BUDGET values (see
 model_space).  Next to it a step holds one sweep's normals for every chain
@@ -39,7 +41,7 @@ model_space).  Next to it a step holds one sweep's normals for every chain
 per chain; the observed rows are gathered a bounded chunk of chains at a
 time, and each step's temporaries die with it.  At desk size (M = 10,
 n = 100, p = 10) a call stacks 23 sample sizes, a stack of up to 2 MB, and a
-whole desk stream peaks at about 3.67 MB (tracemalloc).  The completions
+whole desk stream peaks at about 3.73 MB (tracemalloc).  The completions
 handed back are views into the stack and keep it alive:
 experiment._imputed_stream reduces each size to its GramStats and drops the
 views before its next call.
@@ -135,15 +137,6 @@ def stack_sizes(n_max: int, M: int, p: int) -> int:
     return max(1, CELL_BUDGET // (M * n_max * (p + 1)))
 
 
-def _forward(low_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
-    """x with low @ x = rhs, for a (q, q, B) lower-triangular stack and (q, r, B) right-hand sides."""
-    x = rhs_t.copy()
-    for i in range(len(x)):
-        x[i] /= low_t[i, i]
-        x[i + 1 :] -= low_t[i + 1 :, i, None] * x[i]
-    return x
-
-
 def _backward(low_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
     """x with low^T @ x = rhs, for a (q, q, B) lower-triangular stack and (q, r, B) right-hand sides."""
     x = rhs_t.copy()
@@ -153,56 +146,56 @@ def _backward(low_t: np.ndarray, rhs_t: np.ndarray) -> np.ndarray:
     return x
 
 
-def _ridge_fit(aug_t: np.ndarray, coef_noise_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ridge fits of a stack of chains, their draw directions and residual sums of squares.
+def _ridge_fit(aug_t: np.ndarray, coef_noise_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ridge fits of a stack of chains, their draw directions, and the residual and centred sums of squares of z.
 
     aug_t is the (q + 1, q + 1, B) stack of [D, z]'[D, z] for D = [1, X]
-    and the column z, overwritten here: its last q rows and columns are
-    centred, so its corner is left holding the centred sum of squares of z.
-    coef_noise_t is (q, B) standard normals xi.  Returns, in the raw
-    coordinates of D and both (q, B), the point fits
-    (G + diag(0, f S_jj / n_obs))^-1 D'z with G = D'D, f = _RIDGE * q and S
-    the centred X'X, and the draw directions: slopes L^-T xi[1:] / d for the
-    column sds d, intercept xi[0] / sqrt(n_obs) less the column means times
-    those.  A column constant on the rows gets slope 0.
+    and the column z, overwritten here.  coef_noise_t is (q, B) standard
+    normals xi.  Returns, in the raw coordinates of D and both (q, B), the
+    point fits (G + diag(0, f S_jj / n_obs))^-1 D'z with G = D'D,
+    f = _RIDGE * q and S the centred X'X, and the draw directions: slopes
+    L^-T xi[1:] / d for the column sds d, intercept xi[0] / sqrt(n_obs) less
+    the column means times those; then the (B,) rss and S_zz.  A column
+    constant on the rows gets slope 0.  The factor of the whole product
+    holds L and, in its last row, h = L^-1 c; h does not read the corner,
+    which only has to keep the matrix definite.
     """
     q = len(aug_t) - 1
     ridge = _RIDGE * q
-    diag = np.arange(q - 1)
+    diag = np.arange(1, q + 1)
     n_obs = aug_t[0, 0]
     sums = aug_t[0, 1:]
     mean = sums / n_obs
-    # the cross-products of (X, z) less s m', in place; then S / (d d'):
-    # n_obs times the correlations of X, plus the ridge on the diagonal
-    centred = aug_t[1:, 1:]
-    for row, row_sum in zip(centred, sums):
-        row -= row_sum * mean
-    xx = centred[:-1, :-1]
+    # the centred square sums of (X, z): n_obs times their variances
+    centred = aug_t[diag, diag] - sums * mean
+    s_zz = np.maximum(centred[-1], 0.0)  # roundoff can take a constant z's below 0
     # a column whose centred square sum is within roundoff of the n m^2 it
     # was taken from is constant on the rows: its standardised column is 0
-    varies = xx[diag, diag] > _CONSTANT_TOL * sums[:-1] * mean[:-1]
-    inv_scale = np.divide(n_obs, xx[diag, diag], out=np.zeros_like(mean[:-1]), where=varies)
+    varies = centred[:-1] > _CONSTANT_TOL * sums[:-1] * mean[:-1]
+    inv_scale = np.divide(n_obs, centred[:-1], out=np.zeros_like(mean[:-1]), where=varies)
     np.sqrt(inv_scale, out=inv_scale)
-    xx *= inv_scale[:, None]
-    xx *= inv_scale
-    xx[diag, diag] += ridge
-    cross = centred[-1, :-1] * inv_scale
+    aug_t[1:q] *= inv_scale[:, None]
+    aug_t[:, 1:q] *= inv_scale
+    aug_t[diag[:-1], diag[:-1]] += ridge
+    # z'z + 1 more in the corner keeps the last pivot's square at z'z + 1 or
+    # more, less roundoff, however close z is to the span of D
+    aug_t[q, q] += aug_t[q, q] + 1.0
     # the factor in numpy's layout is a temporary, so it does not outlive its use
-    factor = np.linalg.cholesky(xx.transpose(2, 0, 1))
-    factor_t = np.ascontiguousarray(factor.transpose(1, 2, 0))
+    factor = np.linalg.cholesky(aug_t.transpose(2, 0, 1))
+    factor_t = np.ascontiguousarray(factor[:, 1:, 1:q].transpose(1, 2, 0))
     del factor
-    half = _forward(factor_t, cross[:, None, :])
-    solved = _backward(factor_t, np.concatenate([half, coef_noise_t[1:, None, :]], axis=1))
+    half, factor_t = factor_t[-1], factor_t[:-1]
+    solved = _backward(factor_t, np.concatenate([half[:, None], coef_noise_t[1:, None, :]], axis=1))
     # rss = S_zz - 2 b'c + b'(S + ridge I) b - ridge b'b with (S + ridge I) b = c,
     # and b'c = |L^-1 c|^2 (clamped at 0, which roundoff can cross)
-    fit_sq = np.einsum("ib,ib->b", half[:, 0], half[:, 0]) + ridge * np.einsum("ib,ib->b", solved[:, 0], solved[:, 0])
-    rss = np.maximum(centred[-1, -1] - fit_sq, 0.0)
+    fit_sq = np.einsum("ib,ib->b", half, half) + ridge * np.einsum("ib,ib->b", solved[:, 0], solved[:, 0])
+    rss = np.maximum(s_zz - fit_sq, 0.0)
     raw = np.empty((2, q, len(n_obs)))
     raw[:, 1:] = solved.transpose(1, 0, 2) * inv_scale
     raw[0, 0] = mean[-1]
     raw[1, 0] = coef_noise_t[0] / np.sqrt(n_obs)
     raw[:, 0] -= np.einsum("ib,kib->kb", mean[:-1], raw[:, 1:])
-    return raw[0], raw[1], rss
+    return raw[0], raw[1], rss, s_zz
 
 
 def _cross_products(flat: np.ndarray, rows: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -224,28 +217,28 @@ def _cross_products(flat: np.ndarray, rows: np.ndarray, order: np.ndarray) -> np
     return full.transpose(1, 2, 0)[order[:, None], order]
 
 
-def _redraw(flat: np.ndarray, k: int, obs: np.ndarray, miss: np.ndarray, normals: np.ndarray) -> None:
-    """One (sweep, column) step: refit column k of every chain of the stack, then redraw its missing rows in place.
+def _redraw(flat: np.ndarray, order: np.ndarray, obs: np.ndarray, miss: np.ndarray, normals: np.ndarray) -> None:
+    """One (sweep, column) step: refit a column of every chain of the stack, then redraw its missing rows in place.
 
-    flat is the (B, n_hi, p + 1) stack [1, x], obs and miss the rows where
-    column k is observed and missing; a chain's rows beyond its sample size
-    are zero.  normals holds each chain's p coefficient normals, then one
-    per missing row.  The coefficients are one draw from N(beta_hat,
-    sigma_hat^2 (G + P)^-1), P the ridge prior's precision in the raw
-    coordinates.  Every temporary dies on return, so none outlives the step.
+    flat is the (B, n_hi, p + 1) stack [1, x]; order lists the design
+    columns and then the column k, and obs and miss are the rows where k is
+    observed and missing; a chain's rows beyond its sample size are zero.
+    normals holds each chain's p coefficient normals, then one per missing
+    row.  The coefficients are one draw from
+    N(beta_hat, sigma_hat^2 (G + P)^-1), P the ridge prior's precision in
+    the raw coordinates.  Every temporary dies on return.
     """
-    width = flat.shape[2]
-    design = np.delete(np.arange(width), k)  # the intercept and the other covariates
+    design, k = order[:-1], order[-1]
     q = len(design)
-    aug_t = _cross_products(flat, obs, np.append(design, k))
-    beta_t, spread_t, rss = _ridge_fit(aug_t, normals[:, :q].T)
-    # n_obs: the intercept column is 1 on a chain's rows and 0 beyond; the
-    # fit left the centred sum of squares of column k, n_obs s0^2, in the corner
+    aug_t = _cross_products(flat, obs, order)
+    # the intercept column is 1 on a chain's rows and 0 beyond; the fit
+    # leaves this corner as it found it
     n_obs = aug_t[0, 0]
-    s0_sq = aug_t[-1, -1] / n_obs + 1e-12
+    beta_t, spread_t, rss, s_zz = _ridge_fit(aug_t, normals[:, :q].T)
+    s0_sq = s_zz / n_obs + 1e-12
     dof = np.maximum(n_obs - q, 1.0)
     sigma_hat = np.sqrt((rss + _SIGMA_PRIOR_WEIGHT * s0_sq) / (dof + _SIGMA_PRIOR_WEIGHT))
-    coef = np.zeros((len(flat), width))
+    coef = np.zeros((len(flat), flat.shape[2]))
     coef[:, design] = (beta_t + sigma_hat * spread_t).T
     # every row's prediction, read at the missing ones; rows beyond a chain's
     # size are zero and draw 0, so they stay 0
@@ -324,6 +317,8 @@ def impute(
         return completions
     miss_rows = [np.flatnonzero(~mask[:, k]) for k in cols]
     obs_rows = [np.flatnonzero(mask[:, k]) for k in cols]
+    # each fit's product columns: the intercept and the other covariates, then column k
+    orders = [np.append(np.delete(np.arange(p + 1), k + 1), k + 1) for k in cols]
     n_miss = np.array([(rows < sizes[:, None]).sum(axis=1) for rows in miss_rows])  # (K, T)
     sweep_index, sweep_len = _draw_index(n_miss, p)  # q = p: intercept plus p - 1 others
     # one sweep's normals for every chain; the last slot stays 0 and is what
@@ -359,8 +354,8 @@ def impute(
     flat = stack.reshape(t_count * chains, n_hi, p + 1)
     for _ in range(config.sweeps):
         draw(sweep_len)
-        for k, miss, obs, index in zip(cols, miss_rows, obs_rows, sweep_index):
-            _redraw(flat, k + 1, obs, miss, normals(index).reshape(len(flat), -1))
+        for order, miss, obs, index in zip(orders, miss_rows, obs_rows, sweep_index):
+            _redraw(flat, order, obs, miss, normals(index).reshape(len(flat), -1))
     stack[..., 1:] += offset
     np.copyto(stack[..., 1:], data.X[:n_hi], where=mask)  # the observed cells, bit for bit
     return completions

@@ -3,7 +3,15 @@ import pytest
 
 from seqbvs.data_gen import MissingDataset, apply_missingness
 from seqbvs.errors import ConfigError, InsufficientDataError, ShapeError
-from seqbvs.imputation import _RIDGE, _SIGMA_PRIOR_WEIGHT, ImputationConfig, _ridge_fit, impute, min_size
+from seqbvs.imputation import (
+    _RIDGE,
+    _SIGMA_PRIOR_WEIGHT,
+    MIN_COL_OBS,
+    ImputationConfig,
+    _ridge_fit,
+    impute,
+    min_size,
+)
 
 from oracles import chained_imputation_per_chain
 
@@ -222,6 +230,12 @@ def _fit_one(design, z, noise):
     return _ridge_fit(np.repeat((aug.T @ aug)[:, :, None], noise.shape[1], axis=2), noise)
 
 
+def _penalised(design, q):
+    """G + P for the design [1, X]: f = _RIDGE * q pseudo-rows on each standardised slope, as a penalty on the raw ones."""
+    centred = design[:, 1:] - design[:, 1:].mean(axis=0)
+    return design.T @ design + np.diag(np.r_[0.0, _RIDGE * q * (centred**2).mean(axis=0)])
+
+
 @pytest.mark.parametrize("n_obs", [12, 40, 2000])
 def test_ridge_fit_matches_closed_form(n_obs):
     # with a free intercept, f pseudo-rows on the standardised slopes are the
@@ -234,14 +248,14 @@ def test_ridge_fit_matches_closed_form(n_obs):
     design = np.column_stack([np.ones(n_obs), x])
     z = design @ np.array([0.3, 1.0, -0.05, 2.0]) + rng.standard_normal(n_obs)
     q = design.shape[1]
-    centred = x - x.mean(axis=0)
-    penalised = design.T @ design + np.diag(np.r_[0.0, _RIDGE * q * (centred**2).mean(axis=0)])
+    penalised = _penalised(design, q)
     want = np.linalg.solve(penalised, design.T @ z)
-    beta_t, spread_t, rss = _fit_one(design, z, np.eye(q))
+    beta_t, spread_t, rss, s_zz = _fit_one(design, z, np.eye(q))
     np.testing.assert_allclose(beta_t, np.repeat(want[:, None], q, axis=1), rtol=1e-10)
     cov = np.linalg.inv(penalised)
     np.testing.assert_allclose(spread_t @ spread_t.T, cov, rtol=1e-9, atol=1e-12 * np.abs(cov).max())
     np.testing.assert_allclose(rss, ((z - design @ want) ** 2).sum(), rtol=1e-10)
+    np.testing.assert_allclose(s_zz, ((z - z.mean()) ** 2).sum(), rtol=1e-10)
 
 
 @pytest.mark.parametrize("value", [0.0, 0.3, 1e5 + 0.3])
@@ -253,13 +267,11 @@ def test_constant_design_column_gets_no_slope(value):
     n_obs, q = 15, 4
     design = np.column_stack([np.ones(n_obs), rng.standard_normal(n_obs), np.full(n_obs, value), rng.standard_normal(n_obs)])
     z = design @ np.array([0.2, 1.0, 2.0, -1.0]) + rng.standard_normal(n_obs)
-    beta_t, spread_t, rss = _fit_one(design, z, rng.standard_normal((q, 1)))
+    beta_t, spread_t, rss, _ = _fit_one(design, z, rng.standard_normal((q, 1)))
     assert np.isfinite(beta_t).all() and np.isfinite(spread_t).all() and np.isfinite(rss).all()
     assert beta_t[2, 0] == 0.0 and spread_t[2, 0] == 0.0
     rest = design[:, [0, 1, 3]]
-    centred = rest[:, 1:] - rest[:, 1:].mean(axis=0)
-    penalised = rest.T @ rest + np.diag(np.r_[0.0, _RIDGE * q * (centred**2).mean(axis=0)])
-    np.testing.assert_allclose(beta_t[[0, 1, 3], 0], np.linalg.solve(penalised, rest.T @ z), rtol=1e-10)
+    np.testing.assert_allclose(beta_t[[0, 1, 3], 0], np.linalg.solve(_penalised(rest, q), rest.T @ z), rtol=1e-10)
 
     # the same column in a dataset: constant where column 1 is observed,
     # varying elsewhere
@@ -271,6 +283,77 @@ def test_constant_design_column_gets_no_slope(value):
     out = impute_all_rows(data, ImputationConfig(M=4), np.random.default_rng(19))
     assert np.isfinite(out).all()
     assert np.abs(out[:, ~mask[:, 0], 0]).max() < 10.0
+
+
+def _assert_fit_matches_closed_form(design, z, fit):
+    # the point fit, the draw directions' covariance (q unit normals), rss
+    # and S_zz of the closed form, to roundoff of z's and the fit's sizes
+    beta_t, spread_t, rss, s_zz = fit
+    assert all(np.isfinite(part).all() for part in fit)
+    assert np.all(rss >= 0.0) and np.all(s_zz >= 0.0)
+    penalised = _penalised(design, design.shape[1])
+    want = np.linalg.solve(penalised, design.T @ z)
+    np.testing.assert_allclose(beta_t, np.repeat(want[:, None], design.shape[1], axis=1), rtol=1e-10, atol=1e-12 * np.abs(want).max())
+    cov = np.linalg.inv(penalised)
+    np.testing.assert_allclose(spread_t @ spread_t.T, cov, rtol=1e-9, atol=1e-12 * np.abs(cov).max())
+    np.testing.assert_allclose(rss, ((z - design @ want) ** 2).sum(), rtol=1e-10, atol=1e-12 * (z @ z))
+    np.testing.assert_allclose(s_zz, ((z - z.mean()) ** 2).sum(), rtol=1e-10, atol=1e-12 * (z @ z))
+
+
+@pytest.mark.parametrize("beta", [(0.5, 0.0, 0.0, 0.0), (0.25, 1.0, -2.0, 0.5)], ids=["intercept", "slopes"])
+def test_fit_of_a_column_in_the_span_of_its_design(beta):
+    # z = D beta exactly.  The ridge shrinks every slope, so the residual is
+    # 0 only along the intercept, where S_zz - |h|^2 is roundoff of either
+    # sign: rss clamps at 0, and the factor's last pivot is kept definite
+    # by the margin in its corner alone
+    rng = np.random.default_rng(40)
+    n_obs, q = 40, len(beta)
+    design = np.column_stack([np.ones(n_obs), rng.standard_normal((n_obs, q - 1))])
+    z = design @ np.array(beta)
+    fit = _fit_one(design, z, np.eye(q))
+    _assert_fit_matches_closed_form(design, z, fit)
+    if not any(beta[1:]):
+        assert fit[2][0] == 0.0
+
+
+@pytest.mark.parametrize("value", [0.0, 0.3, 1e5 + 0.3, 1e15 + 3.0])
+def test_fit_of_a_constant_column(value):
+    # S_zz = 0: the fit is the constant, with no slope and no residual
+    rng = np.random.default_rng(41)
+    n_obs, q = 15, 4
+    design = np.column_stack([np.ones(n_obs), rng.standard_normal((n_obs, q - 1))])
+    z = np.full(n_obs, value)
+    _assert_fit_matches_closed_form(design, z, _fit_one(design, z, np.eye(q)))
+
+    # and in a dataset: a column constant on its observed rows is completed
+    # with that constant, give or take the sigma prior's floor of 1e-6 and
+    # the constant's own roundoff
+    x, ds = make_masked(rng, n=30, p=3, rate=0.3)
+    x[:, 0] = value
+    data = MissingDataset(y=ds.y, X=np.where(ds.mask, x, np.nan), mask=ds.mask)
+    out = impute_all_rows(data, ImputationConfig(M=4), np.random.default_rng(42))
+    assert np.isfinite(out).all()
+    assert np.abs(out[..., 0] - value).max() < 1e-5 * max(1.0, value)
+
+
+def test_fit_at_the_observed_cell_floor():
+    # q = 10 from two observed rows: the centred design has rank 1 and the
+    # ridge alone makes the slopes' system definite.  A column with
+    # MIN_COL_OBS observed cells at n = min_size(p) fits exactly this
+    rng = np.random.default_rng(43)
+    q = 10
+    design = np.column_stack([np.ones(MIN_COL_OBS), rng.standard_normal((MIN_COL_OBS, q - 1))])
+    z = rng.standard_normal(MIN_COL_OBS)
+    _assert_fit_matches_closed_form(design, z, _fit_one(design, z, np.eye(q)))
+
+    ds = _default_dgp(44, n=min_size(q))
+    mask = ds.mask.copy()
+    mask[np.flatnonzero(mask[:, 2])[MIN_COL_OBS:], 2] = False
+    assert mask[:, 2].sum() == MIN_COL_OBS
+    data = MissingDataset(y=ds.y, X=np.where(mask, ds.X, np.nan), mask=mask)
+    out = impute_all_rows(data, ImputationConfig(M=10), np.random.default_rng(45))
+    assert np.isfinite(out).all()
+    np.testing.assert_array_equal(out[:, mask], np.broadcast_to(ds.X[mask], (10, mask.sum())))
 
 
 @pytest.mark.parametrize("n", [19, 100])
