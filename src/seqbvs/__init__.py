@@ -42,7 +42,7 @@ from .inclusion import (
     zero_out,
 )
 from .model_space import ModelSpace, ModelVector, enumerate_models
-from .smcs import EProcessState, SmcsConfig, confidence_set, loss_from_log_marginals, step
+from .smcs import EProcessState, SmcsConfig, loss_from_log_marginals, step
 
 __all__ = [
     "METHODS",
@@ -69,7 +69,6 @@ __all__ = [
     "aggregate",
     "apply_missingness",
     "bvs_inclusion",
-    "confidence_set",
     "count_crossings",
     "default_config",
     "enumerate_models",

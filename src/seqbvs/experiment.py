@@ -19,9 +19,10 @@ sample size n), so reps and time steps are reproducible individually and
 independent of scheduling.  SEED_RULE states the rule from those tags for
 the manifest.
 
-Crossing counts use the tie rule "prob == 0.5 counts as active"; NaN spans
-(empty confidence sets, smcs method only) are bridged over, so a side change
-across a span counts once, at the first valid entry after it.  The crossing
+Crossing counts use the tie rule "prob == 0.5 counts as active" and compare
+each entry with the one before it.  NaN (an empty confidence set, smcs
+method only) can only end a series, since an emptied set stays empty: its
+entries host no event, and a probability after a NaN is refused.  The crossing
 kernel works along axis 0 of a whole stack at a time: a replication counts
 its four methods in one call on a (T, methods, p) stack, and aggregate
 takes a whole run's per-rep counts and cumulative curves from one call on
@@ -65,7 +66,7 @@ from .inclusion import (
     zero_out,
 )
 from .model_space import ModelSpace, enumerate_models
-from .smcs import EProcessState, SmcsConfig, confidence_set, loss_from_log_marginals, step
+from .smcs import EProcessState, SmcsConfig, loss_from_log_marginals, step
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +164,7 @@ class ReplicationResult:
     set_sizes: np.ndarray  # (T,) size of the confidence set per time index
     crossings: dict[str, np.ndarray]  # per method, (p,) ints
     final_included: dict[str, np.ndarray]  # per method, (p,) bools at t_max
-    had_nan: dict[str, bool]  # NaN spans bridged over when counting crossings
+    had_nan: dict[str, bool]  # a trailing NaN run of an emptied set (smcs only)
     zero_out_fallbacks: int = 0
 
     @classmethod
@@ -213,26 +214,23 @@ def crossing_events(probs: np.ndarray) -> np.ndarray:
     """Crossing indicators along axis 0 of a (T, ...) probability array.
 
     Each trailing position (a column) is its own series over t.  side(t) is
-    active iff prob >= 0.5; entry t is 1 when the side differs from the side
-    at the previous non-NaN entry of the same column.  NaN entries never
-    host an event and are bridged over: a running maximum of the valid flat
-    indices (np.maximum.accumulate) carries each column's last valid entry
-    forward, since a column's flat indices grow with t, and one flat take
-    reads the side there.  So an event needs a valid entry, an earlier
-    valid entry and a side change between the two.  Returns int64 of the
-    input's shape.
+    active iff prob >= 0.5; entry t is 1 when it is not NaN and its side
+    differs from the side of entry t - 1.  A column's NaN entries (the smcs
+    rows of an emptied set) must form a trailing run, as an emptied set
+    stays empty: they host no event, and a probability after a NaN raises
+    DataError.  So entry t - 1 of a valid entry t is valid too.  Returns
+    int64 of the input's shape.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.size == 0:
         raise DataError("cannot count crossings of an empty series")
-    valid = ~np.isnan(probs)
+    nan = np.isnan(probs)
+    if np.any(nan[:-1] & ~nan[1:]):
+        raise DataError("a probability follows a NaN in its series; NaN may only end a series")
     side = probs >= 0.5
-    flat = np.arange(probs.size).reshape(probs.shape)
-    last_valid = np.maximum.accumulate(np.where(valid, flat, -1), axis=0)
-    prev = np.concatenate([np.full_like(last_valid[:1], -1), last_valid[:-1]])
-    # prev == -1 takes the last entry; the prev >= 0 mask drops it
-    prev_side = side.ravel().take(prev)
-    return (valid & (prev >= 0) & (side != prev_side)).astype(np.int64)
+    changed = np.zeros(probs.shape, dtype=bool)
+    changed[1:] = side[1:] != side[:-1]
+    return (changed & ~nan).astype(np.int64)
 
 
 def count_crossings(probs: np.ndarray) -> int | np.ndarray:
@@ -290,13 +288,13 @@ def advance_step(
     if config.loss_mode == "increment":
         loss -= eprocess.cum_losses
     eprocess = step(eprocess, loss, config.smcs)
-    members = confidence_set(eprocess)
+    set_size = int(np.count_nonzero(eprocess.member))
     p_bvs = bvs_inclusion(post, space)
-    p_smcs = smcs_inclusion(members, space)
-    zo = zero_out(post, members, space)
-    p_mixed = mixed_inclusion(p_bvs, p_smcs, members.size, space.m)
+    p_smcs = smcs_inclusion(eprocess.member, space)
+    zo = zero_out(post, eprocess.member, space)
+    p_mixed = mixed_inclusion(p_bvs, p_smcs, set_size, space.m)
     probs = dict(zip(METHODS, (p_bvs, p_smcs, zo.probs, p_mixed)))
-    return eprocess, StepRecord(probs, members.size, zo.fallback)
+    return eprocess, StepRecord(probs, set_size, zo.fallback)
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:

@@ -4,13 +4,15 @@ bvs: sums of posterior model probabilities over models containing the
 covariate.  smcs: the fraction of confidence-set members containing it.
 zero_out: the posterior restricted to the confidence set and renormalised.
 mixed: the convex combination weighting smcs by |set|/m and bvs by the rest.
+smcs and zero_out take the set as it is kept, the (m,) bool mask
+EProcessState.member.
 
 Empty confidence sets are legal: smcs yields NaN, zero_out falls back to
 the unrestricted posterior (flagged), and mixed degrades to bvs exactly.
 
 bvs, smcs and zero_out share one marginal kernel (_marginals) over a weight
-per model: the posterior, the posterior masked to the set, or the set's
-membership indicator.  It folds the weights pairwise, p passes of halving
+per model: the posterior, the posterior masked to the set, or the mask
+itself as 0/1 weights.  It folds the weights pairwise, p passes of halving
 length, so each call is O(m) with no (m, p) gather of the bits.
 """
 
@@ -84,18 +86,21 @@ def bvs_inclusion(post: np.ndarray, space: ModelSpace) -> np.ndarray:
     return _marginals(_checked_posterior(post, space))[0]
 
 
-def smcs_inclusion(members: np.ndarray, space: ModelSpace) -> np.ndarray:
+def _checked_member(member: np.ndarray, space: ModelSpace) -> np.ndarray:
+    member = np.asarray(member)
+    if member.shape != (space.m,) or member.dtype != bool:
+        raise DataError(f"expected a ({space.m},) bool membership mask, got {member.dtype} {member.shape}")
+    return member
+
+
+def smcs_inclusion(member: np.ndarray, space: ModelSpace) -> np.ndarray:
     """Fraction of confidence-set members containing each covariate.
 
-    An empty set has no defined counting probability: returns all-NaN.
+    member is the (m,) bool mask of the set.  An empty set has no defined
+    counting probability: returns all-NaN.
     """
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
-        return np.full(space.p, np.nan)
-    counts = np.zeros(space.m)
-    counts[members] = 1.0
-    in_set, size = _marginals(counts)
-    return in_set / size
+    in_set, size = _marginals(_checked_member(member, space).astype(float))
+    return in_set / size if size else np.full(space.p, np.nan)
 
 
 class ZeroOutResult(NamedTuple):
@@ -103,20 +108,16 @@ class ZeroOutResult(NamedTuple):
     fallback: bool  # True when the unrestricted posterior was used
 
 
-def zero_out(post: np.ndarray, members: np.ndarray, space: ModelSpace) -> ZeroOutResult:
-    """Inclusion from the posterior restricted to the confidence set.
+def zero_out(post: np.ndarray, member: np.ndarray, space: ModelSpace) -> ZeroOutResult:
+    """Inclusion from the posterior restricted to the set of the (m,) bool mask member.
 
-    Falls back to the unrestricted posterior when the set is empty or the
-    restricted mass is numerically zero.
+    Falls back to the unrestricted posterior when the restricted mass is
+    numerically zero, as it is for an empty set.
     """
     post = _checked_posterior(post, space)
-    members = np.asarray(members, dtype=np.int64)
-    if members.size:
-        inside = np.zeros(space.m, dtype=bool)
-        inside[members] = True
-        in_set, mass = _marginals(np.where(inside, post, 0.0))
-        if mass >= _MIN_RESTRICTED_MASS:
-            return ZeroOutResult(in_set / mass, False)
+    in_set, mass = _marginals(np.where(_checked_member(member, space), post, 0.0))
+    if mass >= _MIN_RESTRICTED_MASS:
+        return ZeroOutResult(in_set / mass, False)
     in_set, mass = _marginals(post)
     return ZeroOutResult(in_set / mass, True)
 

@@ -7,10 +7,12 @@ For every candidate model i the engine tracks the running supremum of
 
 over r, in log space throughout (the exponents grow without bound).  The
 set of models whose supremum stays at or below log(1/alpha) is the
-confidence set; it is nested over time because the supremum never
-decreases.  When the per-model losses are built from log Bayes factors the
-pairwise cumulative differences reduce to differences of the per-model
-cumulative sums, so the engine needs only O(m) state.
+confidence set, carried as the state's (m,) bool mask `member`.  It is
+nested over time because the supremum never decreases: a model that leaves
+never returns, and an emptied set stays empty.  When the per-model losses
+are built from log Bayes factors the pairwise cumulative differences reduce
+to differences of the per-model cumulative sums, so the engine needs only
+O(m) state.
 
 A fresh state (no data) treats every model as a member: the supremum over
 an empty index set is taken as -inf (E = 0 convention).
@@ -129,8 +131,3 @@ def step(state: EProcessState, losses: np.ndarray, config: SmcsConfig) -> EProce
         log_sup=log_sup,
         member=log_sup <= config.log_threshold,
     )
-
-
-def confidence_set(state: EProcessState) -> np.ndarray:
-    """Indices of the models currently in the confidence set (may be empty)."""
-    return np.nonzero(state.member)[0]

@@ -209,15 +209,14 @@ def test_criterion_10_algebraic_identities():
                 assert abs(post.sum() - 1.0) <= 1e-12
                 p_bvs = bvs_inclusion(post, space)
                 assert np.all(p_bvs >= 0.0) and np.all(p_bvs <= 1.0)
-            members = np.sort(
-                rng.choice(space.m, size=int(rng.integers(0, space.m + 1)), replace=False)
-            )
-            p_smcs = smcs_inclusion(members, space)
+            member = np.zeros(space.m, dtype=bool)
+            member[rng.choice(space.m, size=int(rng.integers(0, space.m + 1)), replace=False)] = True
+            p_smcs = smcs_inclusion(member, space)
             finite = p_smcs[np.isfinite(p_smcs)]
             assert np.all(finite >= 0.0) and np.all(finite <= 1.0)
-            zo = zero_out(post, members, space)
+            zo = zero_out(post, member, space)
             assert np.all(zo.probs >= -1e-15) and np.all(zo.probs <= 1.0 + 1e-15)
-            mix = mixed_inclusion(p_bvs, p_smcs, len(members), space.m)
+            mix = mixed_inclusion(p_bvs, p_smcs, int(member.sum()), space.m)
             assert np.all(mix >= -1e-15) and np.all(mix <= 1.0 + 1e-15)
 
 

@@ -25,6 +25,7 @@ from seqbvs.experiment import (
 )
 from seqbvs.imputation import ImputationConfig
 from seqbvs.inclusion import METHODS
+from seqbvs.smcs import SmcsConfig
 
 from oracles import crossing_events_reference, sequential_reference
 
@@ -59,9 +60,14 @@ class TestCrossings:
         with pytest.raises(DataError):
             count_crossings(np.array([]))
 
-    def test_nan_spans_dropped(self):
-        assert count_crossings(np.array([0.6, np.nan, 0.4])) == 1
-        assert count_crossings(np.array([np.nan, 0.6, np.nan, 0.6])) == 0
+    def test_nan_may_only_end_a_series(self):
+        # an emptied confidence set stays empty: a trailing NaN run hosts no
+        # event, and a probability after a NaN is refused
+        assert count_crossings(np.array([0.6, 0.4, np.nan, np.nan])) == 1
+        mat = np.array([[0.6, 0.2], [np.nan, 0.3], [0.4, 0.7]])
+        for probs in (np.array([0.6, np.nan, 0.4]), np.array([np.nan, 0.6]), mat):
+            with pytest.raises(DataError, match="follows a NaN"):
+                count_crossings(probs)
 
     def test_events_sum_to_count(self):
         rng = np.random.default_rng(0)
@@ -69,7 +75,7 @@ class TestCrossings:
         assert crossing_events(series).sum() == count_crossings(series)
 
     def test_scalar_for_series_counts_for_matrix(self):
-        mat = np.array([[0.6, 0.2], [0.4, np.nan], [0.6, 0.7]])
+        mat = np.array([[0.6, 0.2], [0.4, 0.7], [0.6, np.nan]])
         assert type(count_crossings(mat[:, 0])) is int
         counts = count_crossings(mat)
         assert counts.dtype == np.int64
@@ -83,17 +89,16 @@ class TestCrossings:
     @given(
         st.integers(1, 12),
         st.integers(1, 5),
-        st.lists(
-            st.one_of(st.just(0.5), st.just(np.nan), st.floats(0.0, 1.0)), min_size=60, max_size=60
-        ),
-        st.integers(0, 4),
+        st.lists(st.one_of(st.just(0.5), st.floats(0.0, 1.0)), min_size=60, max_size=60),
+        st.lists(st.integers(0, 12), min_size=5, max_size=5),
     )
-    def test_matrix_kernel_matches_reference_per_column(self, t_count, p, values, all_nan_col):
-        # exact 0.5 ties and NaN are drawn as often as general values, so
-        # NaN spans and ties are common; T=1 and an all-NaN column occur too
+    def test_matrix_kernel_matches_reference_per_column(self, t_count, p, values, nan_from):
+        # exact 0.5 ties are drawn as often as general values; each column
+        # turns NaN from a drawn row on, as an emptied set's smcs column
+        # does, so columns with no, some and only NaN all occur, as does T=1
         mat = np.array(values[: t_count * p]).reshape(t_count, p)
-        if all_nan_col < p:
-            mat[:, all_nan_col] = np.nan
+        for k in range(p):
+            mat[nan_from[k] :, k] = np.nan
         events = crossing_events(mat)
         assert events.shape == mat.shape and events.dtype == np.int64
         for k in range(p):
@@ -322,16 +327,22 @@ def tiny_tables():
 @pytest.mark.parametrize("pooling", ["geometric", "arithmetic", "mixture"])
 def test_replication_matches_literal_steps(tiny_tables, pooling, loss_mode, prior):
     # every pooling rule, loss mode and model prior through run_replication,
-    # against the steps evaluated literally from the same sweep tables
-    cfg = tiny_config(pooling=pooling, loss_mode=loss_mode, model_prior=prior)
-    res = run_replication(cfg, 0)
-    probs, set_sizes, fallbacks = sequential_reference(
-        tiny_tables, pooling, loss_mode, prior, cfg.smcs.lam, cfg.smcs.alpha
-    )
-    np.testing.assert_array_equal(res.set_sizes, set_sizes)
-    assert res.zero_out_fallbacks == fallbacks
-    for meth in METHODS:
-        np.testing.assert_allclose(res.trajectories[meth].probs, probs[meth], rtol=0, atol=1e-10)
+    # against the steps evaluated literally from the same sweep tables.  The
+    # sweep tables do not depend on varsigma; at 0.1 the set empties early,
+    # so NaN smcs rows, the zero_out fallback and mixed = bvs are checked too
+    for varsigma in (0.65, 0.1):
+        cfg = tiny_config(pooling=pooling, loss_mode=loss_mode, model_prior=prior, smcs=SmcsConfig(varsigma=varsigma))
+        res = run_replication(cfg, 0)
+        probs, set_sizes, fallbacks = sequential_reference(
+            tiny_tables, pooling, loss_mode, prior, cfg.smcs.lam, cfg.smcs.alpha
+        )
+        np.testing.assert_array_equal(res.set_sizes, set_sizes, err_msg=f"varsigma={varsigma}")
+        assert res.zero_out_fallbacks == fallbacks, f"varsigma={varsigma}"
+        assert (res.set_sizes[-1] == 0) == (varsigma == 0.1), f"varsigma={varsigma} ends with {res.set_sizes[-1]} models"
+        for meth in METHODS:
+            np.testing.assert_allclose(
+                res.trajectories[meth].probs, probs[meth], rtol=0, atol=1e-10, err_msg=f"varsigma={varsigma}"
+            )
 
 
 @pytest.mark.parametrize("pooling", POOLING_RULES)

@@ -17,6 +17,13 @@ from seqbvs.model_space import enumerate_models
 from oracles import model_bits
 
 
+def mask(space, members):
+    """The (m,) bool membership mask of the models at the given indices."""
+    member = np.zeros(space.m, dtype=bool)
+    member[members] = True
+    return member
+
+
 def test_methods_roster():
     assert METHODS == ("bvs", "smcs", "zero_out", "mixed")
 
@@ -46,7 +53,7 @@ class TestBvs:
         post = rng.dirichlet(np.full(space.m, 0.3))
         bits = model_bits(p).T.astype(float)
         np.testing.assert_allclose(bvs_inclusion(post, space), bits @ post, rtol=0, atol=1e-12)
-        empty = np.array([], dtype=np.int64)
+        empty = np.zeros(space.m, dtype=bool)
         assert np.all(np.isnan(smcs_inclusion(empty, space)))
         zo = zero_out(post, empty, space)
         assert zo.fallback
@@ -55,10 +62,10 @@ class TestBvs:
         half = np.sort(rng.permutation(space.m)[: space.m // 2])
         for members in (single, half, np.arange(space.m)):
             # integer counts: equal bit for bit to the mean of the gathered bits
-            np.testing.assert_array_equal(smcs_inclusion(members, space), bits.T[members].mean(axis=0))
+            np.testing.assert_array_equal(smcs_inclusion(mask(space, members), space), bits.T[members].mean(axis=0))
             restricted = np.zeros(space.m)
             restricted[members] = post[members] / post[members].sum()
-            zo = zero_out(post, members, space)
+            zo = zero_out(post, mask(space, members), space)
             assert not zo.fallback
             np.testing.assert_allclose(zo.probs, bits @ restricted, rtol=0, atol=1e-12)
 
@@ -71,10 +78,11 @@ class TestBvs:
         bits = model_bits(18)
         post = np.full(space.m, 1.0 / space.m)
         for members in (np.arange(space.m), np.arange(0, space.m, 2), np.arange(6)):
+            member = mask(space, members)
             calls = {
                 "bvs_inclusion": lambda: bvs_inclusion(post, space),
-                "smcs_inclusion": lambda: smcs_inclusion(members, space),
-                "zero_out": lambda: zero_out(post, members, space).probs,
+                "smcs_inclusion": lambda: smcs_inclusion(member, space),
+                "zero_out": lambda: zero_out(post, member, space).probs,
             }
             for name, call in calls.items():
                 tracemalloc.start()
@@ -94,39 +102,48 @@ class TestBvs:
             bvs_inclusion(np.array([0.5, 0.5, 0.5, 0.5]), space)
         # zero_out checks the posterior it receives, not only its restriction
         for post in (np.array([0.5, 0.5, 0.5, 0.5]), np.array([-0.1, 0.6, 0.3, 0.2])):
-            for members in (np.array([1]), np.array([], dtype=np.int64)):
+            for members in ([1], []):
                 with pytest.raises(DataError):
-                    zero_out(post, members, space)
+                    zero_out(post, mask(space, members), space)
         # NaN fails both comparisons of the check; outside the set the
         # restriction alone would mask it
         with pytest.raises(DataError):
             bvs_inclusion(np.full(4, np.nan), space)
         with pytest.raises(DataError):
-            zero_out(np.array([0.5, 0.5, 0.0, np.nan]), np.array([0, 1]), space)
+            zero_out(np.array([0.5, 0.5, 0.0, np.nan]), mask(space, [0, 1]), space)
+
+    def test_mask_of_wrong_shape_or_type_rejected(self):
+        # an index array, even one of m entries, is not a mask
+        space = enumerate_models(2)
+        post = np.full(space.m, 0.25)
+        for member in (np.ones(3, dtype=bool), np.ones((1, 4), dtype=bool), np.array([1]), np.arange(4)):
+            with pytest.raises(DataError, match="bool membership mask"):
+                smcs_inclusion(member, space)
+            with pytest.raises(DataError, match="bool membership mask"):
+                zero_out(post, member, space)
 
 
 class TestSmcs:
     def test_full_space_gives_half(self):
         space = enumerate_models(5)
-        got = smcs_inclusion(np.arange(space.m), space)
+        got = smcs_inclusion(np.ones(space.m, dtype=bool), space)
         np.testing.assert_allclose(got, 0.5)
 
     def test_singleton(self):
         space = enumerate_models(3)
         idx = space.model(0b101).index
-        got = smcs_inclusion(np.array([idx]), space)
+        got = smcs_inclusion(mask(space, [idx]), space)
         np.testing.assert_allclose(got, [1.0, 0.0, 1.0])
 
     def test_half_membership_fraction(self):
         # 256-model set in which covariate 1 appears in exactly half
         space = enumerate_models(10)
-        members = np.arange(256)
-        got = smcs_inclusion(members, space)
+        got = smcs_inclusion(mask(space, np.arange(256)), space)
         assert got[0] == 0.5
 
     def test_empty_set_nan(self):
         space = enumerate_models(3)
-        got = smcs_inclusion(np.array([], dtype=int), space)
+        got = smcs_inclusion(np.zeros(space.m, dtype=bool), space)
         assert np.all(np.isnan(got))
 
 
@@ -135,7 +152,7 @@ class TestZeroOut:
         space = enumerate_models(4)
         rng = np.random.default_rng(0)
         post = rng.dirichlet(np.ones(space.m))
-        res = zero_out(post, np.arange(space.m), space)
+        res = zero_out(post, np.ones(space.m, dtype=bool), space)
         assert not res.fallback
         np.testing.assert_allclose(res.probs, bvs_inclusion(post, space), atol=1e-12)
 
@@ -143,25 +160,25 @@ class TestZeroOut:
         space = enumerate_models(3)
         rng = np.random.default_rng(1)
         post = rng.dirichlet(np.ones(space.m))
-        res = zero_out(post, np.array([5]), space)  # model (1,0,1)
+        res = zero_out(post, mask(space, [5]), space)  # model (1,0,1)
         np.testing.assert_allclose(res.probs, [1.0, 0.0, 1.0])
 
     def test_p1_example(self):
         space = enumerate_models(1)
-        res = zero_out(np.array([0.5, 0.5]), np.array([1]), space)
+        res = zero_out(np.array([0.5, 0.5]), np.array([False, True]), space)
         np.testing.assert_allclose(res.probs, [1.0])
 
     def test_empty_set_falls_back(self):
         space = enumerate_models(2)
         post = np.array([0.4, 0.3, 0.2, 0.1])
-        res = zero_out(post, np.array([], dtype=int), space)
+        res = zero_out(post, np.zeros(space.m, dtype=bool), space)
         assert res.fallback
         np.testing.assert_allclose(res.probs, bvs_inclusion(post, space))
 
     def test_zero_mass_set_falls_back(self):
         space = enumerate_models(2)
         post = np.array([1.0, 0.0, 0.0, 0.0])
-        res = zero_out(post, np.array([3]), space)
+        res = zero_out(post, mask(space, [3]), space)
         assert res.fallback
 
 
@@ -203,10 +220,10 @@ def test_consistency_when_set_is_full_space():
     space = enumerate_models(4)
     rng = np.random.default_rng(2)
     post = rng.dirichlet(np.ones(space.m))
-    members = np.arange(space.m)
+    member = np.ones(space.m, dtype=bool)
     p_bvs = bvs_inclusion(post, space)
-    np.testing.assert_allclose(zero_out(post, members, space).probs, p_bvs, atol=1e-12)
-    np.testing.assert_allclose(smcs_inclusion(members, space), 0.5)
+    np.testing.assert_allclose(zero_out(post, member, space).probs, p_bvs, atol=1e-12)
+    np.testing.assert_allclose(smcs_inclusion(member, space), 0.5)
 
 
 def test_trajectory_validation():

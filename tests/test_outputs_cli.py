@@ -15,7 +15,7 @@ import seqbvs
 from seqbvs import svg as svg_module
 from seqbvs.cli import main
 from seqbvs.config import KNOWN_KEYS, build_config, parse_config_text
-from seqbvs.data_gen import DGPConfig, equicorrelated_cov
+from seqbvs.data_gen import DGPConfig, equicorrelated_cov, gen_covariates, gen_responses
 from seqbvs.errors import ConfigError, DataError, OutputError
 from seqbvs.experiment import (
     _STREAM_COVARIATES,
@@ -676,6 +676,22 @@ class TestConfigFile:
         assert cfg.g_rule == "unit-info" and cfg.pooling == "mixture"
         named = {line.lstrip("# ").split("=", 1)[0] for line in block.splitlines() if "=" in line}
         assert set(KNOWN_KEYS) <= named
+
+
+def test_readme_library_block_runs(capsys):
+    # the documented API stays callable, on data from the default DGP
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```\n", 1)[0]
+    dgp = DGPConfig()
+    rng = np.random.default_rng(0)
+    X = gen_covariates(40, dgp.cov, rng)
+    namespace = {"X": X, "y": gen_responses(X, dgp, rng)}
+    exec(block, namespace)
+    state = namespace["state"]
+    assert state.t == 1 and state.member.shape == (1024,)
+    size, fractions = capsys.readouterr().out.split("\n", 1)
+    assert int(size) == np.count_nonzero(state.member)
+    assert fractions.startswith("[")
 
 
 class TestCli:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbvs.errors import ConfigError, DataError, ShapeError
-from seqbvs.smcs import EProcessState, SmcsConfig, _rt_log_terms, confidence_set, loss_from_log_marginals, step
+from seqbvs.smcs import EProcessState, SmcsConfig, _rt_log_terms, loss_from_log_marginals, step
 
 from oracles import literal_log_e, literal_log_e_pairwise, naive_mean_log_bf_loss
 
@@ -178,7 +178,7 @@ class TestStep:
     def test_fresh_state_full_set(self):
         state = EProcessState.fresh(16)
         assert state.t == 0
-        assert len(confidence_set(state)) == 16
+        assert np.count_nonzero(state.member) == 16
         assert np.all(np.isneginf(state.log_sup))
 
     def test_nonfinite_losses_rejected(self):
@@ -196,7 +196,7 @@ class TestStep:
         state = run_stream(losses, cfg)
         assert state.member[0]
         assert not state.member[1]
-        np.testing.assert_array_equal(confidence_set(state), [0])
+        np.testing.assert_array_equal(state.member, [True, False])
 
     def test_large_cumulative_sums_stay_finite(self):
         # exponents ~ lam * 1e4 would overflow outside log space
