@@ -27,15 +27,15 @@ kernel works along axis 0 of a whole stack at a time: a replication counts
 its four methods in one call on a (T, methods, p) stack, and aggregate
 takes a whole run's per-rep counts and cumulative curves from one call on
 a (T, reps, methods, p) stack.  A time step's M completions make one stacked
-GramStats for one batched model_sweep.
+GramStats for one batched model_sweep.  ReplicationResult holds every rule
+of a record, whether run, read back from the CSV or built by hand.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +83,9 @@ LOSS_MODES = ("cumulative", "increment")
 G_RULES = ("unit-info",)
 
 PROFILES = {"desk": {"reps": 20, "M": 10}, "full": {"reps": 100, "M": 50}}
+
+# rounding slack allowed outside [0, 1] for a probability
+PROB_SLACK = 1e-12
 
 
 @dataclass
@@ -155,44 +158,70 @@ def stream_rng(base_seed: int, rep_index: int, tag: int) -> np.random.Generator:
 
 @dataclass
 class ReplicationResult:
-    """Everything recorded for one replication."""
+    """Everything recorded for one replication, checked on construction.
+
+    One InclusionTrajectory per METHODS key and of that method, all (T, p)
+    with T = n_max - n_min + 1, and (T,) integer set sizes in 0..2**p that
+    never grow.  Probabilities are NaN or within PROB_SLACK of [0, 1]; NaN
+    stands only in smcs, in every covariate of exactly the rows of set size
+    0.  A broken rule raises DataError naming it, the rep and the t.
+    crossings, final_included and had_nan are derived; a passed one must agree.
+    """
 
     rep: int
     n_min: int
     n_max: int
     trajectories: dict[str, InclusionTrajectory]
     set_sizes: np.ndarray  # (T,) size of the confidence set per time index
-    crossings: dict[str, np.ndarray]  # per method, (p,) ints
-    final_included: dict[str, np.ndarray]  # per method, (p,) bools at t_max
-    had_nan: dict[str, bool]  # a trailing NaN run of an emptied set (smcs only)
     zero_out_fallbacks: int = 0
+    _: KW_ONLY
+    crossings: dict[str, np.ndarray] | None = None  # per method, (p,) ints
+    final_included: dict[str, np.ndarray] | None = None  # per method, (p,) bools at t_max
+    had_nan: dict[str, bool] | None = None  # a trailing NaN run of an emptied set (smcs only)
 
-    @classmethod
-    def from_probs(
-        cls,
-        rep: int,
-        n_min: int,
-        n_max: int,
-        probs: dict[str, np.ndarray],
-        set_sizes: np.ndarray,
-        zero_out_fallbacks: int = 0,
-    ) -> ReplicationResult:
-        """The record of per-method (T, p) trajectories; crossings, final calls and NaN flags follow from them.
+    def __post_init__(self) -> None:
+        t_max = self.n_max - self.n_min + 1
 
-        The four methods' crossings come from one count on their (T, methods, p) stack.
-        """
-        stack = np.stack([probs[meth] for meth in METHODS], axis=1)
-        return cls(
-            rep=rep,
-            n_min=n_min,
-            n_max=n_max,
-            trajectories={meth: InclusionTrajectory(meth, probs[meth]) for meth in METHODS},
-            set_sizes=set_sizes,
-            crossings=dict(zip(METHODS, count_crossings(stack))),
-            final_included=dict(zip(METHODS, stack[-1] >= 0.5)),
-            had_nan=dict(zip(METHODS, np.isnan(stack).any(axis=(0, 2)).tolist())),
-            zero_out_fallbacks=zero_out_fallbacks,
-        )
+        def broken(rule: str, t: object = f"1..{t_max}") -> DataError:
+            return DataError(f"a replication record has {rule} at rep {self.rep}, t {t}")
+
+        methods = {key: traj.method for key, traj in self.trajectories.items()}
+        if methods != dict(zip(METHODS, METHODS)):
+            raise broken(f"trajectories of methods {methods}, not each of {METHODS} under its own name")
+        shapes = {traj.probs.shape for traj in self.trajectories.values()}
+        shape = min(shapes)
+        if len(shapes) > 1 or len(shape) != 2 or shape[0] != t_max:
+            raise broken(f"trajectories of shapes {sorted(shapes)}, not one (T, p) with T = n_max - n_min + 1")
+        self.set_sizes = sizes = np.asarray(self.set_sizes)
+        if sizes.shape != (t_max,) or sizes.dtype.kind not in "iu":
+            raise broken(f"set sizes of {sizes.dtype} {sizes.shape}, not (T,) integers")
+        stack = np.stack([self.trajectories[meth].probs for meth in METHODS], axis=1)  # (T, methods, p)
+        outside = (stack < -PROB_SLACK) | (stack > 1.0 + PROB_SLACK)  # ±inf is outside too
+        # NaN is wanted exactly in the smcs rows of an empty set
+        misplaced = np.isnan(stack) != ((sizes == 0)[:, None, None] & (np.array(METHODS) == "smcs")[:, None])
+        nan_rules = [f"NaN in {meth}" for meth in METHODS]
+        nan_rules[METHODS.index("smcs")] = "an smcs NaN pattern that disagrees with set_size == 0"
+        m = 2 ** shape[1]
+        # (T, methods or 1, p or 1) masks, one rule per method; only a broken one is reduced to its first method, then t
+        for bad, rules in (
+            (outside, [f"a probability outside [0, 1] in {meth}" for meth in METHODS]),
+            (misplaced, nan_rules),
+            (((sizes < 0) | (sizes > m))[:, None, None], [f"a set size outside 0..{m}"]),
+            ((np.diff(sizes, prepend=sizes[:1]) > 0)[:, None, None], ["a set size that grows with t"]),
+        ):
+            if bad.any():
+                i, t = np.argwhere(bad.any(axis=2).T)[0]
+                raise broken(rules[i], t + 1)
+        for name, value in (
+            ("crossings", dict(zip(METHODS, count_crossings(stack)))),
+            ("final_included", dict(zip(METHODS, stack[-1] >= 0.5))),
+            # NaN can only end a series, so a column with NaN has it in the last row
+            ("had_nan", dict(zip(METHODS, np.isnan(stack[-1]).any(axis=1).tolist()))),
+        ):
+            given = getattr(self, name)
+            if given is not None and not all(np.array_equal(given.get(k), v) for k, v in value.items()):
+                raise broken(f"{name} that disagree with its trajectories")
+            setattr(self, name, value)
 
 
 @dataclass
@@ -315,7 +344,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         y=y_full,
     )
 
-    probs = {meth: np.full((config.t_max, dgp.p), np.nan) for meth in METHODS}
+    trajectories = {meth: InclusionTrajectory(meth, np.full((config.t_max, dgp.p), np.nan)) for meth in METHODS}
     set_sizes = np.zeros(config.t_max, dtype=np.int64)
     eprocess = EProcessState.fresh(space.m)
     zero_out_fallbacks = 0
@@ -324,11 +353,11 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         eprocess, record = advance_step(eprocess, model_sweep(stats, space, g_for_n(config.g_rule, n)), config, space)
         t = n - config.n_min
         for meth, row in record.probs.items():
-            probs[meth][t] = row
+            trajectories[meth].probs[t] = row
         set_sizes[t] = record.set_size
         zero_out_fallbacks += record.fallback
 
-    return ReplicationResult.from_probs(rep_index, config.n_min, config.n_max, probs, set_sizes, zero_out_fallbacks)
+    return ReplicationResult(rep_index, config.n_min, config.n_max, trajectories, set_sizes, zero_out_fallbacks)
 
 
 def aggregate(results: list[ReplicationResult]) -> CrossingStats:
@@ -342,10 +371,8 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     """
     if not results:
         raise DataError("aggregate needs at least one replication")
-    p = results[0].trajectories["bvs"].probs.shape[1]
-    t_max = results[0].trajectories["bvs"].probs.shape[0]
-    reps = len(results)
     stack = np.stack([r.trajectories[meth].probs for r in results for meth in METHODS], axis=1)
+    t_max, reps, p = stack.shape[0], len(results), stack.shape[2]
     stack = stack.reshape(t_max, reps, len(METHODS), p)  # (T, reps, methods, p)
     events = crossing_events(stack)
     counts = events.sum(axis=0)  # (reps, methods, p)
@@ -371,24 +398,23 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     )
 
 
-def _run_one(args: tuple[ExperimentConfig, int]) -> ReplicationResult:
-    return run_replication(*args)
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReplicationResult]:
     """All replications, ordered by rep index regardless of scheduling.
 
     Progress is logged at INFO on this module's logger, one line per
     replication as its result arrives in rep order (with workers > 1 the
     pool's ordered results are consumed lazily).  The pool has
-    min(workers, config.reps) processes, and one runs serially: a pool
-    may start all its workers up front, wanted or not.
+    min(workers, config.reps) processes, and one runs serially (a pool may
+    start all its workers up front); workers < 1 raises ConfigError.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, config.reps)
-    jobs = [(config, r) for r in range(config.reps)]
     results = []
+    if workers > 1:  # imported only here: with multiprocessing and socket it adds 15-20 ms to every start
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for res in (pool.map if pool else map)(_run_one, jobs):
+        for res in (pool.map if pool else map)(run_replication, [config] * config.reps, range(config.reps)):
             results.append(res)
             log.info("replication %d/%d done", len(results), config.reps)
     return results

@@ -29,7 +29,8 @@ rows of one (rep, t) into one string, and the reader parses the file in one
 np.loadtxt pass and scatters it into a (reps, methods, T, p) probability
 cube whose (rep, method) slices are the (T, p) trajectories, NaN where the
 smcs confidence set was empty.  A probability read back equals float() of
-its 12-digit text bit for bit, NaN included.
+its 12-digit text bit for bit, NaN included.  The reader checks the file's
+format, and ReplicationResult the values, as in any record.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError, OutputError
 from .experiment import SEED_RULE, CrossingStats, ExperimentConfig, ReplicationResult, aggregate
-from .inclusion import METHODS, PROB_SLACK
+from .inclusion import METHODS, InclusionTrajectory
 from .svg import crossing_totals_chart, trajectory_chart, trajectory_frame
 
 TRAJECTORIES_CSV = "trajectories.csv"
@@ -268,22 +269,18 @@ def emit_outputs(
 
 
 def read_trajectories_csv(path) -> list[ReplicationResult]:
-    """Rebuild per-replication results (crossings included) from the CSV.
+    """Rebuild per-replication results from the CSV.
 
     One np.loadtxt pass reads the rows into a structured array, with no
     Python object per row.  Every (rep, method, t, covariate) cell must
     appear exactly once, for t = 1..T and covariate = 1..p; the
-    probabilities are scattered into a (reps, methods, T, p) cube, and each
-    replication gets its crossings from one count on its (T, methods, p)
-    stack.  A malformed row (wrong field count, a non-numeric field, an
+    probabilities are scattered into a (reps, methods, T, p) cube whose
+    (rep, method) slices become the trajectories of one ReplicationResult
+    per rep.  A malformed row (wrong field count, a non-numeric field, an
     unknown method), an incomplete cube, rows of one (rep, t) that disagree
-    on n or set_size, an n other than n(t = 1) + t - 1, a probability
-    outside [0, 1] (±inf included), NaN in bvs, zero_out or mixed, an
-    smcs row whose NaN entries do not match set_size == 0 (NaN throughout
-    an emptied set, none in any other), or a set size outside 0..2**p or
-    one that grows with t within a rep (the SMCS sets are nested) raises
-    DataError naming the file, as do bytes that are not UTF-8, the
-    writer's encoding.
+    on n or set_size, an n other than n(t = 1) + t - 1, or a record that
+    breaks a rule of ReplicationResult raises DataError naming the file, as
+    do bytes that are not UTF-8, the writer's encoding.
     """
     path = Path(path)
     try:
@@ -336,32 +333,14 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     sizes = sizes.reshape(shape[0], shape[2])
     if np.any(n_at != n_at[:, :1] + np.arange(shape[2])):
         raise DataError(f"{path} has an n that is not n(t = 1) + t - 1")
-    # every probability is NaN or lies in [0, 1]; ±inf parses as a float but does not
-    outside = (cube < -PROB_SLACK) | (cube > 1.0 + PROB_SLACK)
-    if outside.any():
-        r, i, t_at = np.argwhere(outside)[0][:3]
-        raise DataError(f"{path} has a probability outside [0, 1] in {METHODS[i]} at rep {rep_ids[r]}, t {t_at + 1}")
-    # NaN only where the smcs confidence set is empty, and there in every covariate
-    nan = np.isnan(cube)
-    empty = (sizes == 0)[:, :, None]
-    for i, meth in enumerate(METHODS):
-        bad = nan[:, i] != empty if meth == "smcs" else nan[:, i]
-        if bad.any():
-            r, t_at = np.argwhere(bad)[0][:2]
-            what = "an smcs NaN pattern that disagrees with set_size == 0" if meth == "smcs" else f"NaN in {meth}"
-            raise DataError(f"{path} has {what} at rep {rep_ids[r]}, t {t_at + 1}")
-    # the confidence sets are nested subsets of the 2**p models
-    m = 2 ** shape[3]
-    grows = np.diff(sizes, axis=1, prepend=sizes[:, :1]) > 0
-    for bad, what in (((sizes < 0) | (sizes > m), f"outside 0..{m}"), (grows, "that grows with t")):
-        if bad.any():
-            r, t_at = np.argwhere(bad)[0]
-            raise DataError(f"{path} has a set size {what} at rep {rep_ids[r]}, t {t_at + 1}")
-
-    return [
-        ReplicationResult.from_probs(rep, int(n_at[r, 0]), int(n_at[r, -1]), dict(zip(METHODS, cube[r])), sizes[r])
-        for r, rep in enumerate(rep_ids.tolist())
-    ]
+    trajectories = [dict(zip(METHODS, map(InclusionTrajectory, METHODS, probs))) for probs in cube]
+    try:
+        return [
+            ReplicationResult(rep, int(n[0]), int(n[-1]), traj, size)
+            for rep, n, traj, size in zip(rep_ids.tolist(), n_at, trajectories, sizes)
+        ]
+    except DataError as exc:  # the record's rule, reported against the file: "<record> has <rule> at rep r, t t"
+        raise DataError(f"{path} has {str(exc).partition(' has ')[2]}") from exc
 
 
 def analyze_directory(directory) -> CrossingStats:

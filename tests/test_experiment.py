@@ -1,4 +1,6 @@
+import concurrent.futures
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from seqbvs.experiment import (
     run_replication,
 )
 from seqbvs.imputation import ImputationConfig
-from seqbvs.inclusion import METHODS
+from seqbvs.inclusion import METHODS, InclusionTrajectory
 from seqbvs.smcs import SmcsConfig
 
 from oracles import crossing_events_reference, sequential_reference
@@ -396,6 +398,68 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
     assert callable(experiment.GramStats.from_data)
 
 
+def record(rep, n_min, n_max, probs, set_sizes, **derived):
+    """The ReplicationResult of per-method (T, p) probabilities."""
+    trajectories = {meth: InclusionTrajectory(meth, probs[meth]) for meth in METHODS}
+    return ReplicationResult(rep, n_min, n_max, trajectories, set_sizes, **derived)
+
+
+SMCS_NAN_RULE = "an smcs NaN pattern that disagrees with set_size == 0"
+OUTSIDE_RULE = r"a probability outside \[0, 1\] in "
+
+
+@pytest.mark.parametrize(
+    "cells, sizes, extra, rule, t",
+    [
+        ([("bvs", 2, 0, 1.5)], None, None, OUTSIDE_RULE + "bvs", "2"),
+        ([("zero_out", 3, 1, -0.25)], None, None, OUTSIDE_RULE + "zero_out", "3"),
+        ([("smcs", 2, 1, np.inf)], None, None, OUTSIDE_RULE + "smcs", "2"),
+        ([("mixed", 4, 0, -np.inf)], None, None, OUTSIDE_RULE + "mixed", "4"),
+        ([("bvs", 3, 0, np.nan)], None, None, "NaN in bvs", "3"),
+        ([("zero_out", 1, 1, np.nan)], None, None, "NaN in zero_out", "1"),
+        ([("mixed", 4, 1, np.nan)], None, None, "NaN in mixed", "4"),
+        ([("smcs", 2, 0, np.nan), ("smcs", 2, 1, np.nan)], None, None, SMCS_NAN_RULE, "2"),
+        ([], [4, 4, 3, 0], None, SMCS_NAN_RULE, "4"),
+        ([("smcs", 4, 0, np.nan)], [4, 4, 3, 0], None, SMCS_NAN_RULE, "4"),
+        # smcs rows [nan, nan], [0, 1]: the NaN row needs size 0 and the next a size above it
+        ([("smcs", 1, 0, np.nan), ("smcs", 1, 1, np.nan), ("smcs", 2, 0, 0.0), ("smcs", 2, 1, 1.0)],
+         [0, 4, 3, 3], None, "a set size that grows with t", "2"),
+        ([], [4, 5, 3, 3], None, "a set size outside 0..4", "2"),
+        ([], [4, 4, -1, -1], None, "a set size outside 0..4", "3"),
+        ([], [4, 3, 4, 3], None, "a set size that grows with t", "3"),
+        ([], None, lambda res: {"n_max": 23},
+         re.escape("trajectories of shapes [(4, 2)], not one (T, p) with T = n_max - n_min + 1"), "1..5"),
+        ([], None, lambda res: {"crossings": {meth: c + (meth == "mixed") for meth, c in res.crossings.items()}},
+         "crossings that disagree with its trajectories", "1..4"),
+        ([], None, lambda res: {"final_included": {**res.final_included, "bvs": ~res.final_included["bvs"]}},
+         "final_included that disagree with its trajectories", "1..4"),
+    ],
+    ids=[
+        "above_one", "below_zero", "inf", "minus_inf",
+        "nan_in_bvs", "nan_in_zero_out", "nan_in_mixed",
+        "smcs_nan_in_nonempty_set", "smcs_value_in_empty_set", "smcs_partly_nan_in_empty_set",
+        "smcs_nan_then_values",
+        "set_size_above_the_model_count", "set_size_negative", "set_size_grows",
+        "t_count_off_n_range",
+        "crossings_disagree", "final_included_disagree",
+    ],
+)
+def test_record_rule_broken(cells, sizes, extra, rule, t):
+    # a valid p = 2 record of T = 4 steps, then one rule broken by (method, t, covariate, value) cells,
+    # set sizes or keywords
+    probs = {meth: np.array([[0.3, 0.6], [0.6, 0.6], [0.6, 0.3], [0.2, 0.7]]) for meth in METHODS}
+    valid = dict(rep=7, n_min=19, n_max=22, probs=probs, set_sizes=np.array([4, 4, 3, 3]))
+    honest = record(**valid)
+    broken = {**valid, "probs": {meth: mat.copy() for meth, mat in probs.items()}}
+    for meth, t_at, k, value in cells:
+        broken["probs"][meth][t_at - 1, k] = value
+    if sizes is not None:
+        broken["set_sizes"] = np.array(sizes)
+    broken.update(extra(honest) if extra else {})
+    with pytest.raises(DataError, match=f"^a replication record has {rule} at rep 7, t {re.escape(t)}$"):
+        record(**broken)
+
+
 class TestAggregate:
     def _fake_result(self, rep, crossings_by_method, final, t_count=5, p=2):
         """A result whose covariate k crosses crossings_by_method[meth][k] times and ends on side final[k]."""
@@ -407,7 +471,7 @@ class TestAggregate:
                 sides = [last ^ (min(t_count - 1 - t, count) % 2 == 1) for t in range(t_count)]
                 mat[:, k] = np.where(sides, 0.6, 0.4)
             probs[meth] = mat
-        return ReplicationResult.from_probs(rep, 19, 19 + t_count - 1, probs, np.full(t_count, 4, dtype=np.int64))
+        return record(rep, 19, 19 + t_count - 1, probs, np.full(t_count, 4, dtype=np.int64))
 
     def test_single_rep_means_equal_counts(self):
         counts = {m: [1, 3] for m in METHODS}
@@ -430,20 +494,15 @@ class TestAggregate:
             aggregate([])
 
     def test_tables_follow_the_trajectories(self):
-        # recorded crossings and final calls that disagree with the
-        # trajectories: the tables follow the trajectories, as analyze's do
-        # when it reads them back from the CSV
+        # each record derives its crossings and final calls from its
+        # trajectories, and the tables reduce the same counts, as analyze's
+        # do when it reads the trajectories back from the CSV
         t_count, p = 6, 3
         steps = np.arange(t_count * p, dtype=float).reshape(t_count, p)
         results = []
         for rep in range(3):
             probs = {meth: (steps * (rep + i + 2) % 7) / 6 for i, meth in enumerate(METHODS)}
-            honest = ReplicationResult.from_probs(rep, 19, 19 + t_count - 1, probs, np.full(t_count, 4))
-            wrong = {
-                "crossings": {meth: honest.crossings[meth] + 5 for meth in METHODS},
-                "final_included": {meth: ~honest.final_included[meth] for meth in METHODS},
-            }
-            results.append(ReplicationResult(**{**vars(honest), **wrong}))
+            results.append(record(rep, 19, 19 + t_count - 1, probs, np.full(t_count, 4)))
         stats = aggregate(results)
         for meth in METHODS:
             counts = np.array(
@@ -451,6 +510,8 @@ class TestAggregate:
             )
             finals = np.array([r.trajectories[meth].probs[-1] >= 0.5 for r in results])
             assert counts.sum() > 0 and 0 < finals.mean() < 1
+            np.testing.assert_array_equal([r.crossings[meth] for r in results], counts)
+            np.testing.assert_array_equal([r.final_included[meth] for r in results], finals)
             np.testing.assert_array_equal(stats.mean_crossings[meth], counts.mean(axis=0))
             np.testing.assert_array_equal(stats.final_freq[meth], finals.mean(axis=0))
             assert stats.total_mean[meth] == counts.sum(axis=1).mean()
@@ -498,13 +559,19 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        # run_experiment imports the pool from concurrent.futures only when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         results = run_experiment(tiny_config(reps=reps, n_max=21), workers=3)
         assert started == pools  # one replication takes the serial path
         assert [r.rep for r in results] == list(range(reps))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            run_experiment(tiny_config(), workers=workers)
 
     def test_aggregate_type(self):
         cfg = tiny_config()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbvs.errors import DataError
+from seqbvs.experiment import ReplicationResult
 from seqbvs.inclusion import (
     METHODS,
     InclusionTrajectory,
@@ -227,13 +228,25 @@ def test_consistency_when_set_is_full_space():
 
 
 def test_trajectory_validation():
-    InclusionTrajectory("bvs", np.array([[0.5, 0.5]]))
-    with pytest.raises(DataError):
-        InclusionTrajectory("bogus", np.array([[0.5]]))
-    with pytest.raises(DataError):
-        InclusionTrajectory("bvs", np.array([[1.5]]))
-    InclusionTrajectory("smcs", np.array([[np.nan, np.nan], [0.0, 1.0]]))
-    for value in (np.inf, -np.inf):
-        for meth, first_row in (("bvs", [0.3, 0.5]), ("smcs", [np.nan, np.nan])):
-            with pytest.raises(DataError, match=r"NaN or lie in \[0, 1\]"):
-                InclusionTrajectory(meth, np.array([first_row, [value, 0.5]]))
+    # a trajectory only carries one method's probabilities as floats; the
+    # rules bind them where they meet the set sizes, in ReplicationResult
+    traj = InclusionTrajectory("smcs", [[np.nan, np.nan], [0, 1]])
+    assert traj.probs.dtype == float
+    probs = {meth: np.full((2, 2), 0.5) for meth in METHODS}
+
+    def record(traj_by_method, set_sizes):
+        trajectories = {meth: InclusionTrajectory(meth, probs[meth]) for meth in METHODS}
+        return ReplicationResult(0, 19, 20, {**trajectories, **traj_by_method}, np.array(set_sizes))
+
+    record({}, [4, 4])
+    # the NaN row needs an empty set, and the set cannot grow back
+    with pytest.raises(DataError, match="a set size that grows with t at rep 0, t 2$"):
+        record({"smcs": traj}, [0, 4])
+    with pytest.raises(DataError, match="an smcs NaN pattern that disagrees with set_size == 0 at rep 0, t 2$"):
+        record({"smcs": traj}, [0, 0])
+    with pytest.raises(DataError, match="trajectories of methods .*'bvs': 'bogus'.* at rep 0, t 1..2$"):
+        record({"bvs": InclusionTrajectory("bogus", probs["bvs"])}, [4, 4])
+    for value in (1.5, np.inf, -np.inf):
+        for meth in ("bvs", "smcs"):
+            with pytest.raises(DataError, match=rf"a probability outside \[0, 1\] in {meth} at rep 0, t 2$"):
+                record({meth: InclusionTrajectory(meth, [[0.3, 0.5], [value, 0.5]])}, [4, 4])

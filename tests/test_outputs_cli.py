@@ -157,9 +157,7 @@ class TestOutputs:
             "bvs": InclusionTrajectory("bvs", bvs),
         }
         path = tmp_path / "traj.csv"
-        write_trajectories_csv(
-            [ReplicationResult(**{**vars(res), "trajectories": trajectories, "set_sizes": set_sizes})], path
-        )
+        write_trajectories_csv([ReplicationResult(res.rep, res.n_min, res.n_max, trajectories, set_sizes)], path)
         lines = path.read_text().splitlines()[1:]
         cells = [line.split(",")[5] for line in lines]
         written = np.stack([trajectories[meth].probs for meth in METHODS], axis=1).ravel()
@@ -191,7 +189,8 @@ class TestOutputs:
                 empty = slice(int(rng.integers(0, t_count + 1)), None)
             probs["smcs"][empty] = np.nan
             sizes[empty] = 0
-            results.append(ReplicationResult.from_probs(rep, 19, 19 + t_count - 1, probs, sizes))
+            trajectories = {meth: InclusionTrajectory(meth, probs[meth]) for meth in METHODS}
+            results.append(ReplicationResult(rep, 19, 19 + t_count - 1, trajectories, sizes))
         path = tmp_path / "traj.csv"
         write_trajectories_csv(results, path)
         back = read_trajectories_csv(path)
@@ -564,7 +563,8 @@ class TestSvg:
         def result(rep, n_min, n_max, final_bvs):
             probs = {meth: rng.random((n_max - n_min + 1, 3)) for meth in METHODS}
             probs["bvs"][-1] = final_bvs
-            return ReplicationResult.from_probs(rep, n_min, n_max, probs, np.full(n_max - n_min + 1, 4, dtype=np.int64))
+            trajectories = {meth: InclusionTrajectory(meth, probs[meth]) for meth in METHODS}
+            return ReplicationResult(rep, n_min, n_max, trajectories, np.full(n_max - n_min + 1, 4, dtype=np.int64))
 
         built = []
 
@@ -692,6 +692,18 @@ def test_readme_library_block_runs(capsys):
     size, fractions = capsys.readouterr().out.split("\n", 1)
     assert int(size) == np.count_nonzero(state.member)
     assert fractions.startswith("[")
+
+
+def test_import_leaves_out_the_process_pool():
+    # only run_experiment with workers > 1 imports the pool, and with it multiprocessing and socket
+    env = {**os.environ, "PYTHONPATH": str(Path(seqbvs.__file__).parents[1])}
+    code = (
+        "import sys, seqbvs, seqbvs.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing', 'socket'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestCli:
