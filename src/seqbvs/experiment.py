@@ -9,8 +9,8 @@ advance_step.  The step pools the table once: the pooled vector gives both
 the posterior and the mean pairwise log-Bayes-factor losses that advance
 the E-processes, whose state is all a step carries to the next (L is
 linear, so loss_mode "increment" telescopes to L(v_t) less that state's
-running loss sum).  It returns the four covariate inclusion vectors, the
-set size and the zero-out fallback flag.  Time is indexed t = n - n_min + 1.
+running loss sum).  It returns the four covariate inclusion vectors and the
+set size.  Time is indexed t = n - n_min + 1.
 
 Replications are deterministic given (base_seed, rep_index): every random
 stream is derived from numpy's SeedSequence([base_seed, rep_index, tag]),
@@ -23,20 +23,19 @@ Crossing counts use the tie rule "prob == 0.5 counts as active" and compare
 each entry with the one before it.  NaN (an empty confidence set, smcs
 method only) can only end a series, since an emptied set stays empty: its
 entries host no event, and a probability after a NaN is refused.  The crossing
-kernel works along axis 0 of a whole stack at a time: a replication counts
-its four methods in one call on a (T, methods, p) stack, and aggregate
-takes a whole run's per-rep counts and cumulative curves from one call on
-a (T, reps, methods, p) stack.  A time step's M completions make one stacked
-GramStats for one batched model_sweep.  ReplicationResult holds every rule
-of a record, whether run, read back from the CSV or built by hand.
+kernel works along axis 0 of a whole stack at a time: aggregate takes a
+whole run's per-rep counts and cumulative curves from one call on a
+(T, reps, methods, p) stack.  A time step's M completions make one stacked
+GramStats for one batched model_sweep.  ReplicationResult holds exactly what
+trajectories.csv holds and checks every rule of a record, whether run, read
+back from the CSV or built by hand.
 """
 
 from __future__ import annotations
 
 import logging
 from contextlib import nullcontext
-from dataclasses import KW_ONLY, dataclass, field
-from typing import NamedTuple
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -106,7 +105,7 @@ class ExperimentConfig:
     imp: ImputationConfig = field(default_factory=lambda: ImputationConfig(M=PROFILES["desk"]["M"]))
     smcs: SmcsConfig = field(default_factory=SmcsConfig)
     missing: MissingnessConfig = field(default_factory=MissingnessConfig)
-    g_rule: str = "unit-info"
+    g_rule: str = field(default="unit-info", init=False)  # g = n; recorded in the manifest, not a key
     model_prior: str = "uniform"
     base_seed: int = 0
     loss_mode: str = "cumulative"
@@ -128,8 +127,6 @@ class ExperimentConfig:
             raise ConfigError(f"pooling must be one of {POOLING_RULES}, got {self.pooling!r}")
         if self.model_prior not in MODEL_PRIORS:
             raise ConfigError(f"model_prior must be one of {MODEL_PRIORS}, got {self.model_prior!r}")
-        if self.g_rule not in G_RULES:
-            raise ConfigError(f"g_rule must be one of {G_RULES}, got {self.g_rule!r}")
 
     @property
     def t_max(self) -> int:
@@ -158,14 +155,15 @@ def stream_rng(base_seed: int, rep_index: int, tag: int) -> np.random.Generator:
 
 @dataclass
 class ReplicationResult:
-    """Everything recorded for one replication, checked on construction.
+    """One replication as trajectories.csv holds it, checked on construction.
 
     One InclusionTrajectory per METHODS key and of that method, all (T, p)
     with T = n_max - n_min + 1, and (T,) integer set sizes in 0..2**p that
     never grow.  Probabilities are NaN or within PROB_SLACK of [0, 1]; NaN
     stands only in smcs, in every covariate of exactly the rows of set size
-    0.  A broken rule raises DataError naming it, the rep and the t.
-    crossings, final_included and had_nan are derived; a passed one must agree.
+    0.  A broken rule raises DataError naming it, the rep and the t.  A passed
+    crossings, final_included or had_nan is checked against the trajectories
+    and not stored.
     """
 
     rep: int
@@ -173,13 +171,12 @@ class ReplicationResult:
     n_max: int
     trajectories: dict[str, InclusionTrajectory]
     set_sizes: np.ndarray  # (T,) size of the confidence set per time index
-    zero_out_fallbacks: int = 0
     _: KW_ONLY
-    crossings: dict[str, np.ndarray] | None = None  # per method, (p,) ints
-    final_included: dict[str, np.ndarray] | None = None  # per method, (p,) bools at t_max
-    had_nan: dict[str, bool] | None = None  # a trailing NaN run of an emptied set (smcs only)
+    crossings: InitVar[dict[str, np.ndarray] | None] = None  # per method, (p,) ints
+    final_included: InitVar[dict[str, np.ndarray] | None] = None  # per method, (p,) bools at t_max
+    had_nan: InitVar[dict[str, bool] | None] = None  # a trailing NaN run of an emptied set (smcs only)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, crossings, final_included, had_nan) -> None:
         t_max = self.n_max - self.n_min + 1
 
         def broken(rule: str, t: object = f"1..{t_max}") -> DataError:
@@ -212,16 +209,14 @@ class ReplicationResult:
             if bad.any():
                 i, t = np.argwhere(bad.any(axis=2).T)[0]
                 raise broken(rules[i], t + 1)
-        for name, value in (
-            ("crossings", dict(zip(METHODS, count_crossings(stack)))),
-            ("final_included", dict(zip(METHODS, stack[-1] >= 0.5))),
+        for name, given, derive in (
+            ("crossings", crossings, lambda: count_crossings(stack)),
+            ("final_included", final_included, lambda: stack[-1] >= 0.5),
             # NaN can only end a series, so a column with NaN has it in the last row
-            ("had_nan", dict(zip(METHODS, np.isnan(stack[-1]).any(axis=1).tolist()))),
+            ("had_nan", had_nan, lambda: np.isnan(stack[-1]).any(axis=1).tolist()),
         ):
-            given = getattr(self, name)
-            if given is not None and not all(np.array_equal(given.get(k), v) for k, v in value.items()):
+            if given is not None and not all(np.array_equal(given.get(k), v) for k, v in zip(METHODS, derive())):
                 raise broken(f"{name} that disagree with its trajectories")
-            setattr(self, name, value)
 
 
 @dataclass
@@ -251,6 +246,8 @@ def crossing_events(probs: np.ndarray) -> np.ndarray:
     int64 of the input's shape.
     """
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim == 0:
+        raise DataError("a series needs a time axis")
     if probs.size == 0:
         raise DataError("cannot count crossings of an empty series")
     nan = np.isnan(probs)
@@ -293,24 +290,17 @@ def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: i
         del stats
 
 
-class StepRecord(NamedTuple):
-    """The per-step outputs stored in a replication's trajectories."""
-
-    probs: dict[str, np.ndarray]  # per method, (p,) inclusion probabilities
-    set_size: int
-    fallback: bool  # zero_out used the unrestricted posterior
-
-
 def advance_step(
     eprocess: EProcessState, tables: np.ndarray, config: ExperimentConfig, space: ModelSpace
-) -> tuple[EProcessState, StepRecord]:
+) -> tuple[EProcessState, dict[str, np.ndarray], int]:
     """One time step from the (M, m) per-imputation log-BF table at n.
 
-    The table is pooled once; the pooled vector drives both the posterior
-    (bvs, zero_out, mixed) and the mean pairwise loss L(pooled) of the
-    E-processes.  Under loss_mode "increment" the step takes L(pooled) less
-    the running loss sum, which is L of the change since the previous step
-    because L is linear.
+    Returns the new state, each method's (p,) inclusion probabilities and
+    the set size.  The table is pooled once; the pooled vector drives both
+    the posterior (bvs, zero_out, mixed) and the mean pairwise loss
+    L(pooled) of the E-processes.  Under loss_mode "increment" the step
+    takes L(pooled) less the running loss sum, which is L of the change
+    since the previous step because L is linear.
     """
     pooled, post = posterior_from_imputations(tables, space, config.model_prior, config.pooling)
     loss = loss_from_log_marginals(pooled)
@@ -320,10 +310,10 @@ def advance_step(
     set_size = int(np.count_nonzero(eprocess.member))
     p_bvs = bvs_inclusion(post, space)
     p_smcs = smcs_inclusion(eprocess.member, space)
-    zo = zero_out(post, eprocess.member, space)
+    p_zero_out = zero_out(post, eprocess.member, space).probs
     p_mixed = mixed_inclusion(p_bvs, p_smcs, set_size, space.m)
-    probs = dict(zip(METHODS, (p_bvs, p_smcs, zo.probs, p_mixed)))
-    return eprocess, StepRecord(probs, set_size, zo.fallback)
+    probs = dict(zip(METHODS, (p_bvs, p_smcs, p_zero_out, p_mixed)))
+    return eprocess, probs, set_size
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
@@ -347,17 +337,15 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     trajectories = {meth: InclusionTrajectory(meth, np.full((config.t_max, dgp.p), np.nan)) for meth in METHODS}
     set_sizes = np.zeros(config.t_max, dtype=np.int64)
     eprocess = EProcessState.fresh(space.m)
-    zero_out_fallbacks = 0
-    for n, stats in _imputed_stream(data, config, rep_index):
+    for t, (n, stats) in enumerate(_imputed_stream(data, config, rep_index)):
         # the (M, m) table is bound only inside the step, so it is freed before the next sweep
-        eprocess, record = advance_step(eprocess, model_sweep(stats, space, g_for_n(config.g_rule, n)), config, space)
-        t = n - config.n_min
-        for meth, row in record.probs.items():
+        eprocess, probs, set_sizes[t] = advance_step(
+            eprocess, model_sweep(stats, space, g_for_n(config.g_rule, n)), config, space
+        )
+        for meth, row in probs.items():
             trajectories[meth].probs[t] = row
-        set_sizes[t] = record.set_size
-        zero_out_fallbacks += record.fallback
 
-    return ReplicationResult(rep_index, config.n_min, config.n_max, trajectories, set_sizes, zero_out_fallbacks)
+    return ReplicationResult(rep_index, config.n_min, config.n_max, trajectories, set_sizes)
 
 
 def aggregate(results: list[ReplicationResult]) -> CrossingStats:
@@ -371,6 +359,10 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     """
     if not results:
         raise DataError("aggregate needs at least one replication")
+    shapes = [r.trajectories["bvs"].probs.shape for r in results]
+    for r, shape in zip(results, shapes):
+        if shape != shapes[0]:
+            raise DataError(f"reps differ in (T, p): rep {r.rep} has {shape}, not rep {results[0].rep}'s {shapes[0]}")
     stack = np.stack([r.trajectories[meth].probs for r in results for meth in METHODS], axis=1)
     t_max, reps, p = stack.shape[0], len(results), stack.shape[2]
     stack = stack.reshape(t_max, reps, len(METHODS), p)  # (T, reps, methods, p)

@@ -29,8 +29,9 @@ rows of one (rep, t) into one string, and the reader parses the file in one
 np.loadtxt pass and scatters it into a (reps, methods, T, p) probability
 cube whose (rep, method) slices are the (T, p) trajectories, NaN where the
 smcs confidence set was empty.  A probability read back equals float() of
-its 12-digit text bit for bit, NaN included.  The reader checks the file's
-format, and ReplicationResult the values, as in any record.
+its 12-digit text bit for bit, NaN included, and every other field of a
+record read back equals the run's.  The reader checks the file's format,
+and ReplicationResult the values, as in any record.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import logging
 import re
 
@@ -87,6 +88,11 @@ class TestCrossings:
         with pytest.raises(DataError):
             crossing_events(np.empty((0, 3)))
 
+    def test_scalar_rejected(self):
+        for counter in (count_crossings, crossing_events):
+            with pytest.raises(DataError, match="^a series needs a time axis$"):
+                counter(0.3)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 12),
@@ -139,11 +145,13 @@ class TestConfig:
         assert (cfg.reps, cfg.imp.M) == (PROFILES["desk"]["reps"], PROFILES["desk"]["M"]) == (20, 10)
 
     def test_g_rules(self):
+        # g = n is a constant of the config, not an argument of it
         assert g_for_n("unit-info", 25) == 25.0
+        assert tiny_config().g_rule == "unit-info"
         for rule in ("fixed:6", "scaled:4", "bayes"):
             with pytest.raises(ConfigError, match="unit-info"):
                 g_for_n(rule, 25)
-            with pytest.raises(ConfigError, match="unit-info"):
+            with pytest.raises(TypeError, match="g_rule"):
                 tiny_config(g_rule=rule)
 
 
@@ -157,11 +165,13 @@ class TestRunReplication:
             np.testing.assert_array_equal(
                 a.trajectories[meth].probs, b.trajectories[meth].probs
             )
-            np.testing.assert_array_equal(a.crossings[meth], b.crossings[meth])
 
     def test_shapes_and_invariants(self):
         cfg = tiny_config()
         res = run_replication(cfg, 0)
+        # the record holds what trajectories.csv holds, and nothing derived from it
+        fields = {f.name for f in dataclasses.fields(ReplicationResult)}
+        assert fields == set(vars(res)) == {"rep", "n_min", "n_max", "trajectories", "set_sizes"}
         t_count = cfg.n_max - cfg.n_min + 1
         assert res.set_sizes.shape == (t_count,)
         assert np.all(np.diff(res.set_sizes) <= 0)  # nestedness
@@ -170,12 +180,10 @@ class TestRunReplication:
             assert mat.shape == (t_count, 4)
             finite = mat[np.isfinite(mat)]
             assert finite.min() >= 0.0 and finite.max() <= 1.0
-            assert res.crossings[meth].shape == (4,)
             np.testing.assert_array_equal(
-                res.crossings[meth],
+                count_crossings(mat),
                 [crossing_events_reference(mat[:, k]).sum() for k in range(4)],
             )
-            np.testing.assert_array_equal(res.final_included[meth], mat[-1] >= 0.5)
 
     def test_seed_changes_values_not_structure(self):
         a = run_replication(tiny_config(), 0)
@@ -202,7 +210,7 @@ class TestRunReplication:
         )
         res = run_replication(cfg, 0)
         want = np.array([True, False, False, True])
-        np.testing.assert_array_equal(res.final_included["bvs"], want)
+        np.testing.assert_array_equal(res.trajectories["bvs"].probs[-1] >= 0.5, want)
 
         from seqbvs.data_gen import gen_covariates, gen_responses
         from seqbvs.experiment import _STREAM_COVARIATES, _STREAM_NOISE, stream_rng
@@ -339,7 +347,8 @@ def test_replication_matches_literal_steps(tiny_tables, pooling, loss_mode, prio
             tiny_tables, pooling, loss_mode, prior, cfg.smcs.lam, cfg.smcs.alpha
         )
         np.testing.assert_array_equal(res.set_sizes, set_sizes, err_msg=f"varsigma={varsigma}")
-        assert res.zero_out_fallbacks == fallbacks, f"varsigma={varsigma}"
+        if varsigma == 0.1:  # the emptied set sends zero_out to its fallback, checked below
+            assert fallbacks > 0
         assert (res.set_sizes[-1] == 0) == (varsigma == 0.1), f"varsigma={varsigma} ends with {res.set_sizes[-1]} models"
         for meth in METHODS:
             np.testing.assert_allclose(
@@ -429,10 +438,14 @@ OUTSIDE_RULE = r"a probability outside \[0, 1\] in "
         ([], [4, 3, 4, 3], None, "a set size that grows with t", "3"),
         ([], None, lambda res: {"n_max": 23},
          re.escape("trajectories of shapes [(4, 2)], not one (T, p) with T = n_max - n_min + 1"), "1..5"),
-        ([], None, lambda res: {"crossings": {meth: c + (meth == "mixed") for meth, c in res.crossings.items()}},
+        ([], None, lambda res: {
+            "crossings": {meth: count_crossings(tr.probs) + (meth == "mixed") for meth, tr in res.trajectories.items()}},
          "crossings that disagree with its trajectories", "1..4"),
-        ([], None, lambda res: {"final_included": {**res.final_included, "bvs": ~res.final_included["bvs"]}},
+        ([], None, lambda res: {
+            "final_included": {meth: (tr.probs[-1] >= 0.5) ^ (meth == "bvs") for meth, tr in res.trajectories.items()}},
          "final_included that disagree with its trajectories", "1..4"),
+        ([], None, lambda res: {"had_nan": {meth: meth == "smcs" for meth in METHODS}},
+         "had_nan that disagree with its trajectories", "1..4"),
     ],
     ids=[
         "above_one", "below_zero", "inf", "minus_inf",
@@ -441,7 +454,7 @@ OUTSIDE_RULE = r"a probability outside \[0, 1\] in "
         "smcs_nan_then_values",
         "set_size_above_the_model_count", "set_size_negative", "set_size_grows",
         "t_count_off_n_range",
-        "crossings_disagree", "final_included_disagree",
+        "crossings_disagree", "final_included_disagree", "had_nan_disagree",
     ],
 )
 def test_record_rule_broken(cells, sizes, extra, rule, t):
@@ -493,10 +506,19 @@ class TestAggregate:
         with pytest.raises(DataError):
             aggregate([])
 
+    @pytest.mark.parametrize("t_count, p", [(6, 2), (5, 3)], ids=["longer", "wider"])
+    def test_reps_of_another_shape_rejected(self, t_count, p):
+        counts = {m: [1] * p for m in METHODS}
+        results = [self._fake_result(rep, {m: [1, 1] for m in METHODS}, [True, False]) for rep in (3, 4)]
+        results.insert(1, self._fake_result(8, counts, [True] * p, t_count=t_count, p=p))
+        with pytest.raises(
+            DataError, match=re.escape(f"reps differ in (T, p): rep 8 has ({t_count}, {p}), not rep 3's (5, 2)")
+        ):
+            aggregate(results)
+
     def test_tables_follow_the_trajectories(self):
-        # each record derives its crossings and final calls from its
-        # trajectories, and the tables reduce the same counts, as analyze's
-        # do when it reads the trajectories back from the CSV
+        # the tables reduce the crossings and final calls of the records'
+        # trajectories, as analyze's do when it reads them back from the CSV
         t_count, p = 6, 3
         steps = np.arange(t_count * p, dtype=float).reshape(t_count, p)
         results = []
@@ -510,8 +532,6 @@ class TestAggregate:
             )
             finals = np.array([r.trajectories[meth].probs[-1] >= 0.5 for r in results])
             assert counts.sum() > 0 and 0 < finals.mean() < 1
-            np.testing.assert_array_equal([r.crossings[meth] for r in results], counts)
-            np.testing.assert_array_equal([r.final_included[meth] for r in results], finals)
             np.testing.assert_array_equal(stats.mean_crossings[meth], counts.mean(axis=0))
             np.testing.assert_array_equal(stats.final_freq[meth], finals.mean(axis=0))
             assert stats.total_mean[meth] == counts.sum(axis=1).mean()
@@ -525,7 +545,7 @@ class TestAggregate:
             cum = stats.cum_mean[meth]
             assert cum.shape == (cfg.t_max,)
             assert np.all(np.diff(cum) >= -1e-12)  # cumulative means non-decreasing
-            want_final = np.mean([r.crossings[meth].sum() for r in results])
+            want_final = np.mean([count_crossings(r.trajectories[meth].probs).sum() for r in results])
             assert cum[-1] == pytest.approx(want_final)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,6 +27,7 @@ from seqbvs.experiment import (
     MissingnessConfig,
     ReplicationResult,
     aggregate,
+    count_crossings,
     default_config,
     run_experiment,
 )
@@ -126,21 +128,25 @@ class TestOutputs:
         for tag in (_STREAM_COVARIATES, _STREAM_NOISE, _STREAM_MASK, _STREAM_IMPUTE_BASE):
             assert re.search(rf"\b{tag}\b", manifest["seed_rule"]), tag
 
-    def test_csv_roundtrip_preserves_results(self, tiny_run, tmp_path):
-        cfg, results, stats = tiny_run
+    def test_csv_roundtrip_preserves_results(self, tmp_path):
+        # a desk run whose confidence sets empty: every field of a record
+        # read back equals the run's, the probabilities to their 12 digits
+        cfg = build_config(parse_config_text("smcs.varsigma=0.15\nrun.n_max=40\nrun.reps=2\n"))
+        results = run_experiment(cfg)
+        assert all(r.set_sizes[-1] == 0 for r in results)
         path = tmp_path / "traj.csv"
         write_trajectories_csv(results, path)
         back = read_trajectories_csv(path)
         assert len(back) == len(results)
         for orig, rec in zip(results, back):
-            assert rec.rep == orig.rep
-            np.testing.assert_array_equal(rec.set_sizes, orig.set_sizes)
-            for meth in METHODS:
-                np.testing.assert_allclose(
-                    rec.trajectories[meth].probs, orig.trajectories[meth].probs, rtol=1e-11
-                )
-                np.testing.assert_array_equal(rec.crossings[meth], orig.crossings[meth])
-                np.testing.assert_array_equal(rec.final_included[meth], orig.final_included[meth])
+            for field in dataclasses.fields(ReplicationResult):
+                got, want = getattr(rec, field.name), getattr(orig, field.name)
+                if field.name != "trajectories":
+                    np.testing.assert_array_equal(got, want, err_msg=field.name)
+                    continue
+                assert {meth: traj.method for meth, traj in got.items()} == dict(zip(METHODS, METHODS))
+                for meth in METHODS:
+                    np.testing.assert_allclose(got[meth].probs, want[meth].probs, rtol=1e-11)
 
     def test_read_back_is_float_of_written_text(self, tiny_run, tmp_path):
         cfg, results, _ = tiny_run
@@ -199,7 +205,7 @@ class TestOutputs:
             for meth in METHODS:
                 traj = res.trajectories[meth].probs
                 want = [crossing_events_reference(traj[:, k]).sum() for k in range(p)]
-                np.testing.assert_array_equal(res.crossings[meth], want)
+                np.testing.assert_array_equal(count_crossings(traj), want)
         stats = aggregate(back)
         for meth in METHODS:
             # the per-rep loop the whole-run count replaces, reduced over a (reps, T) array
@@ -587,7 +593,7 @@ class TestSvg:
             assert len(built) == frames
             for res in results:
                 ns = np.arange(res.n_min, res.n_max + 1)
-                active, strong = (res.final_included["bvs"], ()) if beta is None else (beta != 0.0, (1,))
+                active, strong = (res.trajectories["bvs"].probs[-1] >= 0.5, ()) if beta is None else (beta != 0.0, (1,))
                 for meth in METHODS:
                     title = f"rep {res.rep}, method {meth}"
                     want = per_point_trajectory_chart(ns, res.trajectories[meth].probs, active, strong, title)
@@ -741,7 +747,7 @@ class TestCli:
         assert main(["plot", "--in", str(out_dir), "--rep", "1", "--method", "smcs"]) == 0
         res = [r for r in read_trajectories_csv(out_dir / "trajectories.csv") if r.rep == 1][0]
         want = trajectory_chart(
-            trajectory_frame(np.arange(res.n_min, res.n_max + 1), res.final_included["bvs"], ()),
+            trajectory_frame(np.arange(res.n_min, res.n_max + 1), res.trajectories["bvs"].probs[-1] >= 0.5, ()),
             res.trajectories["smcs"].probs,
             "rep 1, method smcs",
         )
@@ -868,7 +874,7 @@ class TestCli:
             (TINY_CONFIG_TEXT + "dgp.beta=2,nan,1\n", "beta must be finite"),
             (TINY_CONFIG_TEXT + "dgp.beta=2,0,inf\n", "beta must be finite"),
             (TINY_CONFIG_TEXT + "dgp.sigma2=inf\n", "sigma2 must be positive and finite"),
-            (TINY_CONFIG_TEXT + "run.g_rule=fixed:6\n", "g_rule must be one of ('unit-info',)"),
+            (TINY_CONFIG_TEXT + "run.g_rule=fixed:6\n", "unknown config keys: ['run.g_rule']"),
             (
                 TINY_CONFIG_TEXT + "dgp.p=21\ndgp.beta=" + ",".join(["1"] * 21)
                 + "\nrun.n_min=24\nrun.n_max=30\n",
