@@ -121,22 +121,31 @@ def model_r_squared(stats: GramStats, gamma: ModelVector) -> float:
     return float(min(max(r2, 0.0), R2_CEIL))
 
 
+def _prior_scale(g: float | None, n: int) -> float:
+    """Zellner's g: n (unit information) when None; DataError unless finite and > 0."""
+    if g is None:
+        return float(n)
+    if not 0.0 < g < math.inf:
+        raise DataError(f"g must be finite and > 0, got {g}")
+    return g
+
+
 def log_bf_null(stats: GramStats, gamma: ModelVector, g: float | None = None) -> float:
     """Log Bayes factor of model gamma against the intercept-only model.
 
     log BF = ((n-1-k)/2) log(1+g) - ((n-1)/2) log(1 + g(1-R^2)), with k the
-    number of included covariates and g defaulting to n (unit information).
+    number of included covariates and g defaulting to n (unit information);
+    a g that is not finite and > 0 raises DataError.
     """
     if stats.szz.ndim != 2:
         raise ShapeError(f"log_bf_null needs one data set's statistics, not a stack of {len(stats.szz)}")
+    g = _prior_scale(g, stats.n)
     k = gamma.size
     if k == 0:
         return 0.0
     n = stats.n
     if n < k + 2:
         raise InsufficientDataError(f"need n >= k+2 = {k + 2} observations, have {n}")
-    if g is None:
-        g = float(n)
     r2 = model_r_squared(stats, gamma)
     return 0.5 * (n - 1 - k) * math.log1p(g) - 0.5 * (n - 1) * math.log1p(g * (1.0 - r2))
 
@@ -196,11 +205,13 @@ def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> 
     do not depend on the chunking.  The null entry is exactly 0.  A
     completion whose y is constant has R^2 = 0 under every model, as in
     model_r_squared, so each model gets its complexity penalty
-    -(k/2) log(1+g).  g defaults to n.
+    -(k/2) log(1+g).  g defaults to n; a g that is not finite and > 0
+    raises DataError.
     """
     if space.p != stats.p:
         raise ShapeError(f"model space has p={space.p}, statistics have p={stats.p}")
     n = stats.n
+    g = _prior_scale(g, n)
     if n < space.p + 2:
         raise InsufficientDataError(f"need n >= p+2 = {space.p + 2} observations, have {n}")
     single = stats.szz.ndim == 2
@@ -209,8 +220,6 @@ def model_sweep(stats: GramStats, space: ModelSpace, g: float | None = None) -> 
     moments = centered_moments(stats)
     syy_c = moments[:, -1, -1]
     raw_ss = np.diagonal(stats.szz, axis1=1, axis2=2)[:, 1:-1]
-    if g is None:
-        g = n
     varies = syy_c > 0.0
     denom = np.where(varies, syy_c, 1.0)
     penalty = 0.5 * (n - 1.0 - space.sizes) * np.log1p(g)

@@ -76,8 +76,9 @@ class DGPConfig:
 class MissingDataset:
     """Responses, covariates with NaN at masked cells, and the observed mask.
 
-    mask[j, k] is True exactly when X[j, k] is observed; responses carry no
-    missing entries.
+    mask is a bool array of X's 2-D shape, and mask[j, k] is True exactly
+    when X[j, k] is observed; observed cells and responses are finite, and
+    responses carry no missing entries.  Masked cells of X are not read.
     """
 
     y: np.ndarray
@@ -85,12 +86,16 @@ class MissingDataset:
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.X.shape != self.mask.shape:
-            raise ShapeError(f"mask shape {self.mask.shape} != X shape {self.X.shape}")
+        if self.X.ndim != 2 or self.mask.shape != self.X.shape or self.mask.dtype != bool:
+            raise ShapeError(
+                f"mask must be a bool array of X's 2-D shape {self.X.shape}, got {self.mask.dtype} {self.mask.shape}"
+            )
         if self.y.shape != (self.X.shape[0],):
             raise ShapeError(f"y length {self.y.shape} does not match X rows {self.X.shape[0]}")
         if not np.all(np.isfinite(self.y)):
             raise DataError("responses must be finite (never masked)")
+        if not np.all(np.isfinite(self.X[self.mask])):
+            raise DataError("observed covariates must be finite")
 
 
 def gen_covariates(n: int, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -156,6 +161,8 @@ def apply_missingness(
     x_mat = np.asarray(x_mat, dtype=float)
     validate_missingness(rate, mechanism)
     y = np.asarray(y, dtype=float)
+    if x_mat.ndim != 2 or y.shape != (len(x_mat),):
+        raise ShapeError(f"X must be 2-D with one row per response, got X {x_mat.shape} and y {y.shape}")
 
     n, p = x_mat.shape
     if rate == 0.0:

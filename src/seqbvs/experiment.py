@@ -142,7 +142,7 @@ def default_config(profile: str = "desk") -> ExperimentConfig:
 
 
 def g_for_n(rule: str, n: int) -> float:
-    """Prior scale for sample size n: 'unit-info' is Zellner's g = n."""
+    """Prior scale for sample size n: 'unit-info' is Zellner's g = n, model_sweep's default."""
     if rule not in G_RULES:
         raise ConfigError(f"g_rule must be one of {G_RULES}, got {rule!r}")
     return float(n)
@@ -337,11 +337,10 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     trajectories = {meth: InclusionTrajectory(meth, np.full((config.t_max, dgp.p), np.nan)) for meth in METHODS}
     set_sizes = np.zeros(config.t_max, dtype=np.int64)
     eprocess = EProcessState.fresh(space.m)
-    for t, (n, stats) in enumerate(_imputed_stream(data, config, rep_index)):
-        # the (M, m) table is bound only inside the step, so it is freed before the next sweep
-        eprocess, probs, set_sizes[t] = advance_step(
-            eprocess, model_sweep(stats, space, g_for_n(config.g_rule, n)), config, space
-        )
+    for t, (_, stats) in enumerate(_imputed_stream(data, config, rep_index)):
+        # the (M, m) table, at model_sweep's default g = n, is bound only inside the step, so it is
+        # freed before the next sweep
+        eprocess, probs, set_sizes[t] = advance_step(eprocess, model_sweep(stats, space), config, space)
         for meth, row in probs.items():
             trajectories[meth].probs[t] = row
 

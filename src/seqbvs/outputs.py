@@ -25,10 +25,13 @@ come its title and its own probabilities.  The one crossing-totals chart
 formats its frame itself.
 
 The CSV and the arrays it holds are both whole-array: the writer joins the
-rows of one (rep, t) into one string, and the reader parses the file in one
-np.loadtxt pass and scatters it into a (reps, methods, T, p) probability
-cube whose (rep, method) slices are the (T, p) trajectories, NaN where the
-smcs confidence set was empty.  A probability read back equals float() of
+rows of one (rep, t) into one string, in one fixed order (rep, then t, then
+method, then covariate), and the reader parses the file in one np.loadtxt
+pass and reshapes it in that order into a (reps, T, methods, p) grid.  It
+refuses rows in any other order, and takes one copy of the grid's
+probabilities as a (reps, methods, T, p) cube whose (rep, method) slices
+are the (T, p) trajectories, NaN where the smcs confidence set was empty.
+Reps come back in file order.  A probability read back equals float() of
 its 12-digit text bit for bit, NaN included, and every other field of a
 record read back equals the run's.  The reader checks the file's format,
 and ReplicationResult the values, as in any record.
@@ -37,7 +40,6 @@ and ReplicationResult the values, as in any record.
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 import warnings
@@ -67,7 +69,7 @@ _TRAJECTORIES_HEADER = "rep,n,t,method,covariate,prob,set_size"
 _TRAJECTORY_DTYPE = np.dtype(
     [("rep", "i8"), ("n", "i8"), ("t", "i8"), ("method", "S9"), ("covariate", "i8"), ("prob", "f8"), ("set_size", "i8")]
 )
-_METHOD_BYTES = tuple(meth.encode() for meth in METHODS)
+_METHOD_BYTES = np.array(METHODS, dtype="S")
 
 
 def _in_place(path, flags: int) -> int:
@@ -270,18 +272,19 @@ def emit_outputs(
 
 
 def read_trajectories_csv(path) -> list[ReplicationResult]:
-    """Rebuild per-replication results from the CSV.
+    """Rebuild per-replication results from the CSV, reps in file order.
 
     One np.loadtxt pass reads the rows into a structured array, with no
-    Python object per row.  Every (rep, method, t, covariate) cell must
-    appear exactly once, for t = 1..T and covariate = 1..p; the
-    probabilities are scattered into a (reps, methods, T, p) cube whose
-    (rep, method) slices become the trajectories of one ReplicationResult
-    per rep.  A malformed row (wrong field count, a non-numeric field, an
-    unknown method), an incomplete cube, rows of one (rep, t) that disagree
-    on n or set_size, an n other than n(t = 1) + t - 1, or a record that
-    breaks a rule of ReplicationResult raises DataError naming the file, as
-    do bytes that are not UTF-8, the writer's encoding.
+    Python object per row.  The rows must run in the writer's order, over
+    rep, then t = 1..T, then method, then covariate = 1..p, with one
+    distinct rep id per block, so they reshape to a (reps, T, methods, p)
+    grid; one copy of its probabilities, with methods moved before T, makes
+    each (rep, method) slice a contiguous (T, p) trajectory.  A malformed
+    row (wrong field count, a non-numeric field, an unknown method), rows
+    out of that order, rows of one (rep, t) that disagree on n or set_size,
+    an n other than n(t = 1) + t - 1, or a record that breaks a rule of
+    ReplicationResult raises DataError naming the file, as do bytes that
+    are not UTF-8, the writer's encoding.
     """
     path = Path(path)
     try:
@@ -304,36 +307,30 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     if rows.size == 0:
         return []
 
-    meth_idx = np.full(rows.size, -1)
-    for i, meth in enumerate(_METHOD_BYTES):
-        meth_idx[rows["method"] == meth] = i
-    if np.any(meth_idx < 0):
-        raise DataError(f"unknown method {rows['method'][np.argmax(meth_idx < 0)].decode('latin-1')!r} in {path}")
-    rep_ids, rep_idx = np.unique(rows["rep"], return_inverse=True)
-    t_idx = rows["t"] - 1
-    cov_idx = rows["covariate"] - 1
-    if t_idx.min() < 0 or cov_idx.min() < 0:
-        raise DataError(f"t and covariate must be >= 1 in {path}")
-    shape = (rep_ids.size, len(METHODS), int(t_idx.max()) + 1, int(cov_idx.max()) + 1)
-    if rows.size != math.prod(shape):
-        raise DataError(f"{path} has {rows.size} rows, not one per cell of (rep, method, t, covariate) {shape}")
-    flat = np.ravel_multi_index((rep_idx, meth_idx, t_idx, cov_idx), shape)
-    if np.any(np.bincount(flat, minlength=rows.size) != 1):
-        raise DataError(f"{path} repeats a (rep, method, t, covariate) cell")
-    cube = np.empty(shape)
-    cube.flat[flat] = rows["prob"]
-    # every row of a (rep, t) must carry the n and set size kept for it
-    rep_t = rep_idx * shape[2] + t_idx
-    n_at = np.empty(shape[0] * shape[2], dtype=np.int64)
-    sizes = np.empty_like(n_at)
-    n_at[rep_t] = rows["n"]
-    sizes[rep_t] = rows["set_size"]
-    if np.any(n_at[rep_t] != rows["n"]) or np.any(sizes[rep_t] != rows["set_size"]):
+    # in the writer's order the rows are the (reps, T, methods, p) grid: t,
+    # method and covariate are known per cell, rep is one distinct id per block
+    t_max, p = int(rows["t"].max()), int(rows["covariate"].max())
+    whole = min(t_max, p) >= 1 and rows.size % (t_max * len(METHODS) * p) == 0
+    if whole:
+        grid = rows.reshape(-1, t_max, len(METHODS), p)
+        rep_ids = grid["rep"][:, 0, 0, 0]
+    if not whole or len(set(rep_ids.tolist())) < rep_ids.size or not (
+        (grid["rep"] == rep_ids[:, None, None, None])
+        & (grid["t"] == np.arange(1, t_max + 1)[:, None, None])
+        & (grid["method"] == _METHOD_BYTES[:, None])
+        & (grid["covariate"] == np.arange(1, p + 1))
+    ).all():
+        known = np.isin(rows["method"], _METHOD_BYTES)
+        if not known.all():
+            raise DataError(f"unknown method {rows['method'][np.argmin(known)].decode('latin-1')!r} in {path}")
+        raise DataError(f"{path} repeats, skips or reorders a (rep, t, method, covariate) cell of the writer's order")
+    # every row of a (rep, t) must carry the n and set size of its first row
+    n_at, sizes = grid["n"][:, :, 0, 0], grid["set_size"][:, :, 0, 0].copy()  # (reps, T)
+    if np.any(grid["n"] != n_at[:, :, None, None]) or np.any(grid["set_size"] != sizes[:, :, None, None]):
         raise DataError(f"{path} gives one (rep, t) more than one n or set_size")
-    n_at = n_at.reshape(shape[0], shape[2])  # (reps, T)
-    sizes = sizes.reshape(shape[0], shape[2])
-    if np.any(n_at != n_at[:, :1] + np.arange(shape[2])):
+    if np.any(n_at != n_at[:, :1] + np.arange(t_max)):
         raise DataError(f"{path} has an n that is not n(t = 1) + t - 1")
+    cube = np.ascontiguousarray(grid["prob"].transpose(0, 2, 1, 3))  # (reps, methods, T, p)
     trajectories = [dict(zip(METHODS, map(InclusionTrajectory, METHODS, probs))) for probs in cube]
     try:
         return [

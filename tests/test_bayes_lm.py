@@ -269,6 +269,17 @@ def test_model_sweep_rejects_mismatched_space():
         model_sweep(GramStats.from_data(x, y), enumerate_models(5))
 
 
+@pytest.mark.parametrize("g", [-2.0, 0.0, np.inf, np.nan])
+def test_g_not_finite_and_positive_rejected(g):
+    rng = np.random.default_rng(14)
+    x, y = _random_dataset(rng, 30, 4)
+    stats = GramStats.from_data(x, y)
+    with pytest.raises(DataError, match="g must be finite and > 0"):
+        model_sweep(stats, enumerate_models(4), g=g)
+    with pytest.raises(DataError, match="g must be finite and > 0"):
+        log_bf_null(stats, enumerate_models(4).model(5), g=g)
+
+
 def test_model_sweep_null_entry_and_penalty():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((25, 1))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from seqbvs.data_gen import (
+    MECHANISMS,
     DGPConfig,
+    MissingDataset,
     apply_missingness,
     equicorrelated_cov,
     gen_covariates,
@@ -157,10 +159,29 @@ def test_responses_never_masked():
 
 def test_dataset_validation():
     with pytest.raises(ShapeError):
-        from seqbvs.data_gen import MissingDataset
-
         MissingDataset(np.zeros(3), np.zeros((3, 2)), np.ones((2, 2), dtype=bool))
     with pytest.raises(DataError):
-        from seqbvs.data_gen import MissingDataset
-
         MissingDataset(np.array([1.0, np.nan]), np.zeros((2, 2)), np.ones((2, 2), dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "x, mask, error",
+    [
+        (np.zeros((3, 2)), np.ones((3, 2), dtype=np.int64), ShapeError),
+        (np.zeros(3), np.ones(3, dtype=bool), ShapeError),
+        (np.array([[0.0, np.nan], [1.0, 2.0], [3.0, 4.0]]), np.ones((3, 2), dtype=bool), DataError),
+        (np.array([[0.0, np.inf], [1.0, 2.0], [3.0, 4.0]]), np.ones((3, 2), dtype=bool), DataError),
+    ],
+    ids=["integer_mask", "one_dimensional_x", "nan_observed", "inf_observed"],
+)
+def test_dataset_refuses_a_broken_contract(x, mask, error):
+    with pytest.raises(error):
+        MissingDataset(np.zeros(3), x, mask)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_response_of_another_length_rejected(mechanism):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((5, 2))
+    with pytest.raises(ShapeError, match="one row per response"):
+        apply_missingness(x, 0.2, mechanism, rng, y=np.zeros(4))

@@ -148,6 +148,29 @@ class TestOutputs:
                 for meth in METHODS:
                     np.testing.assert_allclose(got[meth].probs, want[meth].probs, rtol=1e-11)
 
+    @pytest.mark.parametrize("layout", ["descending_reps", "two_runs_concatenated"])
+    def test_reps_read_back_in_file_order(self, tiny_run, tmp_path, layout):
+        # the writer's rows of a [rep 1, rep 0] list, or of reps 0-1 followed by those of reps 2-3
+        _, results, _ = tiny_run
+        path = tmp_path / "traj.csv"
+        if layout == "descending_reps":
+            written = results[::-1]
+            write_trajectories_csv(written, path)
+        else:
+            later = [ReplicationResult(r.rep + 2, r.n_min, r.n_max, r.trajectories, r.set_sizes) for r in results]
+            written = results + later
+            write_trajectories_csv(later, tmp_path / "later.csv")
+            write_trajectories_csv(results, path)
+            with open(path, "a") as fh:
+                fh.write((tmp_path / "later.csv").read_text().split("\n", 1)[1])
+        back = read_trajectories_csv(path)
+        assert [r.rep for r in back] == [r.rep for r in written]
+        for orig, rec in zip(written, back):
+            assert (rec.n_min, rec.n_max) == (orig.n_min, orig.n_max)
+            np.testing.assert_array_equal(rec.set_sizes, orig.set_sizes)
+            for meth in METHODS:
+                np.testing.assert_allclose(rec.trajectories[meth].probs, orig.trajectories[meth].probs, rtol=1e-11)
+
     def test_read_back_is_float_of_written_text(self, tiny_run, tmp_path):
         cfg, results, _ = tiny_run
         res = results[0]
@@ -440,6 +463,26 @@ class TestReaderErrors:
         path.write_text("".join(lines[:-1] + lines[-2:-1]))
         with pytest.raises(DataError, match="repeats"):
             read_trajectories_csv(path)
+
+    @pytest.mark.parametrize(
+        "reorder",
+        [
+            lambda rows: rows[:5] + [rows[6], rows[5]] + rows[7:],
+            # the 12 rows of (rep 0, t 2) before those of (rep 0, t 1)
+            lambda rows: rows[12:24] + rows[:12] + rows[24:],
+            # rep 0's block again after rep 1's
+            lambda rows: rows + rows[: len(rows) // 2],
+        ],
+        ids=["adjacent_rows_swapped", "t_blocks_swapped", "rep_id_repeated"],
+    )
+    def test_rows_out_of_the_writers_order(self, run_dir, reorder, capsys):
+        path = run_dir / "trajectories.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(reorder(rows)))
+        with pytest.raises(DataError, match="trajectories.csv repeats, skips or reorders"):
+            read_trajectories_csv(path)
+        assert main(["analyze", "--in", str(run_dir)]) == 2
+        assert "trajectories.csv" in capsys.readouterr().err
 
     def test_header_only_reads_no_results(self, tmp_path):
         path = tmp_path / "trajectories.csv"
