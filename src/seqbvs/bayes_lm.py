@@ -21,8 +21,9 @@ table, so pooling across the completions adds whole contiguous rows.  When
 the widest level of all M would exceed CELL_BUDGET values (see model_space;
 not at desk or wide_sweep sizes), the pass runs over chunks of completions,
 each written into its own rows of the table.
-log_bf_null solves one model at a time with a Cholesky factor and is the
-independent reference for the sweep.
+log_bf_null scores one model at a time by a least-squares solve of its
+unit-diagonal Gram system (model_r_squared) and shares no lattice code
+with the sweep, so it is the sweep's independent reference.
 """
 
 from __future__ import annotations
@@ -86,39 +87,27 @@ def centered_moments(stats: GramStats) -> np.ndarray:
     return stats.szz[..., 1:, 1:] - stats.n * (mean[..., :, None] * mean[..., None, :])
 
 
-def _subset_ssr(a_mat: np.ndarray, bvec: np.ndarray, cols: np.ndarray, raw_ss: np.ndarray) -> float:
-    """b_S' A_SS^-1 b_S with Cholesky and jitter retries on singularity.
-
-    A column whose centred sum of squares is at or below _PIVOT_EPS times
-    its raw one is constant and adds no fit, as in the sweep.
-    """
-    cols = cols[np.diag(a_mat)[cols] > _PIVOT_EPS * raw_ss[cols]]
-    if cols.size == 0:
-        return 0.0
-    sub = a_mat[np.ix_(cols, cols)]
-    rhs = bvec[cols]
-    scale = float(np.trace(sub)) / len(cols)
-    jitter = 0.0
-    for _ in range(6):
-        try:
-            chol = np.linalg.cholesky(sub + jitter * np.eye(len(cols)))
-            z = np.linalg.solve(chol, rhs)
-            return float(z @ z)
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 * scale if jitter == 0.0 else jitter * 100.0
-    raise np.linalg.LinAlgError("model Gram matrix not SPD even with ridge jitter")
-
-
 def model_r_squared(stats: GramStats, gamma: ModelVector) -> float:
-    """Coefficient of determination of one model from the Gram statistics."""
-    if gamma.size == 0:
-        return 0.0
+    """Coefficient of determination of one model from the Gram statistics.
+
+    R^2 = b_S' A_SS^+ b_S / syy_c for the model's columns S, from one
+    least-squares solve of A_SS scaled to unit diagonal: lstsq's rank
+    cut-off is relative to the largest singular value, so the scaling keeps
+    a column of tiny scale, while a column that is a linear combination of
+    the others adds no fit.  A column whose centred sum of squares is at or
+    below _PIVOT_EPS times its raw one is constant and is left out, as in
+    the sweep.  No kept column, or a constant y, gives R^2 = 0.
+    """
     moments = centered_moments(stats)
-    if moments[-1, -1] <= 0.0:
-        return 0.0
     cols = np.nonzero(np.array(gamma.bits))[0]
-    r2 = _subset_ssr(moments[:-1, :-1], moments[:-1, -1], cols, np.diag(stats.szz)[1:-1]) / moments[-1, -1]
-    return float(min(max(r2, 0.0), R2_CEIL))
+    cols = cols[np.diag(moments)[cols] > _PIVOT_EPS * np.diag(stats.szz)[cols + 1]]
+    syy_c = moments[-1, -1]
+    if cols.size == 0 or syy_c <= 0.0:
+        return 0.0
+    scale = np.sqrt(np.diag(moments)[cols])
+    rhs = moments[cols, -1] / scale
+    coef = np.linalg.lstsq(moments[np.ix_(cols, cols)] / np.outer(scale, scale), rhs, rcond=None)[0]
+    return float(min(max(coef @ rhs / syy_c, 0.0), R2_CEIL))
 
 
 def _prior_scale(g: float | None, n: int) -> float:

@@ -28,7 +28,8 @@ whole run's per-rep counts and cumulative curves from one call on a
 (T, reps, methods, p) stack.  A time step's M completions make one stacked
 GramStats for one batched model_sweep.  ReplicationResult holds exactly what
 trajectories.csv holds and checks every rule of a record, whether run, read
-back from the CSV or built by hand.
+back from the CSV or built by hand; check_run_records checks a list of them
+(one (T, p), no repeated rep id) for aggregate and the CSV writer.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def count_crossings(probs: np.ndarray) -> int | np.ndarray:
 
 
 def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: int):
-    """(n, stats) for n = n_min..n_max: the GramStats of each size's M completions.
+    """The GramStats of each size's M completions, n = n_min..n_max in order (stats.n is n).
 
     A stack of sizes is imputed per call, and each size's stats are formed
     while the stack is alive.  Only the stats outlive it, and their list is
@@ -280,13 +281,11 @@ def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: i
         try:
             stacked = impute(data, config.imp, streams)
         except InsufficientDataError as exc:
-            # observed counts only grow with n, so the first call fails at n_min
-            if first == 0:
-                raise ConfigError(f"imputation infeasible at n_min={config.n_min} ({exc}); increase n_min") from exc
-            raise
+            # the row and observed-cell counts only grow with n, so only the first call, at n_min, can fail
+            raise ConfigError(f"imputation infeasible at n_min={config.n_min} ({exc}); increase n_min") from exc
         stats = [GramStats.from_data(completions, data.y[:n]) for n, completions in zip(chunk, stacked)]
         del stacked
-        yield from zip(chunk, stats)
+        yield from stats
         del stats
 
 
@@ -337,7 +336,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     trajectories = {meth: InclusionTrajectory(meth, np.full((config.t_max, dgp.p), np.nan)) for meth in METHODS}
     set_sizes = np.zeros(config.t_max, dtype=np.int64)
     eprocess = EProcessState.fresh(space.m)
-    for t, (_, stats) in enumerate(_imputed_stream(data, config, rep_index)):
+    for t, stats in enumerate(_imputed_stream(data, config, rep_index)):
         # the (M, m) table, at model_sweep's default g = n, is bound only inside the step, so it is
         # freed before the next sweep
         eprocess, probs, set_sizes[t] = advance_step(eprocess, model_sweep(stats, space), config, space)
@@ -345,6 +344,22 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
             trajectories[meth].probs[t] = row
 
     return ReplicationResult(rep_index, config.n_min, config.n_max, trajectories, set_sizes)
+
+
+def check_run_records(results: list[ReplicationResult]) -> None:
+    """DataError naming the rep unless the records make one run as trajectories.csv holds it.
+
+    Every record has the first one's (T, p) and its own rep id, as
+    outputs.read_trajectories_csv requires of a file.  An empty list passes.
+    """
+    shapes = [r.trajectories["bvs"].probs.shape for r in results]
+    seen = set()
+    for r, shape in zip(results, shapes):
+        if shape != shapes[0]:
+            raise DataError(f"reps differ in (T, p): rep {r.rep} has {shape}, not rep {results[0].rep}'s {shapes[0]}")
+        if r.rep in seen:
+            raise DataError(f"reps repeat an id: rep {r.rep} comes more than once")
+        seen.add(r.rep)
 
 
 def aggregate(results: list[ReplicationResult]) -> CrossingStats:
@@ -358,10 +373,7 @@ def aggregate(results: list[ReplicationResult]) -> CrossingStats:
     """
     if not results:
         raise DataError("aggregate needs at least one replication")
-    shapes = [r.trajectories["bvs"].probs.shape for r in results]
-    for r, shape in zip(results, shapes):
-        if shape != shapes[0]:
-            raise DataError(f"reps differ in (T, p): rep {r.rep} has {shape}, not rep {results[0].rep}'s {shapes[0]}")
+    check_run_records(results)
     stack = np.stack([r.trajectories[meth].probs for r in results for meth in METHODS], axis=1)
     t_max, reps, p = stack.shape[0], len(results), stack.shape[2]
     stack = stack.reshape(t_max, reps, len(METHODS), p)  # (T, reps, methods, p)

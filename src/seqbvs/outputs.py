@@ -51,7 +51,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, OutputError
-from .experiment import SEED_RULE, CrossingStats, ExperimentConfig, ReplicationResult, aggregate
+from .experiment import SEED_RULE, CrossingStats, ExperimentConfig, ReplicationResult, aggregate, check_run_records
 from .inclusion import METHODS, InclusionTrajectory
 from .svg import crossing_totals_chart, trajectory_chart, trajectory_frame
 
@@ -107,9 +107,13 @@ def write_trajectories_csv(results: list[ReplicationResult], path) -> None:
     is written as one string: its "rep,n,t," prefix and ",set_size" suffix
     join the rep's "method,covariate,%.12g" cells into one %-template, which
     a single % call fills with the probabilities (12 significant digits;
-    '%.12g' % v is f"{v:.12g}", NaN included).
+    '%.12g' % v is f"{v:.12g}", NaN included).  A list that
+    read_trajectories_csv would refuse, of records whose (T, p) differ or
+    that repeat a rep id, raises DataError (check_run_records) before the
+    file is opened.
     """
     path = Path(path)
+    check_run_records(results)
     with _rewrite(path) as fh:
         fh.write(_TRAJECTORIES_HEADER + "\n")
         for res in results:

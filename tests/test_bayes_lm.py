@@ -91,7 +91,7 @@ def test_model_sweep_matches_per_model_past_256_rows():
     np.testing.assert_allclose(model_sweep(stats, space), _per_model(stats, space), atol=1e-8)
 
 
-def _degenerate_design(kind):
+def _degenerate_design(kind, scale=1.0):
     rng = np.random.default_rng(11)
     x, _ = _random_dataset(rng, 30, 4)
     if kind == "constant":
@@ -99,20 +99,24 @@ def _degenerate_design(kind):
     elif kind == "duplicate":
         x[:, 2] = x[:, 0]
     elif kind == "sum":
-        x[:, 3] = x[:, 0] + x[:, 1]
+        x[:, 3] = scale * (x[:, 0] + x[:, 1])
     y = x[:, 0] - 0.5 * x[:, 1] + rng.standard_normal(30)
     return GramStats.from_data(x, y)
 
 
-@pytest.mark.parametrize("kind", ["duplicate", "sum"])
-def test_degenerate_pivot_adds_no_fit(kind):
-    # a collinear column contributes no SSR; the jittered per-model
-    # Cholesky reference reaches the same values
-    stats = _degenerate_design(kind)
+@pytest.mark.parametrize(
+    "kind, scale",
+    [("duplicate", 1.0), ("sum", 1.0), ("sum", 1e-9), ("sum", 1e9)],
+    ids=["duplicate", "sum", "sum-1e-9", "sum-1e9"],
+)
+def test_degenerate_pivot_adds_no_fit(kind, scale):
+    # a collinear column contributes no SSR, at any scale of the column; the
+    # per-model least-squares reference reaches the same values
+    stats = _degenerate_design(kind, scale)
     space = enumerate_models(4)
     swept = model_sweep(stats, space)
     assert np.all(np.isfinite(swept))
-    np.testing.assert_allclose(swept, _per_model(stats, space), atol=1e-8)
+    np.testing.assert_allclose(swept, _per_model(stats, space), rtol=0, atol=1e-12)
 
 
 def test_constant_column_adds_no_fit():
@@ -125,7 +129,7 @@ def test_constant_column_adds_no_fit():
     np.testing.assert_allclose(swept[with_c], swept[~with_c] - 0.5 * math.log1p(stats.n), atol=1e-12)
     # the reference agrees on every model, the constant column alone (model 4)
     # included: no fit, R^2 = 0
-    np.testing.assert_allclose(swept, _per_model(stats, space), atol=1e-8)
+    np.testing.assert_allclose(swept, _per_model(stats, space), rtol=0, atol=1e-12)
     assert model_r_squared(stats, space.model(4)) == 0.0
 
 

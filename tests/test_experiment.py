@@ -312,9 +312,9 @@ def test_imputed_stream_yields_each_sizes_gram_stats(monkeypatch, per_call):
         stacked = impute(data, cfg.imp, streams)
         want += [GramStats.from_data(completions, data.y[:n]) for n, completions in zip(chunk, stacked)]
     got = list(_imputed_stream(data, cfg, 0))
-    assert [n for n, _ in got] == sizes
-    for (n, stats), ref in zip(got, want):
-        assert stats.n == ref.n == n
+    assert [stats.n for stats in got] == sizes
+    for stats, ref in zip(got, want):
+        assert stats.n == ref.n
         assert stats.szz.tobytes() == ref.szz.tobytes()
 
 
@@ -327,9 +327,7 @@ def tiny_tables():
 
     cfg = tiny_config()
     space = enumerate_models(cfg.dgp.p)
-    return [
-        model_sweep(stats, space, g_for_n(cfg.g_rule, n)) for n, stats in _imputed_stream(_tiny_data(cfg), cfg, 0)
-    ]
+    return [model_sweep(stats, space, g_for_n(cfg.g_rule, stats.n)) for stats in _imputed_stream(_tiny_data(cfg), cfg, 0)]
 
 
 @pytest.mark.parametrize("prior", ["uniform", "scott-berger"])

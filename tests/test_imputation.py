@@ -475,7 +475,7 @@ def test_desk_stream_imputes_in_little_memory():
     data = apply_missingness(x, config.missing.rate, "mcar", rng, y=gen_responses(x, config.dgp, rng))
     tracemalloc.start()
     try:
-        sizes = [n for n, _ in _imputed_stream(data, config, 0)]
+        sizes = [stats.n for stats in _imputed_stream(data, config, 0)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,7 +501,7 @@ def test_full_profile_stream_imputes_in_little_memory():
     data = apply_missingness(x, config.missing.rate, "mcar", rng, y=gen_responses(x, config.dgp, rng))
     tracemalloc.start()
     try:
-        sizes = [n for n, _ in _imputed_stream(data, config, 0)]
+        sizes = [stats.n for stats in _imputed_stream(data, config, 0)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

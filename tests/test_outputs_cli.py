@@ -108,6 +108,27 @@ class TestOutputs:
         write_trajectories_csv([], path)
         assert path.read_text() == "rep,n,t,method,covariate,prob,set_size\n"
 
+    @pytest.mark.parametrize("case", ["another_shape", "repeated_rep"])
+    def test_writer_refuses_what_the_reader_refuses(self, tiny_run, tmp_path, case):
+        # read_trajectories_csv refuses the rows of either list, so the writer
+        # refuses the list before it opens the file, which keeps its bytes
+        _, results, _ = tiny_run
+        if case == "another_shape":
+            r = results[0]
+            shorter = {meth: InclusionTrajectory(meth, traj.probs[:-1]) for meth, traj in r.trajectories.items()}
+            bad = results + [ReplicationResult(5, r.n_min, r.n_max - 1, shorter, r.set_sizes[:-1])]
+            message = "reps differ in (T, p): rep 5 has"
+        else:
+            bad = results + [results[0]]
+            message = f"reps repeat an id: rep {results[0].rep} comes more than once"
+        path = tmp_path / "traj.csv"
+        write_trajectories_csv(results, path)
+        before = path.read_bytes()
+        for refuse in (lambda: write_trajectories_csv(bad, path), lambda: aggregate(bad)):
+            with pytest.raises(DataError, match=re.escape(message)):
+                refuse()
+        assert path.read_bytes() == before
+
     def test_tables_layout(self, tiny_run, tmp_path):
         _, _, stats = tiny_run
         path = tmp_path / "tables.csv"
@@ -298,8 +319,11 @@ class TestOutputs:
         _, results, _ = tiny_run
         path = tmp_path / "traj.csv"
         write_trajectories_csv(results, path)
+        # a record whose set sizes were swapped out after its checks: the writer fails at it, after the first is written
+        broken = dataclasses.replace(results[1])
+        broken.set_sizes = None
         with pytest.raises(AttributeError):
-            write_trajectories_csv([results[0], None], path)  # the second replication fails after the first is written
+            write_trajectories_csv([results[0], broken], path)
         write_trajectories_csv(results[:1], tmp_path / "first.csv")
         assert path.read_bytes() == (tmp_path / "first.csv").read_bytes()
 
