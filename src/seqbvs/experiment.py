@@ -35,18 +35,14 @@ back from the CSV or built by hand; check_run_records checks a list of them
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import KW_ONLY, InitVar, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .bayes_lm import (
-    MODEL_PRIORS,
-    POOLING_RULES,
-    GramStats,
-    model_sweep,
-    posterior_from_imputations,
-)
+from .bayes_lm import MODEL_PRIORS, GramStats, model_sweep, posterior_from_imputations
 from .data_gen import (
     DGPConfig,
     MissingDataset,
@@ -110,7 +106,6 @@ class ExperimentConfig:
     model_prior: str = "uniform"
     base_seed: int = 0
     loss_mode: str = "cumulative"
-    pooling: str = "geometric"
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -124,8 +119,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_min={self.n_min} is below the imputation minimum {floor} at p={self.dgp.p}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if self.pooling not in POOLING_RULES:
-            raise ConfigError(f"pooling must be one of {POOLING_RULES}, got {self.pooling!r}")
         if self.model_prior not in MODEL_PRIORS:
             raise ConfigError(f"model_prior must be one of {MODEL_PRIORS}, got {self.model_prior!r}")
 
@@ -154,7 +147,7 @@ def stream_rng(base_seed: int, rep_index: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, rep_index, tag]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplicationResult:
     """One replication as trajectories.csv holds it, checked on construction.
 
@@ -164,13 +157,14 @@ class ReplicationResult:
     stands only in smcs, in every covariate of exactly the rows of set size
     0.  A broken rule raises DataError naming it, the rep and the t.  A passed
     crossings, final_included or had_nan is checked against the trajectories
-    and not stored.
+    and not stored.  The record is frozen, its trajectories a read-only
+    mapping and its arrays read-only, so it holds what was checked.
     """
 
     rep: int
     n_min: int
     n_max: int
-    trajectories: dict[str, InclusionTrajectory]
+    trajectories: Mapping[str, InclusionTrajectory]
     set_sizes: np.ndarray  # (T,) size of the confidence set per time index
     _: KW_ONLY
     crossings: InitVar[dict[str, np.ndarray] | None] = None  # per method, (p,) ints
@@ -190,7 +184,10 @@ class ReplicationResult:
         shape = min(shapes)
         if len(shapes) > 1 or len(shape) != 2 or shape[0] != t_max:
             raise broken(f"trajectories of shapes {sorted(shapes)}, not one (T, p) with T = n_max - n_min + 1")
-        self.set_sizes = sizes = np.asarray(self.set_sizes)
+        sizes = np.asarray(self.set_sizes)
+        sizes.flags.writeable = False
+        object.__setattr__(self, "set_sizes", sizes)
+        object.__setattr__(self, "trajectories", MappingProxyType(dict(self.trajectories)))
         if sizes.shape != (t_max,) or sizes.dtype.kind not in "iu":
             raise broken(f"set sizes of {sizes.dtype} {sizes.shape}, not (T,) integers")
         stack = np.stack([self.trajectories[meth].probs for meth in METHODS], axis=1)  # (T, methods, p)
@@ -218,6 +215,14 @@ class ReplicationResult:
         ):
             if given is not None and not all(np.array_equal(given.get(k), v) for k, v in zip(METHODS, derive())):
                 raise broken(f"{name} that disagree with its trajectories")
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "trajectories": dict(self.trajectories)}  # a mappingproxy does not pickle
+
+    def __setstate__(self, state: dict) -> None:
+        # an unpickled or deep-copied array comes back writeable: a process pool's records are unpickled
+        self.__dict__.update(state, trajectories=MappingProxyType(state["trajectories"]))
+        self.set_sizes.flags.writeable = False
 
 
 @dataclass
@@ -301,7 +306,7 @@ def advance_step(
     takes L(pooled) less the running loss sum, which is L of the change
     since the previous step because L is linear.
     """
-    pooled, post = posterior_from_imputations(tables, space, config.model_prior, config.pooling)
+    pooled, post = posterior_from_imputations(tables, space, config.model_prior)
     loss = loss_from_log_marginals(pooled)
     if config.loss_mode == "increment":
         loss -= eprocess.cum_losses
@@ -333,7 +338,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         y=y_full,
     )
 
-    trajectories = {meth: InclusionTrajectory(meth, np.full((config.t_max, dgp.p), np.nan)) for meth in METHODS}
+    probs_of = {meth: np.full((config.t_max, dgp.p), np.nan) for meth in METHODS}
     set_sizes = np.zeros(config.t_max, dtype=np.int64)
     eprocess = EProcessState.fresh(space.m)
     for t, stats in enumerate(_imputed_stream(data, config, rep_index)):
@@ -341,8 +346,9 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         # freed before the next sweep
         eprocess, probs, set_sizes[t] = advance_step(eprocess, model_sweep(stats, space), config, space)
         for meth, row in probs.items():
-            trajectories[meth].probs[t] = row
+            probs_of[meth][t] = row
 
+    trajectories = {meth: InclusionTrajectory(meth, probs) for meth, probs in probs_of.items()}
     return ReplicationResult(rep_index, config.n_min, config.n_max, trajectories, set_sizes)
 
 

@@ -32,18 +32,25 @@ METHODS = ("bvs", "smcs", "zero_out", "mixed")
 _MIN_RESTRICTED_MASS = 1e-300
 
 
-@dataclass
+@dataclass(frozen=True)
 class InclusionTrajectory:
     """Time-indexed inclusion probabilities of all covariates for one method.
 
-    probs has shape (T, p), row r at time index r + 1; ReplicationResult checks it.
+    probs has shape (T, p), row r at time index r + 1, and is read-only;
+    ReplicationResult checks it.
     """
 
     method: str
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=float)
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
+        self.probs.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # an unpickled or deep-copied array comes back writeable: a process pool's records are unpickled
+        self.__dict__.update(state)
+        self.probs.flags.writeable = False
 
 
 def _marginals(w: np.ndarray) -> tuple[np.ndarray, float]:

@@ -287,15 +287,13 @@ def model_bits(p: int) -> np.ndarray:
     return bits
 
 
-def sequential_reference(tables, pooling, loss_mode, prior, lam, alpha):
+def sequential_reference(tables, loss_mode, prior, lam, alpha):
     """Inclusion trajectories of the post-sweep steps, evaluated literally.
 
     `tables` holds one (M, m) per-imputation log-BF table per time step.
-    Each step pools by formula (arithmetic: log of the mean BF; geometric
-    and mixture: the mean log BF) and forms the posterior under the model
-    prior (mixture: the mean of the per-row posteriors, renormalised).  The
-    E-processes run on the mean pairwise loss of the pooled vector
-    (increment: of its change since the previous step) through
+    Each step pools to the mean log BF and forms the posterior under the
+    model prior.  The E-processes run on the mean pairwise loss of the
+    pooled vector (increment: of its change since the previous step) through
     literal_log_e_pairwise.  Inclusion is the bits product; the mixed weight
     is |S|/m.  Returns ({method: (T, p)}, (T,) set sizes, fallback count).
     """
@@ -312,17 +310,8 @@ def sequential_reference(tables, pooling, loss_mode, prior, lam, alpha):
         w = np.exp(logits - logits.max())
         return w / w.sum()
 
-    pooled, posts = [], []
-    for tab in tables:
-        if pooling == "arithmetic":
-            pooled.append(np.log(np.exp(tab).mean(axis=0)))
-        else:
-            pooled.append(tab.mean(axis=0))
-        if pooling == "mixture":
-            mix = np.mean([softmax(row + log_prior) for row in tab], axis=0)
-            posts.append(mix / mix.sum())
-        else:
-            posts.append(softmax(pooled[-1] + log_prior))
+    pooled = [tab.mean(axis=0) for tab in tables]
+    posts = [softmax(vec + log_prior) for vec in pooled]
 
     d_steps = np.empty((t_count, m, m))
     for t in range(t_count):

@@ -317,24 +317,18 @@ def test_r_squared_nesting_monotone():
                 assert r2[sup] >= r2[i] - 1e-12
 
 
-def _pooled(tables, rule):
+def _pooled(tables):
     tables = np.asarray(tables, dtype=float)
     space = enumerate_models(tables.shape[-1].bit_length() - 1)
-    return posterior_from_imputations(tables, space, pooling=rule)[0]
+    return posterior_from_imputations(tables, space)[0]
 
 
 def test_average_over_imputations_identity_and_exact_zero():
     v = np.array([0.4, -1.2, 3.0, 0.0])
-    np.testing.assert_array_equal(_pooled(v[None, :], "arithmetic"), v)
+    np.testing.assert_array_equal(_pooled(v[None, :]), v)
     two = np.zeros((2, 4))
-    out = _pooled(two, "arithmetic")
+    out = _pooled(two)
     assert np.all(out == 0.0)
-
-
-def test_average_over_imputations_mean_of_bfs():
-    tables = np.array([[0.0, 0.0], [0.0, math.log(3.0)]])
-    out = _pooled(tables, "arithmetic")
-    assert abs(out[1] - math.log(2.0)) < 1e-12
 
 
 def test_average_shape_mismatch():
@@ -344,16 +338,7 @@ def test_average_shape_mismatch():
 
 def test_pool_log_bf_rules():
     tables = np.array([[0.0, 2.0], [0.0, 4.0]])
-    space = enumerate_models(1)
-    np.testing.assert_allclose(_pooled(tables, "geometric"), [0.0, 3.0])
-    np.testing.assert_allclose(_pooled(tables, "arithmetic"), [0.0, math.log((math.exp(2.0) + math.exp(4.0)) / 2)])
-    # mixture pools like geometric; its posterior is the mean of the per-row posteriors
-    pooled, post = posterior_from_imputations(tables, space, pooling="mixture")
-    np.testing.assert_allclose(pooled, [0.0, 3.0])
-    rows = [1.0 / (1.0 + math.exp(-2.0)), 1.0 / (1.0 + math.exp(-4.0))]
-    np.testing.assert_allclose(post, [1.0 - np.mean(rows), np.mean(rows)], rtol=0, atol=1e-15)
-    with pytest.raises(DataError):
-        posterior_from_imputations(tables, space, pooling="harmonic")
+    np.testing.assert_allclose(_pooled(tables), [0.0, 3.0])
 
 
 def test_posterior_uniform_examples():

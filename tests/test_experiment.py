@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbvs import experiment
-from seqbvs.bayes_lm import POOLING_RULES
 from seqbvs.data_gen import DGPConfig
 from seqbvs.errors import ConfigError, DataError
 from seqbvs.experiment import (
@@ -133,8 +132,6 @@ class TestConfig:
             tiny_config(n_min=30, n_max=30)
         with pytest.raises(ConfigError):
             tiny_config(loss_mode="other")
-        with pytest.raises(ConfigError):
-            tiny_config(pooling="median")
         with pytest.raises(ConfigError):
             tiny_config(missing=MissingnessConfig(rate=1.5))
         with pytest.raises(ConfigError):
@@ -332,18 +329,15 @@ def tiny_tables():
 
 @pytest.mark.parametrize("prior", ["uniform", "scott-berger"])
 @pytest.mark.parametrize("loss_mode", ["cumulative", "increment"])
-@pytest.mark.parametrize("pooling", ["geometric", "arithmetic", "mixture"])
-def test_replication_matches_literal_steps(tiny_tables, pooling, loss_mode, prior):
-    # every pooling rule, loss mode and model prior through run_replication,
+def test_replication_matches_literal_steps(tiny_tables, loss_mode, prior):
+    # every loss mode and model prior through run_replication,
     # against the steps evaluated literally from the same sweep tables.  The
     # sweep tables do not depend on varsigma; at 0.1 the set empties early,
     # so NaN smcs rows, the zero_out fallback and mixed = bvs are checked too
     for varsigma in (0.65, 0.1):
-        cfg = tiny_config(pooling=pooling, loss_mode=loss_mode, model_prior=prior, smcs=SmcsConfig(varsigma=varsigma))
+        cfg = tiny_config(loss_mode=loss_mode, model_prior=prior, smcs=SmcsConfig(varsigma=varsigma))
         res = run_replication(cfg, 0)
-        probs, set_sizes, fallbacks = sequential_reference(
-            tiny_tables, pooling, loss_mode, prior, cfg.smcs.lam, cfg.smcs.alpha
-        )
+        probs, set_sizes, fallbacks = sequential_reference(tiny_tables, loss_mode, prior, cfg.smcs.lam, cfg.smcs.alpha)
         np.testing.assert_array_equal(res.set_sizes, set_sizes, err_msg=f"varsigma={varsigma}")
         if varsigma == 0.1:  # the emptied set sends zero_out to its fallback, checked below
             assert fallbacks > 0
@@ -354,12 +348,10 @@ def test_replication_matches_literal_steps(tiny_tables, pooling, loss_mode, prio
             )
 
 
-@pytest.mark.parametrize("pooling", POOLING_RULES)
-def test_replication_at_max_p_in_bounded_memory(pooling):
+def test_replication_at_max_p_in_bounded_memory():
     # p = MAX_P = 20: 2^20 models, a (10, m) table of 84 MB per step.  The
-    # whole replication, three steps, stays under 220 MB under every pooling
-    # rule (179 MB measured under each): one table is live at a time, and
-    # the non-geometric rules pool it row by row
+    # whole replication, three steps, stays under 220 MB (179 MB measured):
+    # one table is live at a time, and pooling it takes one (m,) mean
     import tracemalloc
 
     from seqbvs.model_space import MAX_P
@@ -370,7 +362,6 @@ def test_replication_at_max_p_in_bounded_memory(pooling):
         reps=1,
         n_min=23,
         n_max=25,
-        pooling=pooling,
         dgp=DGPConfig(p=MAX_P, beta=beta),
         imp=ImputationConfig(M=10),
     )
@@ -380,7 +371,7 @@ def test_replication_at_max_p_in_bounded_memory(pooling):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 220e6, f"a p = {MAX_P} {pooling} replication peaked at {peak / 1e6:.0f} MB"
+    assert peak < 220e6, f"a p = {MAX_P} replication peaked at {peak / 1e6:.0f} MB"
     assert res.set_sizes.shape == (cfg.t_max,)
     assert 1 <= res.set_sizes[-1] <= res.set_sizes[0] <= 1 << MAX_P
     for meth in METHODS:

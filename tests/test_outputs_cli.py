@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -7,12 +8,14 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seqbvs
+from seqbvs import outputs as outputs_module
 from seqbvs import svg as svg_module
 from seqbvs.cli import main
 from seqbvs.config import KNOWN_KEYS, build_config, parse_config_text
@@ -30,6 +33,7 @@ from seqbvs.experiment import (
     count_crossings,
     default_config,
     run_experiment,
+    run_replication,
 )
 from seqbvs.imputation import ImputationConfig
 from seqbvs.inclusion import METHODS, InclusionTrajectory
@@ -315,17 +319,65 @@ class TestOutputs:
         stale = tmp_path / "d" / "plots" / "rep002_bvs.svg"
         assert stale.stat().st_size == before[stale]
 
-    def test_write_that_raises_leaves_only_its_prefix(self, tiny_run, tmp_path):
+    def test_write_that_raises_leaves_only_its_prefix(self, tiny_run, tmp_path, monkeypatch):
         _, results, _ = tiny_run
         path = tmp_path / "traj.csv"
         write_trajectories_csv(results, path)
-        # a record whose set sizes were swapped out after its checks: the writer fails at it, after the first is written
-        broken = dataclasses.replace(results[1])
-        broken.set_sizes = None
-        with pytest.raises(AttributeError):
-            write_trajectories_csv([results[0], broken], path)
         write_trajectories_csv(results[:1], tmp_path / "first.csv")
-        assert path.read_bytes() == (tmp_path / "first.csv").read_bytes()
+        first = (tmp_path / "first.csv").read_bytes()
+
+        class DiskFull:
+            """A text stream with room for the first record only: a write past it stores its head and raises."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, len(first)
+
+            def write(self, text):
+                head = text[: self.room]
+                self.room -= len(head)
+                self.fh.write(head)
+                if len(head) < len(text):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        rewrite = outputs_module._rewrite
+
+        @contextmanager
+        def rewrite_onto_a_full_disk(target):
+            with rewrite(target) as fh:
+                yield DiskFull(fh)
+
+        monkeypatch.setattr(outputs_module, "_rewrite", rewrite_onto_a_full_disk)
+        # the write over the two-record file fails after the first record
+        with pytest.raises(OutputError, match=os.strerror(errno.ENOSPC)):
+            write_trajectories_csv(results, path)
+        assert path.read_bytes() == first
+
+    def test_records_are_frozen_with_read_only_arrays(self, tiny_run, tmp_path):
+        # from a lone replication, a serial run, a process pool (whose records come back
+        # unpickled) and the CSV: no field can be reassigned, no trajectory swapped,
+        # no held array written into
+        cfg, serial, _ = tiny_run
+        write_trajectories_csv(serial, tmp_path / "traj.csv")
+        sources = {
+            "run_replication": [run_replication(cfg, 0)],
+            "workers=1": serial,
+            "workers=2": run_experiment(cfg, workers=2),
+            "read_trajectories_csv": read_trajectories_csv(tmp_path / "traj.csv"),
+        }
+        for source, records in sources.items():
+            for res in records:
+                for name in ("rep", "n_min", "n_max", "trajectories", "set_sizes"):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(res, name, getattr(res, name))
+                with pytest.raises(TypeError):
+                    res.trajectories["bvs"] = res.trajectories["mixed"]
+                for traj in res.trajectories.values():
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        traj.probs = traj.probs.copy()
+                for array in (res.set_sizes, *(traj.probs for traj in res.trajectories.values())):
+                    assert not array.flags.writeable, source
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = array[-1]
 
     @pytest.mark.parametrize("name", [TRAJECTORIES_CSV, TABLES_CSV, CROSSING_TOTALS_CSV, MANIFEST_JSON])
     def test_unwritable_output_raises_output_error(self, tiny_run, tmp_path, name):
@@ -746,7 +798,7 @@ class TestConfigFile:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("## Config files", 1)[1].split("```\n", 2)[1]
         cfg = build_config(parse_config_text(block))
-        assert cfg.g_rule == "unit-info" and cfg.pooling == "mixture"
+        assert cfg.g_rule == "unit-info"
         named = {line.lstrip("# ").split("=", 1)[0] for line in block.splitlines() if "=" in line}
         assert set(KNOWN_KEYS) <= named
 
@@ -942,6 +994,7 @@ class TestCli:
             (TINY_CONFIG_TEXT + "dgp.beta=2,0,inf\n", "beta must be finite"),
             (TINY_CONFIG_TEXT + "dgp.sigma2=inf\n", "sigma2 must be positive and finite"),
             (TINY_CONFIG_TEXT + "run.g_rule=fixed:6\n", "unknown config keys: ['run.g_rule']"),
+            (TINY_CONFIG_TEXT + "run.pooling=mixture\n", "unknown config keys: ['run.pooling']"),
             (
                 TINY_CONFIG_TEXT + "dgp.p=21\ndgp.beta=" + ",".join(["1"] * 21)
                 + "\nrun.n_min=24\nrun.n_max=30\n",
@@ -972,6 +1025,7 @@ class TestCli:
             "inf_beta",
             "inf_sigma2",
             "unknown_g_rule",
+            "unknown_pooling",
             "p_above_max_p",
             "negative_base_seed",
             "rho_one",
