@@ -7,6 +7,7 @@ from .bayes_lm import GramStats, log_bf_null, model_sweep, posterior_model_probs
 from .data_gen import (
     DGPConfig,
     MissingDataset,
+    MissingnessConfig,
     apply_missingness,
     equicorrelated_cov,
     gen_covariates,
@@ -24,11 +25,9 @@ from .errors import (
 from .experiment import (
     CrossingStats,
     ExperimentConfig,
-    MissingnessConfig,
     ReplicationResult,
     aggregate,
     count_crossings,
-    default_config,
     run_experiment,
     run_replication,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "apply_missingness",
     "bvs_inclusion",
     "count_crossings",
-    "default_config",
     "enumerate_models",
     "equicorrelated_cov",
     "gen_covariates",

@@ -70,7 +70,8 @@ class GramStats:
         """Batch accumulation of n observations.
 
         x_mat is (n, p), or (M, n, p) for M completions of the same rows,
-        which one batched product turns into one stack.
+        which one batched product turns into one stack.  Cross-products
+        that overflow raise DataError: an inf sum would read as a constant y.
         """
         x_mat = np.asarray(x_mat, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -82,7 +83,11 @@ class GramStats:
             raise DataError("observations must be finite")
         shape = x_mat.shape[:-1] + (1,)
         z = np.concatenate([np.ones(shape), x_mat, np.broadcast_to(y[:, None], shape)], axis=-1)
-        return cls(n=x_mat.shape[-2], szz=np.swapaxes(z, -1, -2) @ z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            szz = np.swapaxes(z, -1, -2) @ z
+        if not np.all(np.isfinite(szz)):
+            raise DataError("cross-products of the observations overflow; the data are too large in scale")
+        return cls(n=x_mat.shape[-2], szz=szz)
 
     @property
     def p(self) -> int:

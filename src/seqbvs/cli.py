@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_config, parse_config_text
+from .config import PROFILES, build_config, parse_config_text
 from .errors import ConfigError, SeqbvsError
-from .experiment import PROFILES, aggregate, run_experiment
+from .experiment import aggregate, run_experiment
 from .inclusion import METHODS
 from .outputs import (
     TRAJECTORIES_CSV,
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    # profile defaults < config file < flags: the flags are keys layered over the file's
+    # profile preset < config file < flags: the flags are keys layered over the file's
     kv = {}
     if args.config is not None:
         try:

@@ -17,9 +17,9 @@ its field's type: int, float, text, or comma-separated floats for
 dgp.beta.  dgp.beta must be given when dgp.p differs from the default,
 since the two must agree in length.  A key given twice takes its last value.
 
-Precedence: profile defaults < config file < explicit CLI overrides.  The
-CLI passes its overrides as keys layered over the file's, so both go
-through `build_config`.
+A profile is a preset of keys (PROFILES; desk presets none).  Precedence:
+profile preset < config file < CLI overrides, which the CLI passes as keys
+over the file's, so every value goes through one parser and one check.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ConfigError
-from .experiment import ExperimentConfig, default_config
+from .experiment import ExperimentConfig
 
 
 def _init_types(cls) -> dict[str, type]:
@@ -46,6 +46,8 @@ _KEY_TYPES = {f"run.{name}": kind for name, kind in _RUN.items() if name not in 
 }
 
 KNOWN_KEYS = tuple(_KEY_TYPES)
+
+PROFILES = {"desk": {}, "full": {"run.reps": "100", "imp.M": "50"}}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -75,19 +77,21 @@ def _parse(key: str, value: str):
 
 
 def build_config(kv: dict[str, str], profile: str = "desk") -> ExperimentConfig:
-    """ExperimentConfig from parsed keys on top of the profile defaults.
+    """ExperimentConfig from parsed keys layered over the profile's preset keys.
 
     Every section is rebuilt with dataclasses.replace, so each one validates
     its own fields and derives the rest (dgp.cov from dgp.p and dgp.rho,
     smcs.lam from smcs.varsigma).
     """
+    if profile not in PROFILES:
+        raise ConfigError(f"profile must be one of {tuple(PROFILES)}, got {profile!r}")
     unknown = set(kv) - set(KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}; known: {list(KNOWN_KEYS)}")
 
-    base = default_config(profile)
+    base = ExperimentConfig()
     changes: dict[str, dict] = {"run": {}, **{section: {} for section in _SECTIONS}}
-    for key, value in kv.items():
+    for key, value in {**PROFILES[profile], **kv}.items():
         section, name = key.split(".", 1)
         changes[section][name] = _parse(key, value)
     if "beta" not in changes["dgp"] and changes["dgp"].get("p", base.dgp.p) != base.dgp.p:

@@ -43,16 +43,18 @@ def equicorrelated_cov(p: int, rho: float) -> np.ndarray:
     return cov
 
 
-@dataclass
+@dataclass(frozen=True)
 class DGPConfig:
     """True data-generating process for one experiment.
 
     p, beta, sigma2 and rho are set; cov (equicorrelated at rho) and
-    true_model (the covariates with nonzero beta) follow from them.
+    true_model (the covariates with nonzero beta) follow from them.  The
+    section is frozen and beta and cov are read-only copies, so it holds
+    what was checked.
     """
 
     p: int = 10
-    beta: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_BETA))
+    beta: np.ndarray = DEFAULT_BETA  # any length-p sequence, held as a read-only float copy
     sigma2: float = DEFAULT_SIGMA2
     rho: float = DEFAULT_RHO
     cov: np.ndarray = field(init=False)
@@ -61,15 +63,37 @@ class DGPConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.p <= MAX_P:
             raise ConfigError(f"p must be in 1..{MAX_P}, got {self.p}")
-        self.beta = np.asarray(self.beta, dtype=float)
-        if self.beta.shape != (self.p,):
-            raise ShapeError(f"beta must have length p={self.p}, got {self.beta.shape}")
-        if not np.all(np.isfinite(self.beta)):
-            raise ConfigError(f"beta must be finite, got {self.beta}")
+        beta = np.array(self.beta, dtype=float)
+        if beta.shape != (self.p,):
+            raise ShapeError(f"beta must have length p={self.p}, got {beta.shape}")
+        if not np.all(np.isfinite(beta)):
+            raise ConfigError(f"beta must be finite, got {beta}")
         if not 0.0 < self.sigma2 < np.inf:
             raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        self.cov = equicorrelated_cov(self.p, self.rho)
-        self.true_model = ModelVector(tuple(int(b != 0.0) for b in self.beta))
+        cov = equicorrelated_cov(self.p, self.rho)
+        beta.flags.writeable = cov.flags.writeable = False
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "true_model", ModelVector(tuple(int(b != 0.0) for b in beta)))
+
+    def __setstate__(self, state: dict) -> None:
+        # an unpickled or deep-copied array comes back writeable: a process pool's configs are unpickled
+        self.__dict__.update(state)
+        self.beta.flags.writeable = self.cov.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class MissingnessConfig:
+    """Covariate cells masked at marginal rate in [0, 1), under a mechanism named as in MECHANISMS."""
+
+    rate: float = 0.4
+    mechanism: str = "mcar"
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.rate < 1.0:
+            raise ConfigError(f"missingness rate must be in [0, 1), got {self.rate}")
+        if self.mechanism not in MECHANISMS:
+            raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}")
 
 
 @dataclass
@@ -136,22 +160,10 @@ def _calibrate_mar_intercept(y: np.ndarray, slope: float, rate: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def validate_missingness(rate: float, mechanism: str) -> None:
-    """ConfigError for a rate outside [0, 1) or a mechanism not named exactly as in MECHANISMS."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"missingness rate must be in [0, 1), got {rate}")
-    if mechanism not in MECHANISMS:
-        raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
-
-
 def apply_missingness(
-    x_mat: np.ndarray,
-    rate: float,
-    mechanism: str,
-    rng: np.random.Generator,
-    y: np.ndarray,
+    x_mat: np.ndarray, missing: MissingnessConfig, rng: np.random.Generator, y: np.ndarray
 ) -> MissingDataset:
-    """Mask covariate cells at the given marginal rate.
+    """Mask covariate cells at the section's marginal rate.
 
     mcar: each cell independently with probability `rate`.  mar_y: cell
     (j, k) with probability expit(a + b*y_j), slope b fixed at 1/sd(y) and
@@ -159,20 +171,19 @@ def apply_missingness(
     responses themselves are never masked.
     """
     x_mat = np.asarray(x_mat, dtype=float)
-    validate_missingness(rate, mechanism)
     y = np.asarray(y, dtype=float)
     if x_mat.ndim != 2 or y.shape != (len(x_mat),):
         raise ShapeError(f"X must be 2-D with one row per response, got X {x_mat.shape} and y {y.shape}")
 
     n, p = x_mat.shape
-    if rate == 0.0:
+    if missing.rate == 0.0:
         mask = np.ones((n, p), dtype=bool)
-    elif mechanism == "mcar":
-        mask = rng.random((n, p)) >= rate
+    elif missing.mechanism == "mcar":
+        mask = rng.random((n, p)) >= missing.rate
     else:
         sd = float(np.std(y))
         slope = 1.0 / sd if sd > 0 else 0.0
-        intercept = _calibrate_mar_intercept(y, slope, rate)
+        intercept = _calibrate_mar_intercept(y, slope, missing.rate)
         p_missing = _expit(intercept + slope * y)
         mask = rng.random((n, p)) >= p_missing[:, None]
 

@@ -46,10 +46,10 @@ from .bayes_lm import MODEL_PRIORS, GramStats, model_sweep, posterior_from_imput
 from .data_gen import (
     DGPConfig,
     MissingDataset,
+    MissingnessConfig,
     apply_missingness,
     gen_covariates,
     gen_responses,
-    validate_missingness,
 )
 from .errors import ConfigError, DataError, InsufficientDataError
 from .imputation import ImputationConfig, impute, min_size, stack_sizes
@@ -78,28 +78,22 @@ SEED_RULE = (
 LOSS_MODES = ("cumulative", "increment")
 G_RULES = ("unit-info",)
 
-PROFILES = {"desk": {"reps": 20, "M": 10}, "full": {"reps": 100, "M": 50}}
-
 # rounding slack allowed outside [0, 1] for a probability
 PROB_SLACK = 1e-12
 
 
-@dataclass
-class MissingnessConfig:
-    rate: float = 0.4
-    mechanism: str = "mcar"
-
-    def __post_init__(self) -> None:
-        validate_missingness(self.rate, self.mechanism)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    reps: int = PROFILES["desk"]["reps"]
+    """The whole study, by default at the desk setting (20 reps, M = 10).
+
+    Frozen, as are its sections; dataclasses.replace makes a new, checked config.
+    """
+
+    reps: int = 20
     n_min: int = 19
     n_max: int = 100
     dgp: DGPConfig = field(default_factory=DGPConfig)
-    imp: ImputationConfig = field(default_factory=lambda: ImputationConfig(M=PROFILES["desk"]["M"]))
+    imp: ImputationConfig = field(default_factory=ImputationConfig)
     smcs: SmcsConfig = field(default_factory=SmcsConfig)
     missing: MissingnessConfig = field(default_factory=MissingnessConfig)
     g_rule: str = field(default="unit-info", init=False)  # g = n; recorded in the manifest, not a key
@@ -127,14 +121,6 @@ class ExperimentConfig:
         return self.n_max - self.n_min + 1
 
 
-def default_config(profile: str = "desk") -> ExperimentConfig:
-    """The paper-style setup at the given profile (desk: 20 reps, M=10)."""
-    if profile not in PROFILES:
-        raise ConfigError(f"profile must be one of {tuple(PROFILES)}, got {profile!r}")
-    sizes = PROFILES[profile]
-    return ExperimentConfig(reps=sizes["reps"], imp=ImputationConfig(M=sizes["M"]))
-
-
 def g_for_n(rule: str, n: int) -> float:
     """Prior scale for sample size n: 'unit-info' is Zellner's g = n, model_sweep's default."""
     if rule not in G_RULES:
@@ -158,7 +144,8 @@ class ReplicationResult:
     0.  A broken rule raises DataError naming it, the rep and the t.  A passed
     crossings, final_included or had_nan is checked against the trajectories
     and not stored.  The record is frozen, its trajectories a read-only
-    mapping and its arrays read-only, so it holds what was checked.
+    mapping and its arrays read-only copies of those given, so it holds
+    what was checked.
     """
 
     rep: int
@@ -184,7 +171,7 @@ class ReplicationResult:
         shape = min(shapes)
         if len(shapes) > 1 or len(shape) != 2 or shape[0] != t_max:
             raise broken(f"trajectories of shapes {sorted(shapes)}, not one (T, p) with T = n_max - n_min + 1")
-        sizes = np.asarray(self.set_sizes)
+        sizes = np.array(self.set_sizes)
         sizes.flags.writeable = False
         object.__setattr__(self, "set_sizes", sizes)
         object.__setattr__(self, "trajectories", MappingProxyType(dict(self.trajectories)))
@@ -330,13 +317,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     space = enumerate_models(dgp.p)
     x_full = gen_covariates(config.n_max, dgp.cov, stream_rng(config.base_seed, rep_index, _STREAM_COVARIATES))
     y_full = gen_responses(x_full, dgp, stream_rng(config.base_seed, rep_index, _STREAM_NOISE))
-    data = apply_missingness(
-        x_full,
-        config.missing.rate,
-        config.missing.mechanism,
-        stream_rng(config.base_seed, rep_index, _STREAM_MASK),
-        y=y_full,
-    )
+    data = apply_missingness(x_full, config.missing, stream_rng(config.base_seed, rep_index, _STREAM_MASK), y=y_full)
 
     probs_of = {meth: np.full((config.t_max, dgp.p), np.nan) for meth in METHODS}
     set_sizes = np.zeros(config.t_max, dtype=np.int64)

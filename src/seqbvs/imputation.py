@@ -80,11 +80,11 @@ from .errors import ConfigError, InsufficientDataError, ShapeError
 from .model_space import CELL_BUDGET
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImputationConfig:
     """M completions per sample size, each after `sweeps` chained-equation sweeps."""
 
-    M: int = 50
+    M: int = 10
     sweeps: int = 5
 
     def __post_init__(self) -> None:

@@ -36,15 +36,15 @@ _MIN_RESTRICTED_MASS = 1e-300
 class InclusionTrajectory:
     """Time-indexed inclusion probabilities of all covariates for one method.
 
-    probs has shape (T, p), row r at time index r + 1, and is read-only;
-    ReplicationResult checks it.
+    probs has shape (T, p), row r at time index r + 1, and is a read-only
+    copy of the array given; ReplicationResult checks it.
     """
 
     method: str
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
+        object.__setattr__(self, "probs", np.array(self.probs, dtype=float))
         self.probs.flags.writeable = False
 
     def __setstate__(self, state: dict) -> None:

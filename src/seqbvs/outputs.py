@@ -28,9 +28,9 @@ The CSV and the arrays it holds are both whole-array: the writer joins the
 rows of one (rep, t) into one string, in one fixed order (rep, then t, then
 method, then covariate), and the reader parses the file in one np.loadtxt
 pass and reshapes it in that order into a (reps, T, methods, p) grid.  It
-refuses rows in any other order, and takes one copy of the grid's
-probabilities as a (reps, methods, T, p) cube whose (rep, method) slices
-are the (T, p) trajectories, NaN where the smcs confidence set was empty.
+refuses rows in any other order, and each (rep, method) slice of the grid's
+probabilities is a (T, p) trajectory, copied by its record, NaN where the
+smcs confidence set was empty.
 Reps come back in file order.  A probability read back equals float() of
 its 12-digit text bit for bit, NaN included, and every other field of a
 record read back equals the run's.  The reader checks the file's format,
@@ -282,13 +282,12 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
     Python object per row.  The rows must run in the writer's order, over
     rep, then t = 1..T, then method, then covariate = 1..p, with one
     distinct rep id per block, so they reshape to a (reps, T, methods, p)
-    grid; one copy of its probabilities, with methods moved before T, makes
-    each (rep, method) slice a contiguous (T, p) trajectory.  A malformed
-    row (wrong field count, a non-numeric field, an unknown method), rows
-    out of that order, rows of one (rep, t) that disagree on n or set_size,
-    an n other than n(t = 1) + t - 1, or a record that breaks a rule of
-    ReplicationResult raises DataError naming the file, as do bytes that
-    are not UTF-8, the writer's encoding.
+    grid, whose (rep, method) slices each record copies as its (T, p)
+    trajectories.  A malformed row (wrong field count, a non-numeric field,
+    an unknown method), rows out of that order, rows of one (rep, t) that
+    disagree on n or set_size, an n other than n(t = 1) + t - 1, or a record
+    that breaks a rule of ReplicationResult raises DataError naming the
+    file, as do bytes that are not UTF-8, the writer's encoding.
     """
     path = Path(path)
     try:
@@ -329,13 +328,13 @@ def read_trajectories_csv(path) -> list[ReplicationResult]:
             raise DataError(f"unknown method {rows['method'][np.argmin(known)].decode('latin-1')!r} in {path}")
         raise DataError(f"{path} repeats, skips or reorders a (rep, t, method, covariate) cell of the writer's order")
     # every row of a (rep, t) must carry the n and set size of its first row
-    n_at, sizes = grid["n"][:, :, 0, 0], grid["set_size"][:, :, 0, 0].copy()  # (reps, T)
+    n_at, sizes = grid["n"][:, :, 0, 0], grid["set_size"][:, :, 0, 0]  # (reps, T)
     if np.any(grid["n"] != n_at[:, :, None, None]) or np.any(grid["set_size"] != sizes[:, :, None, None]):
         raise DataError(f"{path} gives one (rep, t) more than one n or set_size")
     if np.any(n_at != n_at[:, :1] + np.arange(t_max)):
         raise DataError(f"{path} has an n that is not n(t = 1) + t - 1")
-    cube = np.ascontiguousarray(grid["prob"].transpose(0, 2, 1, 3))  # (reps, methods, T, p)
-    trajectories = [dict(zip(METHODS, map(InclusionTrajectory, METHODS, probs))) for probs in cube]
+    # a rep's (T, methods, p) block with methods first is one (T, p) view per method
+    trajectories = [dict(zip(METHODS, map(InclusionTrajectory, METHODS, b.swapaxes(0, 1)))) for b in grid["prob"]]
     try:
         return [
             ReplicationResult(rep, int(n[0]), int(n[-1]), traj, size)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmcsConfig:
     """Error level alpha and the scale varsigma of the pairwise loss differences.
 
@@ -47,7 +47,7 @@ class SmcsConfig:
         if not 0.0 < self.varsigma < math.inf:
             raise ConfigError(f"varsigma must be positive and finite, got {self.varsigma}")
         try:
-            self.lam = 1.0 / (8.0 * self.varsigma**2)
+            object.__setattr__(self, "lam", 1.0 / (8.0 * self.varsigma**2))
         except (ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"varsigma={self.varsigma}: varsigma**2 is out of float range") from exc
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from seqbvs.experiment import aggregate, default_config, run_experiment
+from seqbvs.experiment import ExperimentConfig, aggregate, run_experiment
 
 ACCEPTANCE_RESULTS: dict[str, str] = {}
 
 
 @pytest.fixture(scope="session")
 def desk_run():
-    """One shared desk-profile run (20 reps); used by the acceptance gate."""
-    config = default_config("desk")
+    """One shared desk-profile run (20 reps, the code defaults); used by the acceptance gate."""
+    config = ExperimentConfig()
     results = run_experiment(config)
     return config, results, aggregate(results)
 

@@ -13,7 +13,7 @@ import pytest
 
 from seqbvs.bayes_lm import GramStats, log_bf_null, posterior_model_probs
 from seqbvs.cli import main
-from seqbvs.data_gen import MissingDataset, apply_missingness
+from seqbvs.data_gen import MissingDataset, MissingnessConfig, apply_missingness
 from seqbvs.errors import InsufficientDataError
 from seqbvs.imputation import MIN_COL_OBS, ImputationConfig, impute
 from seqbvs.inclusion import METHODS, bvs_inclusion, mixed_inclusion, smcs_inclusion, zero_out
@@ -150,7 +150,7 @@ def test_criterion_08_imputer_contracts():
         x = rng.standard_normal((n, p))
         y = x[:, 0] + rng.standard_normal(n)
         rate = float(rng.uniform(0.0, 0.5))
-        ds = apply_missingness(x, rate, "mcar", rng, y=y)
+        ds = apply_missingness(x, MissingnessConfig(rate, "mcar"), rng, y=y)
         if ds.mask.sum(axis=0).min() < MIN_COL_OBS:
             continue
         out = impute(ds, cfg, {n: rng})[0]
@@ -160,7 +160,7 @@ def test_criterion_08_imputer_contracts():
     # n = 18, below the floor of 19 at p = 3, raises insufficient-data
     x = rng.standard_normal((18, 3))
     y = x[:, 0] + rng.standard_normal(18)
-    ds = apply_missingness(x, 0.2, "mcar", rng, y=y)
+    ds = apply_missingness(x, MissingnessConfig(0.2, "mcar"), rng, y=y)
     with pytest.raises(InsufficientDataError):
         impute(ds, ImputationConfig(M=2), {18: rng})
 

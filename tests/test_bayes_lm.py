@@ -30,6 +30,17 @@ def test_nan_input_rejected():
         GramStats.from_data(np.array([[np.inf, 0.0]]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("scale", [(1e200, 1.0), (1.0, 1e160)], ids=["huge_y", "huge_x"])
+def test_overflowing_cross_products_rejected(scale):
+    # finite data whose z'z overflows would read as a constant y; refused without a
+    # RuntimeWarning, which this suite turns into an error, for one set and a stack
+    rng = np.random.default_rng(3)
+    x, y = _random_dataset(rng, 25, 3)
+    for x_mat in (x * scale[1], np.stack([x, x * scale[1]])):
+        with pytest.raises(DataError, match="cross-products of the observations overflow"):
+            GramStats.from_data(x_mat, y * scale[0])
+
+
 def test_log_bf_null_model_is_zero():
     rng = np.random.default_rng(2)
     x, y = _random_dataset(rng, 20, 3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from seqbvs.data_gen import (
     MECHANISMS,
     DGPConfig,
     MissingDataset,
+    MissingnessConfig,
     apply_missingness,
     equicorrelated_cov,
     gen_covariates,
@@ -13,13 +16,22 @@ from seqbvs.data_gen import (
 from seqbvs.errors import ConfigError, DataError, ShapeError
 
 
-def test_default_config_matches_replication_setting():
+def test_dgp_defaults_match_replication_setting():
     cfg = DGPConfig()
     assert cfg.p == 10
     assert cfg.sigma2 == 2.5
     np.testing.assert_array_equal(cfg.beta, [1, 2, 0, 0, 0, 1, 2, 0, 0, 0])
     assert cfg.true_model.bits == (1, 1, 0, 0, 0, 1, 1, 0, 0, 0)
     np.testing.assert_allclose(np.diag(cfg.cov), 1.0)
+
+
+def test_dgp_holds_a_copy_of_beta():
+    # the caller's array stays writeable, and writing into it leaves the config as checked
+    beta = np.array([1.0, 0.0, 2.0])
+    cfg = DGPConfig(p=3, beta=beta)
+    beta[1] = 5.0
+    np.testing.assert_array_equal(cfg.beta, [1.0, 0.0, 2.0])
+    assert cfg.true_model.bits == (1, 0, 1)
 
 
 def test_identity_cov_moments():
@@ -95,7 +107,7 @@ def test_missingness_rate_zero_is_identity():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((30, 4))
     y = rng.standard_normal(30)
-    ds = apply_missingness(x, 0.0, "mcar", rng, y=y)
+    ds = apply_missingness(x, MissingnessConfig(0.0, "mcar"), rng, y=y)
     assert ds.mask.all()
     np.testing.assert_array_equal(ds.X, x)
 
@@ -104,7 +116,7 @@ def test_mcar_rate_concentration():
     rng = np.random.default_rng(21)
     x = rng.standard_normal((10_000, 10))
     y = rng.standard_normal(10_000)
-    ds = apply_missingness(x, 0.4, "mcar", rng, y=y)
+    ds = apply_missingness(x, MissingnessConfig(0.4, "mcar"), rng, y=y)
     frac_missing = 1.0 - ds.mask.mean()
     assert abs(frac_missing - 0.4) < 0.01
     assert np.all(np.isnan(ds.X[~ds.mask]))
@@ -116,7 +128,7 @@ def test_mar_on_y_rate_and_dependence():
     n, p = 5_000, 10
     x = rng.standard_normal((n, p))
     y = x.sum(axis=1) + rng.standard_normal(n)
-    ds = apply_missingness(x, 0.4, "mar_y", rng, y=y)
+    ds = apply_missingness(x, MissingnessConfig(0.4, "mar_y"), rng, y=y)
     frac_missing = 1.0 - ds.mask.mean()
     assert abs(frac_missing - 0.4) < 0.02
     # point-biserial correlation between missingness and y, nonzero at 3 sigma
@@ -127,24 +139,20 @@ def test_mar_on_y_rate_and_dependence():
 
 
 def test_rate_one_rejected():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((5, 2))
-    with pytest.raises(ConfigError):
-        apply_missingness(x, 1.0, "mcar", rng, y=np.zeros(5))
+    with pytest.raises(ConfigError, match=re.escape("missingness rate must be in [0, 1), got 1.0")):
+        MissingnessConfig(rate=1.0)
 
 
 def test_unknown_mechanism_rejected():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((5, 2))
-    with pytest.raises(ConfigError):
-        apply_missingness(x, 0.2, "mnar", rng, y=np.zeros(5))
+    with pytest.raises(ConfigError, match=re.escape("mechanism must be one of ('mcar', 'mar_y'), got 'mnar'")):
+        MissingnessConfig(mechanism="mnar")
 
 
 def test_missingness_determinism():
     x = np.random.default_rng(5).standard_normal((50, 3))
     y = np.random.default_rng(6).standard_normal(50)
-    a = apply_missingness(x, 0.3, "mcar", np.random.default_rng(99), y=y)
-    b = apply_missingness(x, 0.3, "mcar", np.random.default_rng(99), y=y)
+    a = apply_missingness(x, MissingnessConfig(0.3, "mcar"), np.random.default_rng(99), y=y)
+    b = apply_missingness(x, MissingnessConfig(0.3, "mcar"), np.random.default_rng(99), y=y)
     np.testing.assert_array_equal(a.mask, b.mask)
 
 
@@ -152,7 +160,7 @@ def test_responses_never_masked():
     rng = np.random.default_rng(30)
     x = rng.standard_normal((40, 3))
     y = rng.standard_normal(40)
-    ds = apply_missingness(x, 0.5, "mcar", rng, y=y)
+    ds = apply_missingness(x, MissingnessConfig(0.5, "mcar"), rng, y=y)
     assert np.all(np.isfinite(ds.y))
     assert ds.mask.shape == ds.X.shape
 
@@ -184,4 +192,4 @@ def test_response_of_another_length_rejected(mechanism):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 2))
     with pytest.raises(ShapeError, match="one row per response"):
-        apply_missingness(x, 0.2, mechanism, rng, y=np.zeros(4))
+        apply_missingness(x, MissingnessConfig(0.2, mechanism), rng, y=np.zeros(4))

@@ -1,6 +1,8 @@
 import concurrent.futures
+import copy
 import dataclasses
 import logging
+import pickle
 import re
 
 import numpy as np
@@ -9,18 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbvs import experiment
-from seqbvs.data_gen import DGPConfig
+from seqbvs.data_gen import DGPConfig, MissingnessConfig
 from seqbvs.errors import ConfigError, DataError
 from seqbvs.experiment import (
     CrossingStats,
     ExperimentConfig,
-    PROFILES,
-    MissingnessConfig,
     ReplicationResult,
     aggregate,
     count_crossings,
     crossing_events,
-    default_config,
     g_for_n,
     run_experiment,
     run_replication,
@@ -117,14 +116,6 @@ class TestCrossings:
 
 
 class TestConfig:
-    def test_profiles(self):
-        desk = default_config("desk")
-        assert (desk.reps, desk.imp.M) == (20, 10)
-        full = default_config("full")
-        assert (full.reps, full.imp.M) == (100, 50)
-        with pytest.raises(ConfigError):
-            default_config("huge")
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             tiny_config(reps=0)
@@ -137,9 +128,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(missing=MissingnessConfig(mechanism="foo"))
 
-    def test_default_config_has_desk_sizes(self):
-        cfg = ExperimentConfig()
-        assert (cfg.reps, cfg.imp.M) == (PROFILES["desk"]["reps"], PROFILES["desk"]["M"]) == (20, 10)
+    @pytest.mark.parametrize("section", ["run", "dgp", "imp", "smcs", "missing"])
+    def test_sections_are_frozen_with_read_only_arrays(self, section):
+        # as built, unpickled (a process pool's copy) and deep-copied, a config holds
+        # what was checked: cfg.n_max = 10 or cfg.dgp.beta[:] = 0 is refused
+        built = tiny_config()
+        for cfg in (built, pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+            obj = cfg if section == "run" else getattr(cfg, section)
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+            for array in (obj.beta, obj.cov) if section == "dgp" else ():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
 
     def test_g_rules(self):
         # g = n is a constant of the config, not an argument of it
@@ -285,7 +286,7 @@ def _tiny_data(cfg):
     x = gen_covariates(cfg.n_max, cfg.dgp.cov, stream_rng(cfg.base_seed, 0, _STREAM_COVARIATES))
     y = gen_responses(x, cfg.dgp, stream_rng(cfg.base_seed, 0, _STREAM_NOISE))
     mask_rng = stream_rng(cfg.base_seed, 0, _STREAM_MASK)
-    return apply_missingness(x, cfg.missing.rate, cfg.missing.mechanism, mask_rng, y=y)
+    return apply_missingness(x, cfg.missing, mask_rng, y=y)
 
 
 @pytest.mark.parametrize("per_call", [None, 3])

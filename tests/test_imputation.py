@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqbvs.data_gen import MissingDataset, apply_missingness
+from seqbvs.data_gen import MissingDataset, MissingnessConfig, apply_missingness
 from seqbvs.errors import ConfigError, InsufficientDataError, ShapeError
 from seqbvs.imputation import (
     _RIDGE,
@@ -26,7 +26,7 @@ def make_masked(rng, n=60, p=4, rate=0.3, rho=0.5):
     np.fill_diagonal(cov, 1.0)
     x = rng.standard_normal((n, p)) @ np.linalg.cholesky(cov).T
     y = x[:, 0] + rng.standard_normal(n)
-    return x, apply_missingness(x, rate, "mcar", rng, y=y)
+    return x, apply_missingness(x, MissingnessConfig(rate, "mcar"), rng, y=y)
 
 
 def test_no_missingness_gives_identical_completions():
@@ -135,7 +135,7 @@ def _default_dgp(seed, n=19, mechanism="mcar"):
     cfg = DGPConfig()
     x = gen_covariates(n, cfg.cov, rng)
     y = gen_responses(x, cfg, rng)
-    return apply_missingness(x, 0.4, mechanism, rng, y=y)
+    return apply_missingness(x, MissingnessConfig(0.4, mechanism), rng, y=y)
 
 
 def _with_fully_observed_column():
@@ -183,7 +183,7 @@ def test_shifted_and_scaled_columns_match_per_chain_reference(n):
     y = gen_responses(x, cfg, rng)
     x[:, 2] += 1e5
     x[:, 5] *= 1e3
-    ds = apply_missingness(x, 0.4, "mcar", rng, y=y)
+    ds = apply_missingness(x, MissingnessConfig(0.4, "mcar"), rng, y=y)
     config = ImputationConfig(M=10)
     out = impute_all_rows(ds, config, np.random.default_rng(n))
     want = chained_imputation_per_chain(
@@ -379,7 +379,7 @@ def test_completions_do_not_depend_on_response():
     rng = np.random.default_rng(15)
     x, _ = make_masked(rng)
     y = x[:, 0] + rng.standard_normal(len(x))
-    ds = apply_missingness(x, 0.3, "mar_y", rng, y=y)
+    ds = apply_missingness(x, MissingnessConfig(0.3, "mar_y"), rng, y=y)
     other = MissingDataset(y=rng.permutation(ds.y), X=ds.X, mask=ds.mask)
     a = impute_all_rows(ds, ImputationConfig(M=3), np.random.default_rng(16))
     b = impute_all_rows(other, ImputationConfig(M=3), np.random.default_rng(16))
@@ -467,12 +467,12 @@ def test_desk_stream_imputes_in_little_memory():
     import tracemalloc
 
     from seqbvs.data_gen import gen_covariates, gen_responses
-    from seqbvs.experiment import _imputed_stream, default_config
+    from seqbvs.experiment import ExperimentConfig, _imputed_stream
 
-    config = default_config("desk")
+    config = ExperimentConfig()
     rng = np.random.default_rng(28)
     x = gen_covariates(config.n_max, config.dgp.cov, rng)
-    data = apply_missingness(x, config.missing.rate, "mcar", rng, y=gen_responses(x, config.dgp, rng))
+    data = apply_missingness(x, config.missing, rng, y=gen_responses(x, config.dgp, rng))
     tracemalloc.start()
     try:
         sizes = [stats.n for stats in _imputed_stream(data, config, 0)]
@@ -488,17 +488,17 @@ def test_full_profile_stream_imputes_in_little_memory():
     # paper-scale stream stays inside the desk stream's 4 MB.  Stacks grow
     # with n, so the last 20 sizes hold the largest ones; the sizes below
     # would only make the test slower
-    import dataclasses
     import tracemalloc
 
+    from seqbvs.config import build_config
     from seqbvs.data_gen import gen_covariates, gen_responses
-    from seqbvs.experiment import _imputed_stream, default_config
+    from seqbvs.experiment import _imputed_stream
 
-    config = dataclasses.replace(default_config("full"), n_min=81)
+    config = build_config({"run.n_min": "81"}, profile="full")
     assert config.imp.M == 50
     rng = np.random.default_rng(28)
     x = gen_covariates(config.n_max, config.dgp.cov, rng)
-    data = apply_missingness(x, config.missing.rate, "mcar", rng, y=gen_responses(x, config.dgp, rng))
+    data = apply_missingness(x, config.missing, rng, y=gen_responses(x, config.dgp, rng))
     tracemalloc.start()
     try:
         sizes = [stats.n for stats in _imputed_stream(data, config, 0)]

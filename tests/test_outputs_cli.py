@@ -19,7 +19,7 @@ from seqbvs import outputs as outputs_module
 from seqbvs import svg as svg_module
 from seqbvs.cli import main
 from seqbvs.config import KNOWN_KEYS, build_config, parse_config_text
-from seqbvs.data_gen import DGPConfig, equicorrelated_cov, gen_covariates, gen_responses
+from seqbvs.data_gen import DGPConfig, MissingnessConfig, equicorrelated_cov, gen_covariates, gen_responses
 from seqbvs.errors import ConfigError, DataError, OutputError
 from seqbvs.experiment import (
     _STREAM_COVARIATES,
@@ -27,11 +27,9 @@ from seqbvs.experiment import (
     _STREAM_MASK,
     _STREAM_NOISE,
     ExperimentConfig,
-    MissingnessConfig,
     ReplicationResult,
     aggregate,
     count_crossings,
-    default_config,
     run_experiment,
     run_replication,
 )
@@ -378,6 +376,23 @@ class TestOutputs:
                     assert not array.flags.writeable, source
                     with pytest.raises(ValueError, match="read-only"):
                         array[0] = array[-1]
+
+    def test_records_own_their_arrays(self, tmp_path):
+        # built from views of writeable arrays, a record copies them: the caller's
+        # arrays stay writeable, and writing into them later leaves the record as checked
+        base = np.full((3, 2 * len(METHODS)), 0.25)  # (T, methods * p) at p = 2
+        sizes = np.array([4, 3, 2])
+        trajectories = {meth: InclusionTrajectory(meth, base[:, 2 * i : 2 * i + 2]) for i, meth in enumerate(METHODS)}
+        res = ReplicationResult(0, 19, 21, trajectories, sizes)
+        base[0, 0] = 7.0
+        sizes[2] = 9
+        assert res.trajectories["bvs"].probs[0, 0] == 0.25
+        np.testing.assert_array_equal(res.set_sizes, [4, 3, 2])
+        write_trajectories_csv([res], tmp_path / "traj.csv")
+        (back,) = read_trajectories_csv(tmp_path / "traj.csv")
+        np.testing.assert_array_equal(back.set_sizes, [4, 3, 2])
+        for meth in METHODS:
+            np.testing.assert_array_equal(back.trajectories[meth].probs, np.full((3, 2), 0.25))
 
     @pytest.mark.parametrize("name", [TRAJECTORIES_CSV, TABLES_CSV, CROSSING_TOTALS_CSV, MANIFEST_JSON])
     def test_unwritable_output_raises_output_error(self, tiny_run, tmp_path, name):
@@ -761,7 +776,7 @@ class TestConfigFile:
         def field_of(cfg):
             return getattr(cfg if section == "run" else getattr(cfg, section), name)
 
-        default = field_of(default_config())
+        default = field_of(ExperimentConfig())
         text = ",".join(map(str, default)) if isinstance(default, np.ndarray) else str(default)
         value = field_of(build_config({key: text}))
         assert type(value) is type(default)
@@ -778,6 +793,22 @@ class TestConfigFile:
     def test_unparsable_value_names_its_key(self, key, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             build_config({key: text})
+
+    @pytest.mark.parametrize(
+        "profile, kv, sizes",
+        [("desk", {}, (20, 10)), ("full", {"run.reps": "3"}, (3, 50)), ("huge", {}, None)],
+        ids=["desk", "file_over_full", "huge"],
+    )
+    def test_profile_presets(self, profile, kv, sizes):
+        # a profile is a preset of keys under the file's; desk presets nothing, so it is the code defaults
+        if sizes is None:
+            with pytest.raises(ConfigError, match=re.escape("profile must be one of ('desk', 'full'), got 'huge'")):
+                build_config(kv, profile)
+            return
+        cfg = build_config(kv, profile)
+        assert (cfg.reps, cfg.imp.M) == sizes
+        if profile == "desk":
+            assert (ExperimentConfig().reps, ExperimentConfig().imp.M) == sizes
 
     def test_profile_defaults_pass_through(self):
         cfg = build_config({}, profile="full")
@@ -1046,6 +1077,15 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_overflowing_data_reported_as_exit_2(self, tmp_path, capsys):
+        # finite, checked beta whose cross-products overflow: refused with no warning and no output
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG_TEXT + "dgp.beta=1e200,0,1\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), "--no-plots"]) == 2
+        assert "error: cross-products of the observations overflow" in capsys.readouterr().err
+        assert not (out_dir / TRAJECTORIES_CSV).exists()
 
     def test_max_p_simulates_from_its_floor(self, tmp_path):
         # run.n_min alone reaches the floor max(19, p + 3) = 23; n_min_below_floor_at_max_p refuses 22
