@@ -96,13 +96,15 @@ class MissingnessConfig:
             raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MissingDataset:
     """Responses, covariates with NaN at masked cells, and the observed mask.
 
     mask is a bool array of X's 2-D shape, and mask[j, k] is True exactly
     when X[j, k] is observed; observed cells and responses are finite, and
     responses carry no missing entries.  Masked cells of X are not read.
+    The dataset is frozen and its arrays are read-only copies of those
+    given, so it holds what was checked.
     """
 
     y: np.ndarray
@@ -110,16 +112,26 @@ class MissingDataset:
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.X.ndim != 2 or self.mask.shape != self.X.shape or self.mask.dtype != bool:
+        y, x_mat, mask = (np.array(a) for a in (self.y, self.X, self.mask))
+        if x_mat.ndim != 2 or mask.shape != x_mat.shape or mask.dtype != bool:
             raise ShapeError(
-                f"mask must be a bool array of X's 2-D shape {self.X.shape}, got {self.mask.dtype} {self.mask.shape}"
+                f"mask must be a bool array of X's 2-D shape {x_mat.shape}, got {mask.dtype} {mask.shape}"
             )
-        if self.y.shape != (self.X.shape[0],):
-            raise ShapeError(f"y length {self.y.shape} does not match X rows {self.X.shape[0]}")
-        if not np.all(np.isfinite(self.y)):
+        if y.shape != (x_mat.shape[0],):
+            raise ShapeError(f"y length {y.shape} does not match X rows {x_mat.shape[0]}")
+        if not np.all(np.isfinite(y)):
             raise DataError("responses must be finite (never masked)")
-        if not np.all(np.isfinite(self.X[self.mask])):
+        if not np.all(np.isfinite(x_mat[mask])):
             raise DataError("observed covariates must be finite")
+        for name, value in (("y", y), ("X", x_mat), ("mask", mask)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state: dict) -> None:
+        # an unpickled or deep-copied array comes back writeable
+        self.__dict__.update(state)
+        for value in state.values():
+            value.flags.writeable = False
 
 
 def gen_covariates(n: int, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -187,6 +199,4 @@ def apply_missingness(
         p_missing = _expit(intercept + slope * y)
         mask = rng.random((n, p)) >= p_missing[:, None]
 
-    x_masked = x_mat.copy()
-    x_masked[~mask] = np.nan
-    return MissingDataset(y=y.copy(), X=x_masked, mask=mask)
+    return MissingDataset(y=y, X=np.where(mask, x_mat, np.nan), mask=mask)

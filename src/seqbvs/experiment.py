@@ -4,13 +4,18 @@ One replication draws a dataset of size n_max, masks covariate cells once,
 and then replays the stream: for every n from n_min to n_max it re-imputes
 the first n rows from scratch (M completions; consecutive sizes share one
 stacked impute call, each on its own stream), sweeps all models on the M
-completions, and hands the (M, m) log-BF table to one step function,
-advance_step.  The step pools the table once: the pooled vector gives both
-the posterior and the mean pairwise log-Bayes-factor losses that advance
-the E-processes, whose state is all a step carries to the next (L is
-linear, so loss_mode "increment" telescopes to L(v_t) less that state's
-running loss sum).  It returns the four covariate inclusion vectors and the
-set size.  Time is indexed t = n - n_min + 1.
+completions and pools the (M, m) log-BF table at once into one row of a
+(T, m) block: its mean log BF per model and the posterior that gives.  One
+step function, advance_step, then takes the whole block of sample sizes.
+The pooled vectors give the mean pairwise log-Bayes-factor losses that
+advance the E-processes, whose state is all a block carries to the next (L
+is linear, so loss_mode "increment" telescopes to L(v_t) less that state's
+running loss sum, taken row by row).  The state's exit step per model gives
+the confidence set at every row of the block, and the step returns the
+four covariate inclusion vectors of each row and the set sizes.  A block
+holds block_rows(m) sample sizes, so a step's (T, m) temporaries stay
+within CELL_BUDGET values (one row at p = 20), and it gives the bits of its
+rows stepped one at a time.  Time is indexed t = n - n_min + 1.
 
 Replications are deterministic given (base_seed, rep_index): every random
 stream is derived from numpy's SeedSequence([base_seed, rep_index, tag]),
@@ -61,7 +66,7 @@ from .inclusion import (
     smcs_inclusion,
     zero_out,
 )
-from .model_space import ModelSpace, enumerate_models
+from .model_space import CELL_BUDGET, ModelSpace, enumerate_models
 from .smcs import EProcessState, SmcsConfig, loss_from_log_marginals, step
 
 log = logging.getLogger(__name__)
@@ -281,37 +286,55 @@ def _imputed_stream(data: MissingDataset, config: ExperimentConfig, rep_index: i
         del stats
 
 
-def advance_step(
-    eprocess: EProcessState, tables: np.ndarray, config: ExperimentConfig, space: ModelSpace
-) -> tuple[EProcessState, dict[str, np.ndarray], int]:
-    """One time step from the (M, m) per-imputation log-BF table at n.
+def block_rows(m: int) -> int:
+    """How many sample sizes one advance_step takes at m models.
 
-    Returns the new state, each method's (p,) inclusion probabilities and
-    the set size.  The table is pooled once; the pooled vector drives both
-    the posterior (bvs, zero_out, mixed) and the mean pairwise loss
-    L(pooled) of the E-processes.  Under loss_mode "increment" the step
-    takes L(pooled) less the running loss sum, which is L of the change
-    since the previous step because L is linear.
+    The step holds about eight (T, m) arrays at once (the E-process's sums,
+    terms and suprema, the membership, the folds' weights), so a block of
+    CELL_BUDGET // (8 m) rows keeps them within CELL_BUDGET values: 32 rows
+    at p = 10, 2 at p = 14 and one from p = 15 on.
     """
-    pooled, post = posterior_from_imputations(tables, space, config.model_prior)
+    return max(1, CELL_BUDGET // (8 * m))
+
+
+def advance_step(
+    eprocess: EProcessState, pooled: np.ndarray, post: np.ndarray, config: ExperimentConfig, space: ModelSpace
+) -> tuple[EProcessState, np.ndarray, np.ndarray]:
+    """A block of T time steps from their (T, m) pooled log BFs and posteriors.
+
+    Returns the state at the block's last step, the (T, methods, p)
+    inclusion probabilities in METHODS order and the (T,) set sizes.  The
+    pooled vectors drive the mean pairwise losses L(pooled) of the
+    E-processes, and the posteriors bvs, zero_out and mixed.  Under
+    loss_mode "increment" each row takes L(pooled) less the running loss
+    sum, which is L of the change since the row before because L is
+    linear.  Row t's confidence set is the models whose exit step is 0 or
+    after t.
+    """
     loss = loss_from_log_marginals(pooled)
     if config.loss_mode == "increment":
-        loss -= eprocess.cum_losses
+        running = eprocess.cum_losses
+        for row in loss:
+            row -= running
+            running = running + row
+    t_first = eprocess.t + 1
     eprocess = step(eprocess, loss, config.smcs)
-    set_size = int(np.count_nonzero(eprocess.member))
+    times = np.arange(t_first, eprocess.t + 1)[:, None]
+    member = (eprocess.left_at == 0) | (eprocess.left_at > times)
+    set_sizes = np.count_nonzero(member, axis=1)
     p_bvs = bvs_inclusion(post, space)
-    p_smcs = smcs_inclusion(eprocess.member, space)
-    p_zero_out = zero_out(post, eprocess.member, space).probs
-    p_mixed = mixed_inclusion(p_bvs, p_smcs, set_size, space.m)
-    probs = dict(zip(METHODS, (p_bvs, p_smcs, p_zero_out, p_mixed)))
-    return eprocess, probs, set_size
+    p_smcs = smcs_inclusion(member, space)
+    p_zero_out = zero_out(post, member, space).probs
+    p_mixed = mixed_inclusion(p_bvs, p_smcs, set_sizes, space.m)
+    return eprocess, np.stack([p_bvs, p_smcs, p_zero_out, p_mixed], axis=1), set_sizes
 
 
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
     """One full sequential pass; deterministic given (base_seed, rep_index).
 
-    Each size's GramStats from the imputed stream feeds one model_sweep and
-    one advance_step.
+    Each size's GramStats from the imputed stream feeds one model_sweep,
+    whose table is pooled into the next row of the block; a full block, and
+    the last one, feeds one advance_step.
     """
     dgp = config.dgp
     space = enumerate_models(dgp.p)
@@ -319,17 +342,25 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     y_full = gen_responses(x_full, dgp, stream_rng(config.base_seed, rep_index, _STREAM_NOISE))
     data = apply_missingness(x_full, config.missing, stream_rng(config.base_seed, rep_index, _STREAM_MASK), y=y_full)
 
-    probs_of = {meth: np.full((config.t_max, dgp.p), np.nan) for meth in METHODS}
-    set_sizes = np.zeros(config.t_max, dtype=np.int64)
+    probs = np.empty((config.t_max, len(METHODS), dgp.p))
+    set_sizes = np.empty(config.t_max, dtype=np.int64)
+    rows = min(block_rows(space.m), config.t_max)
+    pooled, post = np.empty((rows, space.m)), np.empty((rows, space.m))
     eprocess = EProcessState.fresh(space.m)
+    done = 0
     for t, stats in enumerate(_imputed_stream(data, config, rep_index)):
-        # the (M, m) table, at model_sweep's default g = n, is bound only inside the step, so it is
-        # freed before the next sweep
-        eprocess, probs, set_sizes[t] = advance_step(eprocess, model_sweep(stats, space), config, space)
-        for meth, row in probs.items():
-            probs_of[meth][t] = row
+        # the (M, m) table, at model_sweep's default g = n, is bound only while it is pooled, so it
+        # is freed before the next sweep
+        row = t - done
+        pooled[row], post[row] = posterior_from_imputations(model_sweep(stats, space), space, config.model_prior)
+        if row + 1 == rows or t + 1 == config.t_max:
+            block = slice(done, t + 1)
+            eprocess, probs[block], set_sizes[block] = advance_step(
+                eprocess, pooled[: row + 1], post[: row + 1], config, space
+            )
+            done = t + 1
 
-    trajectories = {meth: InclusionTrajectory(meth, probs) for meth, probs in probs_of.items()}
+    trajectories = {meth: InclusionTrajectory(meth, probs[:, i]) for i, meth in enumerate(METHODS)}
     return ReplicationResult(rep_index, config.n_min, config.n_max, trajectories, set_sizes)
 
 

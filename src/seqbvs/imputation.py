@@ -18,6 +18,9 @@ they add nothing to a product.  Each (sweep, column) step then fits all T*M
 chains at once: batched products give each chain's augmented cross-product
 matrix [D, z]'[D, z] over the rows where the column is observed, for the
 design D = [1, X] (the intercept and the other columns) and the column z.
+The right operand of each product is a copy of the gathered rows: numpy
+runs A'A of one buffer as BLAS syrk plus a loop that mirrors the triangle,
+twice the time of the gemm it runs on two buffers at these small shapes.
 The fit needs no pass over the rows: the row count and the column sums sit
 in the intercept's row.  With X's rows and columns scaled by their inverse
 sds and _RIDGE * q on X's diagonal, one Cholesky factor of the whole
@@ -206,13 +209,17 @@ def _cross_products(flat: np.ndarray, rows: np.ndarray, order: np.ndarray) -> np
     gathered a chunk of chains at a time, at most _GATHER_CELLS values per
     chunk; each chain's product is computed on its own, so the chunking does
     not change a bit of the result, and the full products die on return.
+    The right operand is a copy of the gathered rows: numpy sends A'A of
+    one buffer to BLAS syrk plus a loop that mirrors the triangle, which at
+    these shapes (about 230 chains of 41 x 11) takes twice as long as the
+    gemm it sends two buffers to.
     """
     chains, width = len(flat), flat.shape[2]
     full = np.empty((chains, width, width))
     step = max(1, _GATHER_CELLS // (len(rows) * width))
     for lo in range(0, chains, step):
         part = np.take(flat[lo : lo + step], rows, axis=1)
-        np.matmul(part.transpose(0, 2, 1), part, out=full[lo : lo + step])
+        np.matmul(part.transpose(0, 2, 1), part.copy(), out=full[lo : lo + step])
         del part  # freed before the next chunk is gathered
     return full.transpose(1, 2, 0)[order[:, None], order]
 

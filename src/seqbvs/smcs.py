@@ -7,12 +7,21 @@ For every candidate model i the engine tracks the running supremum of
 
 over r, in log space throughout (the exponents grow without bound).  The
 set of models whose supremum stays at or below log(1/alpha) is the
-confidence set, carried as the state's (m,) bool mask `member`.  It is
-nested over time because the supremum never decreases: a model that leaves
-never returns, and an emptied set stays empty.  When the per-model losses
-are built from log Bayes factors the pairwise cumulative differences reduce
-to differences of the per-model cumulative sums, so the engine needs only
-O(m) state.
+confidence set.  It is nested over time because the supremum never
+decreases: a model that leaves never returns, and an emptied set stays
+empty (Arnold, Gavrilopoulos, Schulz & Ziegel 2024).  So the state keeps one
+exit step per model, `left_at`: the t at which the model left, 0 while it is
+a member.  The (m,) bool mask `member` is derived from it, and so is the
+membership at any earlier t, (left_at == 0) | (left_at > t).  When the
+per-model losses are built from log Bayes factors the pairwise cumulative
+differences reduce to differences of the per-model cumulative sums, so the
+engine needs only O(m) state.
+
+step advances over a block of T time steps at once, a (T, m) array of
+losses; an (m,) vector is the one-row block.  The block's running sums and
+suprema add and compare row after row, as T single steps would, and every
+reduction runs along a C-contiguous last axis, so a block gives the bits of
+its rows stepped one at a time.
 
 A fresh state (no data) treats every model as a member: the supremum over
 an empty index set is taken as -inf (E = 0 convention).
@@ -64,70 +73,100 @@ class EProcessState:
     t: int
     cum_losses: np.ndarray  # (m,) running sums of the per-model losses
     log_sup: np.ndarray  # (m,) running supremum of log E over r <= t
-    member: np.ndarray  # (m,) bool, log_sup <= log(1/alpha)
+    left_at: np.ndarray  # (m,) ints: the t at which log_sup first passed log(1/alpha), 0 while it has not
 
     @classmethod
     def fresh(cls, m: int) -> EProcessState:
         if m < 2:
             raise ConfigError(f"need at least 2 models, got {m}")
         return cls(
-            m=m,
-            t=0,
-            cum_losses=np.zeros(m),
-            log_sup=np.full(m, -np.inf),
-            member=np.ones(m, dtype=bool),
+            m=m, t=0, cum_losses=np.zeros(m), log_sup=np.full(m, -np.inf), left_at=np.zeros(m, dtype=np.int64)
         )
+
+    @property
+    def member(self) -> np.ndarray:
+        """(m,) bool mask of the confidence set at t."""
+        return self.left_at == 0
 
 
 def loss_from_log_marginals(log_bf: np.ndarray) -> np.ndarray:
-    """Mean pairwise log-Bayes-factor loss of every model, shape (m,).
+    """Mean pairwise log-Bayes-factor loss of every model, along the last axis of (m,) or (T, m).
 
     L_i = (1/(m-1)) * sum_{j != i} (l_j - l_i) = (sum_j l_j - m*l_i)/(m-1).
     """
     log_bf = np.asarray(log_bf, dtype=float)
-    m = log_bf.size
+    m = log_bf.shape[-1] if log_bf.ndim else 1
     if m < 2:
         raise ConfigError(f"loss needs at least 2 models, got {m}")
-    total = log_bf.sum()
-    return (total - m * log_bf) / (m - 1)
+    loss = m * log_bf
+    np.subtract(log_bf.sum(axis=-1, keepdims=True), loss, out=loss)
+    loss /= m - 1
+    return loss
 
 
-def _rt_log_terms(cum_losses: np.ndarray, lam: float, t: int) -> np.ndarray:
-    """log of the r = t term of every model's E-process, O(m).
+def _rt_log_terms(cum_losses: np.ndarray, lam: float, t: int | np.ndarray) -> np.ndarray:
+    """log of the r = t term of every model's E-process, O(m) per row of (m,) or (T, m) running sums.
 
-    The leave-one-out sums are shifted by the top model's exponent, so every
-    model but the top one keeps the top's weight of 1 in its sum:
-    w.sum() - w_i >= max(1, w.sum() / 2) and no digits cancel.  The top
-    model's own sum is taken directly over the rest.
+    t is an int, or the (T, 1) times of the rows.  The leave-one-out sums are
+    shifted by the top model's exponent, so every model but the top one
+    keeps the top's weight of 1 in its sum: w.sum() - w_i >= max(1, w.sum() / 2)
+    and no digits cancel.  The top model's own sum is taken directly over
+    the rest.
     """
-    m = cum_losses.size
-    v = -lam * cum_losses
-    top = np.argmax(v)
-    rest = np.delete(v, top)
-    hi = rest.max()
-    lse_top = hi + np.log(np.exp(rest - hi).sum())
-    del rest  # so that at most four (m,) vectors are live at once
-    w = np.exp(v - v[top])
+    m = cum_losses.shape[-1]
+    v = -lam * cum_losses.reshape(-1, m)
+    rows = np.arange(len(v))
+    top = np.argmax(v, axis=1)
+    # one row's top is deleted by two slice copies, a block's by a mask
+    rest = np.delete(v.reshape(-1), top + m * rows).reshape(len(v), m - 1)
+    # each (T, m) operation below runs in place, in the order the formulas
+    # read, so that at most three (T, m) arrays are live at once
+    hi = rest.max(axis=1)
+    rest -= hi[:, None]
+    lse_top = hi + np.log(np.exp(rest, out=rest).sum(axis=1))
+    del rest
+    v_top = v[rows, top][:, None]
+    # lse_without = v_top + log(w.sum() - w) with w = exp(v - v_top)
+    lse_without = np.subtract(v, v_top)
+    np.exp(lse_without, out=lse_without)
+    np.subtract(lse_without.sum(axis=1, keepdims=True), lse_without, out=lse_without)
     with np.errstate(divide="ignore"):  # log 0 at the top when the rest underflow
-        lse_without = v[top] + np.log(w.sum() - w)
-    lse_without[top] = lse_top
-    return -v + lse_without - math.log(m - 1) - t / 8.0
+        np.log(lse_without, out=lse_without)
+    lse_without += v_top
+    lse_without[rows, top] = lse_top
+    # -v + lse_without - log(m - 1) - t / 8
+    np.negative(v, out=v)
+    v += lse_without
+    v -= math.log(m - 1)
+    v -= t / 8.0
+    return v.reshape(cum_losses.shape)
 
 
 def step(state: EProcessState, losses: np.ndarray, config: SmcsConfig) -> EProcessState:
-    """Advance to time state.t + 1 with the (m,) per-model losses observed there."""
+    """Advance by one time step per row of the (m,) or (T, m) per-model losses observed there."""
     losses = np.asarray(losses, dtype=float)
-    if losses.shape != (state.m,):
-        raise ShapeError(f"expected {state.m} losses, got {losses.shape}")
+    if losses.ndim not in (1, 2) or losses.shape[-1:] != (state.m,):
+        raise ShapeError(f"expected (m,) or (T, m) losses with m = {state.m}, got {losses.shape}")
     if not np.all(np.isfinite(losses)):
         raise DataError("losses must be finite")
-    t = state.t + 1
-    cum = state.cum_losses + losses
-    log_sup = np.maximum(state.log_sup, _rt_log_terms(cum, config.lam, t))
-    return replace(
-        state,
-        t=t,
-        cum_losses=cum,
-        log_sup=log_sup,
-        member=log_sup <= config.log_threshold,
-    )
+    losses = losses.reshape(-1, state.m)
+    t = state.t + len(losses)
+    # running sums and suprema row by row: numpy accumulates along axis 0
+    # one column at a time, 2-16x slower than a loop over the rows here
+    cum = np.empty_like(losses)
+    prev = state.cum_losses
+    for row, loss in zip(cum, losses):
+        prev = np.add(prev, loss, out=row)
+    log_sup = _rt_log_terms(cum, config.lam, np.arange(state.t + 1, t + 1)[:, None])
+    prev = state.log_sup
+    for row in log_sup:
+        prev = np.maximum(prev, row, out=row)
+    # a member out at t left in this block.  The supremum never decreases, so one in for its
+    # first k rows left at state.t + 1 + k; the rows are added one by one, as numpy reduces a
+    # short axis 0 one column at a time.  Written as negations so that a NaN supremum is out, as
+    # it is not <= the threshold
+    leaving = np.flatnonzero(~(log_sup[-1] <= config.log_threshold) & (state.left_at == 0))
+    left_at = state.left_at.copy()
+    left_at[leaving] = state.t + 1 + sum(log_sup[:, leaving] <= config.log_threshold)
+    # copies, so that the state does not keep the block alive
+    return replace(state, t=t, cum_losses=cum[-1].copy(), log_sup=log_sup[-1].copy(), left_at=left_at)

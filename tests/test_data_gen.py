@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -170,6 +173,29 @@ def test_dataset_validation():
         MissingDataset(np.zeros(3), np.zeros((3, 2)), np.ones((2, 2), dtype=bool))
     with pytest.raises(DataError):
         MissingDataset(np.array([1.0, np.nan]), np.zeros((2, 2)), np.ones((2, 2), dtype=bool))
+
+
+def test_dataset_is_frozen_with_read_only_copies():
+    # as made, unpickled (a process pool's copy) and deep-copied, a dataset holds what was
+    # checked: an inf written into an observed cell would reach the imputer's fits
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((30, 3))
+    y = x.sum(axis=1)
+    made = apply_missingness(x, MissingnessConfig(0.3, "mcar"), rng, y=y)
+    for ds in (made, pickle.loads(pickle.dumps(made)), copy.deepcopy(made)):
+        for f in dataclasses.fields(ds):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ds, f.name, getattr(ds, f.name))
+        for array in (ds.y, ds.X, ds.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        with pytest.raises(ValueError, match="read-only"):
+            ds.X[0, 0] = np.inf
+    # the caller's arrays stay its own, and writeable
+    mask = np.ones((2, 2), dtype=bool)
+    given = MissingDataset(np.zeros(2), np.zeros((2, 2)), mask)
+    mask[0, 0] = False
+    assert given.mask.all()
 
 
 @pytest.mark.parametrize(

@@ -349,6 +349,33 @@ def test_replication_matches_literal_steps(tiny_tables, loss_mode, prior):
             )
 
 
+@pytest.mark.parametrize("loss_mode", ["cumulative", "increment"])
+def test_blocks_equal_row_by_row_steps(monkeypatch, loss_mode):
+    # one advance_step per sample size, per block of 5 (a boundary inside the 12 steps, and a
+    # last block of 2) and for the whole run give the same bits; at varsigma 0.1 the set empties
+    for varsigma in (0.65, 0.1):
+        cfg = tiny_config(loss_mode=loss_mode, smcs=SmcsConfig(varsigma=varsigma))
+        runs = {}
+        for rows in (1, 5, cfg.t_max):
+            monkeypatch.setattr(experiment, "block_rows", lambda m, rows=rows: rows)
+            runs[rows] = run_replication(cfg, 0)
+        assert (runs[1].set_sizes[-1] == 0) == (varsigma == 0.1)
+        for res in runs.values():
+            assert res.set_sizes.tobytes() == runs[1].set_sizes.tobytes()
+            for meth in METHODS:
+                assert res.trajectories[meth].probs.tobytes() == runs[1].trajectories[meth].probs.tobytes(), meth
+
+
+def test_block_rows_fit_the_cell_budget():
+    # a block's (T, m) arrays stay within the cell budget, and p = MAX_P steps one size at a time
+    from seqbvs.model_space import CELL_BUDGET, MAX_P
+
+    assert experiment.block_rows(1 << MAX_P) == 1
+    for p in range(1, MAX_P + 1):
+        rows = experiment.block_rows(1 << p)
+        assert rows >= 1 and (rows == 1 or 8 * rows << p <= CELL_BUDGET)
+
+
 def test_replication_at_max_p_in_bounded_memory():
     # p = MAX_P = 20: 2^20 models, a (10, m) table of 84 MB per step.  The
     # whole replication, three steps, stays under 220 MB (179 MB measured):

@@ -114,14 +114,17 @@ class TestBvs:
             zero_out(np.array([0.5, 0.5, 0.0, np.nan]), mask(space, [0, 1]), space)
 
     def test_mask_of_wrong_shape_or_type_rejected(self):
-        # an index array, even one of m entries, is not a mask
+        # an index array, even one of m entries, is not a mask; a (T, m) block is the widest mask, and
+        # zero_out takes one row of mask per row of posterior
         space = enumerate_models(2)
         post = np.full(space.m, 0.25)
-        for member in (np.ones(3, dtype=bool), np.ones((1, 4), dtype=bool), np.array([1]), np.arange(4)):
+        for member in (np.ones(3, dtype=bool), np.ones((1, 1, 4), dtype=bool), np.array([1]), np.arange(4)):
             with pytest.raises(DataError, match="bool membership mask"):
                 smcs_inclusion(member, space)
             with pytest.raises(DataError, match="bool membership mask"):
                 zero_out(post, member, space)
+        with pytest.raises(DataError, match="bool membership mask"):
+            zero_out(np.full((2, 4), 0.25), np.ones((3, 4), dtype=bool), space)
 
 
 class TestSmcs:
@@ -250,3 +253,38 @@ def test_trajectory_validation():
         for meth in ("bvs", "smcs"):
             with pytest.raises(DataError, match=rf"a probability outside \[0, 1\] in {meth} at rep 0, t 2$"):
                 record({meth: InclusionTrajectory(meth, [[0.3, 0.5], [value, 0.5]])}, [4, 4])
+
+
+def test_block_rows_equal_single_rows():
+    # every method takes a (T, m) block and gives each row the bits it gets alone; rows 2 and 3 are
+    # an empty set and a set of zero posterior mass, so zero_out counts two fallback rows
+    space = enumerate_models(6)
+    rng = np.random.default_rng(21)
+    logits = rng.standard_normal((5, space.m)) * 3
+    logits[3, :4] = -800.0  # exp underflows to 0 on the set of row 3
+    post = np.exp(logits - logits.max(axis=1, keepdims=True))
+    post /= post.sum(axis=1, keepdims=True)
+    member = rng.random((5, space.m)) < 0.3
+    member[2] = False
+    member[3] = np.arange(space.m) < 4
+    sizes = np.count_nonzero(member, axis=1)
+    zo = zero_out(post, member, space)
+    assert int(zo.fallback) == 2
+    blocks = {
+        "bvs": bvs_inclusion(post, space),
+        "smcs": smcs_inclusion(member, space),
+        "zero_out": zo.probs,
+    }
+    blocks["mixed"] = mixed_inclusion(blocks["bvs"], blocks["smcs"], sizes, space.m)
+    for t in range(5):
+        rows = {
+            "bvs": bvs_inclusion(post[t], space),
+            "smcs": smcs_inclusion(member[t], space),
+            "zero_out": zero_out(post[t], member[t], space).probs,
+        }
+        rows["mixed"] = mixed_inclusion(rows["bvs"], rows["smcs"], int(sizes[t]), space.m)
+        for name, row in rows.items():
+            assert blocks[name].shape == (5, space.p)
+            assert blocks[name][t].tobytes() == row.tobytes(), (name, t)
+    assert np.isnan(blocks["smcs"][2]).all()
+    assert blocks["mixed"][2].tobytes() == blocks["bvs"][2].tobytes()

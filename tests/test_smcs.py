@@ -71,6 +71,11 @@ class TestLoss:
         losses = loss_from_log_marginals(log_bf)
         np.testing.assert_allclose(losses, naive_mean_log_bf_loss(log_bf), atol=1e-12)
 
+    def test_block_is_the_loss_of_each_row(self):
+        log_bf = np.random.default_rng(12).standard_normal((5, 32)) * 4
+        for row, got in zip(log_bf, loss_from_log_marginals(log_bf)):
+            assert got.tobytes() == loss_from_log_marginals(row).tobytes()
+
     def test_single_model_rejected(self):
         with pytest.raises(ConfigError):
             loss_from_log_marginals(np.array([1.0]))
@@ -186,8 +191,10 @@ class TestStep:
             step(EProcessState.fresh(2), np.array([0.0, np.inf]), SmcsConfig())
 
     def test_loss_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            step(EProcessState.fresh(3), np.zeros(2), SmcsConfig())
+        # (m,) or (T, m) losses only
+        for shape in ((2,), (2, 2), (1, 2, 3)):
+            with pytest.raises(ShapeError):
+                step(EProcessState.fresh(3), np.zeros(shape), SmcsConfig())
 
     def test_exclusion_happens(self):
         # model 1 consistently loses: its E grows past 1/alpha and stays out
@@ -228,3 +235,26 @@ class TestStep:
             np.testing.assert_array_equal(level.member, change.member)
             np.testing.assert_allclose(level.log_sup, change.log_sup, rtol=1e-9, atol=0)
 
+
+@pytest.mark.parametrize("splits", [[9], [3, 1, 5], [1] * 9])
+@pytest.mark.parametrize("varsigma, sizes", [(0.3, [52, 43, 31, 22, 16, 12, 10, 8, 6]), (0.1, [2, 1, 1, 1, 1, 1, 0, 0, 0])])
+def test_block_step_equals_single_steps(splits, varsigma, sizes):
+    # a (T, m) block advances the state to the bits of T single steps, and the exit step per model
+    # gives the set at every row: (left_at == 0) | (left_at > t).  At varsigma 0.1 the set empties
+    rng = np.random.default_rng(11)
+    m = 64
+    losses = rng.standard_normal(m) * 0.5 + rng.standard_normal((9, m))
+    cfg = SmcsConfig(alpha=0.1, varsigma=varsigma)
+    single, members = EProcessState.fresh(m), []
+    for row in losses:
+        single = step(single, row, cfg)
+        members.append(single.member)
+    assert [np.count_nonzero(member) for member in members] == sizes
+    block = EProcessState.fresh(m)
+    for part in np.split(losses, np.cumsum(splits)[:-1]):
+        block = step(block, part, cfg)
+    assert block.t == single.t == 9
+    for name in ("cum_losses", "log_sup", "left_at"):
+        assert getattr(block, name).tobytes() == getattr(single, name).tobytes(), name
+    for t, member in enumerate(members, start=1):
+        np.testing.assert_array_equal((block.left_at == 0) | (block.left_at > t), member)
